@@ -8,11 +8,12 @@
 //! 5. unrolled fixed-sequence kernels vs the rolled generic-N construction
 //!    (`addition::add_generic`);
 //! 6. autovectorized SoA kernels vs explicit lock-step `Lanes<8>` execution;
-//! 7. telemetry probe overhead with the feature *disabled* — run once with
-//!    the default build and once with `--features telemetry` and diff the
-//!    `telemetry_overhead/*` numbers; the disabled build must be within
-//!    1–2% of a build where the probes were never written (the probes
-//!    const-fold to nothing, see `mf_telemetry::ENABLED`);
+//! 7. telemetry probe overhead — run once with the default build and once
+//!    with `--features telemetry` and diff the `telemetry_overhead/*`
+//!    numbers for AXPY/DOT/GEMM at N = 2, 3, 4. With the feature off the
+//!    probes const-fold to nothing (`mf_telemetry::ENABLED`); with it on
+//!    they cost a few counter updates per kernel call, so both builds must
+//!    match to within noise at every N;
 //! 8. persistent worker pool vs per-dispatch scoped spawn for the parallel
 //!    BLAS wrappers (`pool_dispatch`) — small-n dispatch latency is the
 //!    pool's whole reason to exist, large-n must not regress.
@@ -191,6 +192,47 @@ fn pool_dispatch_ablation(c: &mut Criterion) {
     g.finish();
 }
 
+/// AXPY/DOT (length 4096) and GEMM (32x32) at width `N`, labelled with
+/// the build's telemetry state.
+fn telemetry_kernels_at<const N: usize>(g: &mut criterion::BenchmarkGroup<'_>) {
+    use mf_bench::workloads::rand_f64s;
+    use mf_blas::{kernels, Matrix};
+    use mf_core::MultiFloat;
+    let state = if mf_telemetry::ENABLED { "on" } else { "off" };
+    let (n, m) = (4096, 32);
+    let to_mf = MultiFloat::<f64, N>::from;
+    let xs: Vec<_> = rand_f64s(1, n).into_iter().map(to_mf).collect();
+    let mut ys: Vec<_> = rand_f64s(2, n).into_iter().map(to_mf).collect();
+    let alpha = to_mf(1.000000321);
+    let mat = |seed| {
+        let mut v = rand_f64s(seed, m * m).into_iter().map(to_mf);
+        Matrix::from_fn(m, m, |_, _| v.next().unwrap())
+    };
+    let (a, b) = (mat(3), mat(4));
+    let mut cm = Matrix::zeros(m, m);
+    g.bench_function(format!("axpy_N{N}_telemetry_{state}"), |bch| {
+        bch.iter(|| {
+            kernels::axpy(black_box(alpha), black_box(&xs), black_box(&mut ys));
+            black_box(ys[0]);
+        })
+    });
+    g.bench_function(format!("dot_N{N}_telemetry_{state}"), |bch| {
+        bch.iter(|| black_box(kernels::dot(black_box(&xs), black_box(&ys))))
+    });
+    g.bench_function(format!("gemm{m}_N{N}_telemetry_{state}"), |bch| {
+        bch.iter(|| {
+            kernels::gemm(
+                black_box(alpha),
+                black_box(&a),
+                black_box(&b),
+                MultiFloat::ZERO,
+                &mut cm,
+            );
+            black_box(cm.data[0]);
+        })
+    });
+}
+
 fn telemetry_overhead_ablation(c: &mut Criterion) {
     if std::env::var("MF_ABLATION_SKIP")
         .map(|v| v.contains("telemetry_overhead_ablation"))
@@ -198,39 +240,17 @@ fn telemetry_overhead_ablation(c: &mut Criterion) {
     {
         return;
     }
-    use mf_bench::workloads::rand_f64s;
-    use mf_blas::kernels;
-    use mf_core::MultiFloat;
     let mut g = c.benchmark_group("telemetry_overhead");
-    let n = 4096;
-    let to_mf = MultiFloat::<f64, 2>::from;
-    let xs: Vec<_> = rand_f64s(1, n).into_iter().map(to_mf).collect();
-    let mut ys: Vec<_> = rand_f64s(2, n).into_iter().map(to_mf).collect();
-    let alpha = to_mf(1.000000321);
-    // These kernels cross every instrumented layer (renorm probes in
-    // mf-core, dispatch probes in mf-blas); with the `telemetry` feature
-    // off, both must match an uninstrumented build to within noise.
-    g.bench_function(
-        if mf_telemetry::ENABLED {
-            "axpy_N2_telemetry_on"
-        } else {
-            "axpy_N2_telemetry_off"
-        },
-        |bch| {
-            bch.iter(|| {
-                kernels::axpy(black_box(alpha), black_box(&xs), black_box(&mut ys));
-                black_box(ys[0]);
-            })
-        },
-    );
-    g.bench_function(
-        if mf_telemetry::ENABLED {
-            "dot_N2_telemetry_on"
-        } else {
-            "dot_N2_telemetry_off"
-        },
-        |bch| bch.iter(|| black_box(kernels::dot(black_box(&xs), black_box(&ys)))),
-    );
+    // These kernels cross every instrumented layer (the per-call renorm
+    // accounting and audit draw, dispatch probes in mf-blas). Diff the
+    // `*_telemetry_on` numbers of a `--features telemetry` run against the
+    // `*_telemetry_off` numbers of a default run: at every N they must
+    // match to within noise. N >= 3 matters most — those are the widths
+    // whose networks renormalize, and an N=2-only ablation cannot see a
+    // per-renorm probe cost.
+    telemetry_kernels_at::<2>(&mut g);
+    telemetry_kernels_at::<3>(&mut g);
+    telemetry_kernels_at::<4>(&mut g);
     // Span-tracing cost on the same workload, telemetry builds only.
     // Unarmed = enabled build without `--trace`: each span is one relaxed
     // atomic load. Armed: the full record cost (clock read + two ring-slot
@@ -242,7 +262,15 @@ fn telemetry_overhead_ablation(c: &mut Criterion) {
     // overhead at <= 5%.
     #[cfg(feature = "telemetry")]
     {
+        use mf_bench::workloads::rand_f64s;
+        use mf_blas::kernels;
+        use mf_core::MultiFloat;
         use mf_telemetry::trace;
+        let n = 4096;
+        let to_mf = MultiFloat::<f64, 2>::from;
+        let xs: Vec<_> = rand_f64s(1, n).into_iter().map(to_mf).collect();
+        let mut ys: Vec<_> = rand_f64s(2, n).into_iter().map(to_mf).collect();
+        let alpha = to_mf(1.000000321);
         // Shadow-audit sampling cost on the same workload (EXPERIMENTS.md
         // numerical-health ablation). Off = rate 0, where the per-call
         // draw short-circuits on the zero threshold; default = 1/1024,

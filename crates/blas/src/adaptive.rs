@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mf_core::adaptive::{EscalationPolicy, Rung};
 use mf_core::guard::{escalated_nonfinite, noncanonical};
-use mf_core::{F64x2, MultiFloat};
+use mf_core::{renorm_probes, F64x2, MultiFloat};
 use mf_mpsoft::MpFloat;
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::{trace, Counter};
@@ -146,6 +146,14 @@ fn narrow<const N: usize>(v: MultiFloat<f64, N>) -> F64x2 {
     F64x2::from_components_renorm([c[0], tail])
 }
 
+/// Account the renormalizations of `widens` [`widen`]s to width `n` and
+/// `narrows` [`narrow`]s back, once per escalated chunk (the wide kernel
+/// call counts its own arithmetic).
+fn record_widen_narrow(n: usize, widens: usize, narrows: usize) {
+    renorm_probes::record_renorms(n, widens as u64);
+    renorm_probes::record_renorms(2, narrows as u64);
+}
+
 /// Post-condition judgment shared by every unit: escalate when a finite
 /// input chunk produced a non-finite or noncanonical value, or when the
 /// accumulated heads drifted from the naive `f64` evaluation by more than
@@ -188,11 +196,13 @@ fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
     match rung.terms() {
         Some(2) => kernels::dot(x, y),
         Some(3) => {
+            record_widen_narrow(3, 2 * x.len(), 1);
             let wx: Vec<_> = x.iter().map(|&v| widen::<3>(v)).collect();
             let wy: Vec<_> = y.iter().map(|&v| widen::<3>(v)).collect();
             narrow(kernels::dot(&wx, &wy))
         }
         Some(4) => {
+            record_widen_narrow(4, 2 * x.len(), 1);
             let wx: Vec<_> = x.iter().map(|&v| widen::<4>(v)).collect();
             let wy: Vec<_> = y.iter().map(|&v| widen::<4>(v)).collect();
             narrow(kernels::dot(&wx, &wy))
@@ -373,6 +383,7 @@ pub fn dot_adaptive(
 /// One axpy chunk at one wide rung, recomputed from the pre-kernel
 /// snapshot of `y`.
 fn axpy_wide<const N: usize>(alpha: F64x2, x: &[F64x2], snap: &[F64x2], y: &mut [F64x2]) {
+    record_widen_narrow(N, 2 * x.len() + 1, x.len());
     let wa = widen::<N>(alpha);
     let wx: Vec<_> = x.iter().map(|&v| widen::<N>(v)).collect();
     let mut wy: Vec<_> = snap.iter().map(|&v| widen::<N>(v)).collect();

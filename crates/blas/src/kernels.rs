@@ -21,9 +21,14 @@ use mf_telemetry::audit::{self, OpClass};
 /// public wrapper (the tile.rs pattern, applied to the flat kernels).
 /// The `#[inline(always)]` body plus `#[inline]` EFT primitives guarantee
 /// the whole hot loop lands inside the feature-enabled frame.
+///
+/// `where ops = (adds, muls)` gives the kernel's operation count,
+/// evaluated from the arguments before the call and reported once per
+/// call through [`Scalar::s_record_ops`]; the body carries no probe state.
 macro_rules! fma_dispatched {
     ($(#[$doc:meta])* pub fn $name:ident / $body:ident / $fma:ident
-     <S: Scalar>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $code:block) => {
+     <S: Scalar>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+     where ops = $ops:expr; $code:block) => {
         #[inline(always)]
         fn $body<S: Scalar>($($arg: $ty),*) $(-> $ret)? $code
 
@@ -40,6 +45,8 @@ macro_rules! fma_dispatched {
 
         $(#[$doc])*
         pub fn $name<S: Scalar>($($arg: $ty),*) $(-> $ret)? {
+            let (adds, muls): (usize, usize) = $ops;
+            S::s_record_ops(adds, muls);
             #[cfg(target_arch = "x86_64")]
             if crate::simd::fma_frame_allowed() {
                 // SAFETY: `fma_frame_allowed` returns true only for ISA
@@ -53,7 +60,8 @@ macro_rules! fma_dispatched {
 
 fma_dispatched! {
     /// Dispatch half of [`axpy`] (audit sampling lives in the wrapper).
-    pub fn axpy_dispatched / axpy_body / axpy_fma<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+    pub fn axpy_dispatched / axpy_body / axpy_fma<S: Scalar>(alpha: S, x: &[S], y: &mut [S])
+    where ops = (x.len(), x.len()); {
         assert_eq!(x.len(), y.len());
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = yi.s_mul_acc(alpha, xi);
@@ -79,7 +87,8 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
 
 fma_dispatched! {
     /// Dispatch half of [`dot`] (audit sampling lives in the wrapper).
-    pub fn dot_dispatched / dot_body / dot_fma<S: Scalar>(x: &[S], y: &[S]) -> S {
+    pub fn dot_dispatched / dot_body / dot_fma<S: Scalar>(x: &[S], y: &[S]) -> S
+    where ops = (x.len(), x.len()); {
         assert_eq!(x.len(), y.len());
         let mut acc = S::s_zero();
         for (&xi, &yi) in x.iter().zip(y) {
@@ -117,7 +126,8 @@ fma_dispatched! {
         x: &[S],
         beta: S,
         y: &mut [S],
-    ) {
+    )
+    where ops = gemv_ops(a.rows, a.cols, beta.s_is_zero()); {
         assert_eq!(a.cols, x.len());
         assert_eq!(a.rows, y.len());
         if beta.s_is_zero() {
@@ -141,7 +151,8 @@ fma_dispatched! {
         b: &Matrix<S>,
         beta: S,
         c: &mut Matrix<S>,
-    ) {
+    )
+    where ops = gemm_ops(a.rows, a.cols, b.cols, beta.s_is_zero()); {
         assert_eq!(a.cols, b.rows);
         assert_eq!(c.rows, a.rows);
         assert_eq!(c.cols, b.cols);
@@ -169,6 +180,21 @@ fma_dispatched! {
             }
         }
     }
+}
+
+/// `(adds, muls)` of an `m x k` GEMV: `m` dot rows of `k` mul-adds, one
+/// `alpha·row` per row, and with `beta ≠ 0` one `beta·y` and one add more.
+pub(crate) fn gemv_ops(m: usize, k: usize, beta_zero: bool) -> (usize, usize) {
+    let extra = usize::from(!beta_zero) * m;
+    (m * k + extra, m * k + m + extra)
+}
+
+/// `(adds, muls)` of an `m x k` by `k x n` GEMM in `ikj` order: `m·k·n`
+/// mul-adds, one `alpha·a_ik` per `(i, k)`, and with `beta ≠ 0` one
+/// `beta·c_ij` per output.
+pub(crate) fn gemm_ops(m: usize, k: usize, n: usize, beta_zero: bool) -> (usize, usize) {
+    let scale = usize::from(!beta_zero) * m * n;
+    (m * k * n, m * k * n + m * k + scale)
 }
 
 #[cfg(test)]

@@ -70,6 +70,14 @@ pub trait Scalar: Copy + Send + Sync + Default + 'static {
     fn s_audit_parts(self) -> Option<(u8, u16, [f64; 4])> {
         None
     }
+    /// Per-call operation accounting: a kernel entry point reports the
+    /// `adds` additions and `muls` multiplications it performed, once per
+    /// call. `MultiFloat` turns them into the exact `core.renorm.*`
+    /// counts; the default (every other type) ignores them.
+    #[inline(always)]
+    fn s_record_ops(adds: usize, muls: usize) {
+        let _ = (adds, muls);
+    }
 }
 
 macro_rules! scalar_native {
@@ -144,6 +152,10 @@ impl<T: FloatBase, const N: usize> Scalar for MultiFloat<T, N> {
             *slot = c.to_f64();
         }
         Some((N as u8, T::PRECISION as u16, parts))
+    }
+    #[inline(always)]
+    fn s_record_ops(adds: usize, muls: usize) {
+        mf_core::renorm_probes::record_ops(N, adds as u64, muls as u64);
     }
 }
 

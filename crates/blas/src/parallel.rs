@@ -284,6 +284,8 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
         };
         acc = acc.s_add(term);
     }
+    // The chunks' own work was counted by `kernels::dot`; add the reduce.
+    S::s_record_ops(ranges.len(), 0);
     acc
 }
 
@@ -326,6 +328,10 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
     }
     let ranges = chunk_ranges(a.rows, threads);
     record_dispatch(&ranges);
+    // `kernels::dot` counts each row's reduction; add the per-row scaling.
+    let (adds, muls) = kernels::gemv_ops(a.rows, a.cols, beta.s_is_zero());
+    let dots = a.rows * a.cols;
+    S::s_record_ops(adds - dots, muls - dots);
     let _sp = trace::span("par.gemv", a.rows as u64);
     let failed = {
         let out = ChunkedMut::new(y);
@@ -413,6 +419,8 @@ pub fn gemm<S: Scalar>(
         return kernels::gemm(alpha, a, b, beta, c);
     }
     let n = b.cols;
+    let (adds, muls) = kernels::gemm_ops(a.rows, a.cols, n, beta.s_is_zero());
+    S::s_record_ops(adds, muls);
     let ranges = chunk_ranges(a.rows, threads);
     record_dispatch(&ranges);
     let _sp = trace::span("par.gemm", a.rows as u64);

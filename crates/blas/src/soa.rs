@@ -18,7 +18,9 @@
 //! streaming kernels at N >= 3, where the lock-step live state spills the
 //! register file).
 
-use mf_core::{addition, multiplication, FloatBase, MultiFloat};
+use crate::kernels;
+use crate::lanes::SIMD_LANES;
+use mf_core::{addition, multiplication, renorm_probes, FloatBase, MultiFloat};
 
 /// Accumulator lanes for reductions at expansion width `N`. More lanes
 /// break the add-chain dependency further, but each lane keeps `N` partial
@@ -159,9 +161,12 @@ fn slices_mut<T: FloatBase, const N: usize>(
 /// are all `#[inline(always)]`, so the whole hot loop lands inside the
 /// feature-enabled frame and the EFT `mul_add`s lower to `vfmadd`; both
 /// lowerings are correctly rounded, so results stay bit-identical.
+/// `where ops = (adds, muls)` is reported once per call, as in
+/// `kernels::fma_dispatched`.
 macro_rules! fma_dispatched_soa {
     ($(#[$doc:meta])* pub fn $name:ident / $body:ident / $fma:ident
-     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $code:block) => {
+     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+     where ops = $ops:expr; $code:block) => {
         #[inline(always)]
         fn $body<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? $code
 
@@ -178,6 +183,8 @@ macro_rules! fma_dispatched_soa {
 
         $(#[$doc])*
         pub fn $name<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? {
+            let (adds, muls): (usize, usize) = $ops;
+            renorm_probes::record_ops(N, adds as u64, muls as u64);
             #[cfg(target_arch = "x86_64")]
             if crate::simd::fma_frame_allowed() {
                 // SAFETY: `fma_frame_allowed` returns true only for ISA
@@ -197,7 +204,8 @@ fma_dispatched_soa! {
         alpha: MultiFloat<T, N>,
         x: &SoaVec<T, N>,
         y: &mut SoaVec<T, N>,
-    ) {
+    )
+    where ops = (x.len(), x.len()); {
         assert_eq!(x.len(), y.len());
         let n = x.len();
         // Streaming kernels: lock-step wins at N <= 2; at N >= 3 the lane
@@ -217,7 +225,8 @@ fma_dispatched_soa! {
         alpha: MultiFloat<T, N>,
         x: &SoaVec<T, N>,
         y: &mut SoaVec<T, N>,
-    ) {
+    )
+    where ops = (x.len(), x.len()); {
         assert_eq!(x.len(), y.len());
         let a = alpha.components();
         let n = x.len();
@@ -240,7 +249,8 @@ fma_dispatched_soa! {
     pub fn dot / dot_body / dot_fma(
         x: &SoaVec<T, N>,
         y: &SoaVec<T, N>,
-    ) -> MultiFloat<T, N> {
+    ) -> MultiFloat<T, N>
+    where ops = (x.len() + SIMD_LANES - 1, x.len()); {
         assert_eq!(x.len(), y.len());
         dot_raw::<T, N>(&x.comps, 0, &y.comps, 0, x.len())
     }
@@ -267,7 +277,8 @@ fma_dispatched_soa! {
     pub fn dot_autovec / dot_autovec_body / dot_autovec_fma(
         x: &SoaVec<T, N>,
         y: &SoaVec<T, N>,
-    ) -> MultiFloat<T, N> {
+    ) -> MultiFloat<T, N>
+    where ops = (x.len() + lanes_for(N) - 1, x.len()); {
         assert_eq!(x.len(), y.len());
         let n = x.len();
         match lanes_for(N) {
@@ -326,7 +337,12 @@ fma_dispatched_soa! {
         x: &SoaVec<T, N>,
         beta: MultiFloat<T, N>,
         y: &mut SoaVec<T, N>,
-    ) {
+    )
+    // The flat GEMV count plus each row reduction's lane tree.
+    where ops = {
+        let (adds, muls) = kernels::gemv_ops(a.rows, a.cols, beta.is_zero());
+        (adds + a.rows * (SIMD_LANES - 1), muls)
+    }; {
         assert_eq!(a.cols, x.len());
         assert_eq!(a.rows, y.len());
         // beta == 0 overwrites y without reading it (standard BLAS semantics;
@@ -355,7 +371,8 @@ fma_dispatched_soa! {
         b: &SoaMatrix<T, N>,
         beta: MultiFloat<T, N>,
         c: &mut SoaMatrix<T, N>,
-    ) {
+    )
+    where ops = kernels::gemm_ops(a.rows, a.cols, b.cols, beta.is_zero()); {
         assert_eq!(a.cols, b.rows);
         assert_eq!(c.rows, a.rows);
         assert_eq!(c.cols, b.cols);

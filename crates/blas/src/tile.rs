@@ -38,8 +38,8 @@
 
 use crate::parallel::{self, dispatch_chunks};
 use crate::soa::SoaMatrix;
-use crate::Scalar;
-use mf_core::{FloatBase, MultiFloat};
+use crate::{kernels, Scalar};
+use mf_core::{renorm_probes, FloatBase, MultiFloat};
 use mf_telemetry::{trace, Counter, Section};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -328,6 +328,12 @@ pub fn gemm_tiled<T: FloatBase, const N: usize>(
     if mf_telemetry::ENABLED {
         TILE_DISPATCHES.incr();
         TILE_TILES.add(tiles.len() as u64);
+        // The flat GEMM count, except that `alpha·a_ik` is packed once per
+        // tile rather than once per output row.
+        let (adds, muls) = kernels::gemm_ops(c.rows, a.cols, c.cols, beta.is_zero());
+        let packs: usize = tiles.iter().map(|t| (t.i1 - t.i0) * a.cols).sum();
+        let muls = muls - c.rows * a.cols + packs;
+        renorm_probes::record_ops(N, adds as u64, muls as u64);
     }
     let _sp = trace::span("par.gemm.tiled", (c.rows * c.cols) as u64);
     let shared = SoaTiles::new(c);

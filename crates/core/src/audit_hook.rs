@@ -120,6 +120,7 @@ fn oracle(s: &AuditSample) -> Option<AuditFinding> {
     } else {
         diff.div(&denom, 64).to_f64()
     };
+    crate::renorm_probes::record_sample(s);
     Some(AuditFinding {
         rel_err,
         nonfinite: false,

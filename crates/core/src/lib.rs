@@ -58,6 +58,7 @@ pub mod math;
 pub mod multiplication;
 pub mod ops;
 pub mod renorm;
+pub mod renorm_probes;
 pub mod rounding;
 pub mod sqrt;
 pub mod trig;

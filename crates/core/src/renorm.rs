@@ -18,36 +18,90 @@
 //! `MultiFloat::from_components_renorm`.
 
 use mf_eft::{two_sum, FloatBase};
-use mf_telemetry::{Counter, Histogram};
 
-static RENORM_CALLS: Counter = Counter::new("core.renorm.calls");
-static RENORM_SWEEPS: Counter = Counter::new("core.renorm.sweeps");
-static RENORM_TERMS_ZEROED: Counter = Counter::new("core.renorm.terms_zeroed");
-/// How many leading bits cancelled: exponent of the largest input minus the
-/// exponent of the renormalized head, clamped at zero. Bucket k therefore
-/// covers severities in `[2^(k-1), 2^k)` — a spike in high buckets flags
-/// workloads where the branch-free schedule is doing real work.
-static RENORM_CANCELLATION_BITS: Histogram = Histogram::new("core.renorm.cancellation_bits");
-
-/// Largest component exponent; only evaluated when telemetry is compiled in.
-#[inline]
-fn max_exponent<T: FloatBase>(v: &[T]) -> i32 {
-    v.iter().map(|t| t.exponent()).max().unwrap_or(i32::MIN)
+/// Sweeps the kernel schedule ([`renorm_m_to_n`]) runs on `m` values:
+/// up, up, then `max(2, m - 2)` down.
+const fn kernel_sweeps(m: usize) -> u64 {
+    2 + if m > 4 { m as u64 - 2 } else { 2 }
 }
 
-/// Record one renormalization. `in_exp` is [`max_exponent`] of the input,
-/// captured before the sweeps ran.
-#[inline]
-fn record_renorm<T: FloatBase>(in_exp: i32, out: &[T], sweeps: usize) {
-    if !mf_telemetry::ENABLED {
-        return;
+/// Sweeps the general-purpose schedule ([`renorm`]) runs on `n` values:
+/// up, up, then `max(3, n - 1)` down.
+const fn general_sweeps(n: usize) -> u64 {
+    2 + if n > 4 { n as u64 - 1 } else { 3 }
+}
+
+/// Renormalizations one operation performs, and the sweeps they run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RenormCost {
+    pub calls: u64,
+    pub sweeps: u64,
+}
+
+/// The operations whose renormalization schedule [`renorm_cost`] fixes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RenormOp {
+    /// [`crate::addition::add`] / [`crate::addition::sub`].
+    Add,
+    /// [`crate::multiplication::mul`].
+    Mul,
+    /// One general-purpose [`renorm`] (`MultiFloat::from_components_renorm`).
+    Renorm,
+}
+
+/// Renormalization cost of one `op` at width `n` — the per-op table behind
+/// the `core.renorm.{calls,sweeps}` counts. Every network has a fixed
+/// schedule, so these are exact: the `N <= 2` networks end in
+/// `FastTwoSum` and never renormalize; `add3` renormalizes its 4-value
+/// carry-save form and `add4` 5 values; `mul3` renormalizes 3 values and
+/// `mul4` 4. Kernel entry points multiply these by their operation counts
+/// once per call (`mf_blas`, `mf_solve`); the unit tests below pin the
+/// table against the renormalizations `add`/`mul` actually run.
+pub(crate) const fn renorm_cost(op: RenormOp, n: usize) -> RenormCost {
+    let inputs = match (op, n) {
+        (RenormOp::Add, 3) | (RenormOp::Mul, 4) => 4,
+        (RenormOp::Add, 4) => 5,
+        (RenormOp::Mul, 3) => 3,
+        (RenormOp::Renorm, _) => {
+            return RenormCost {
+                calls: 1,
+                sweeps: general_sweeps(n),
+            }
+        }
+        _ => {
+            return RenormCost {
+                calls: 0,
+                sweeps: 0,
+            }
+        }
+    };
+    RenormCost {
+        calls: 1,
+        sweeps: kernel_sweeps(inputs),
     }
-    RENORM_CALLS.incr();
-    RENORM_SWEEPS.add(sweeps as u64);
-    let zeroed = out.iter().filter(|t| t.is_zero()).count();
-    RENORM_TERMS_ZEROED.add(zeroed as u64);
-    let head_exp = out.first().map(|t| t.exponent()).unwrap_or(i32::MIN);
-    RENORM_CANCELLATION_BITS.record_clamped(in_exp as i64 - head_exp as i64);
+}
+
+/// Test-only tally of the renormalizations this thread actually ran, so
+/// the unit tests can pin [`renorm_cost`] against the networks.
+#[cfg(test)]
+mod tally {
+    use std::cell::Cell;
+
+    thread_local! {
+        static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn record(sweeps: u64) {
+        TALLY.with(|t| {
+            let (c, s) = t.get();
+            t.set((c + 1, s + sweeps));
+        });
+    }
+
+    /// `(calls, sweeps)` since the last call, then reset.
+    pub(super) fn take() -> (u64, u64) {
+        TALLY.with(|t| t.replace((0, 0)))
+    }
 }
 
 /// One bottom-up `TwoSum` sweep: after the sweep `v[0]` holds the rounded
@@ -91,20 +145,15 @@ pub fn sweep_down<T: FloatBase, const M: usize>(v: &mut [T; M]) {
 ///   trials at every width (see EXPERIMENTS.md E5).
 #[inline(always)]
 pub fn renorm_m_to_n<T: FloatBase, const M: usize, const N: usize>(mut v: [T; M]) -> [T; N] {
-    let in_exp = if mf_telemetry::ENABLED {
-        max_exponent(&v)
-    } else {
-        0
-    };
+    #[cfg(test)]
+    tally::record(kernel_sweeps(M));
     sweep_up(&mut v);
     sweep_up(&mut v);
-    let downs = if M > 4 { M - 2 } else { 2 };
-    for _ in 0..downs {
+    for _ in 0..kernel_sweeps(M) - 2 {
         sweep_down(&mut v);
     }
     let mut out = [T::ZERO; N];
     out[..N].copy_from_slice(&v[..N]);
-    record_renorm(in_exp, &out, 2 + downs);
     out
 }
 
@@ -119,18 +168,13 @@ pub fn renorm_m_to_n<T: FloatBase, const M: usize, const N: usize>(mut v: [T; M]
 /// two down sweeps (see `tests/fpan_system.rs::hand_built_sum_network_verifies`).
 #[inline(always)]
 pub fn renorm<T: FloatBase, const N: usize>(mut v: [T; N]) -> [T; N] {
-    let in_exp = if mf_telemetry::ENABLED {
-        max_exponent(&v)
-    } else {
-        0
-    };
+    #[cfg(test)]
+    tally::record(general_sweeps(N));
     sweep_up(&mut v);
     sweep_up(&mut v);
-    let downs = if N > 4 { N - 1 } else { 3 };
-    for _ in 0..downs {
+    for _ in 0..general_sweeps(N) - 2 {
         sweep_down(&mut v);
     }
-    record_renorm(in_exp, &v, 2 + downs);
     v
 }
 
@@ -155,18 +199,13 @@ pub fn sweep_down_slice<T: FloatBase>(v: &mut [T]) {
 
 /// Slice renormalization with the same schedule as [`renorm_m_to_n`].
 pub fn renorm_slice<T: FloatBase>(v: &mut [T]) {
-    let in_exp = if mf_telemetry::ENABLED {
-        max_exponent(v)
-    } else {
-        0
-    };
+    #[cfg(test)]
+    tally::record(kernel_sweeps(v.len()));
     sweep_up_slice(v);
     sweep_up_slice(v);
-    let downs = if v.len() > 4 { v.len() - 2 } else { 2 };
-    for _ in 0..downs {
+    for _ in 0..kernel_sweeps(v.len()) - 2 {
         sweep_down_slice(v);
     }
-    record_renorm(in_exp, v, 2 + downs);
 }
 
 /// Renormalization used by the arithmetic kernels. Even though their
@@ -209,6 +248,70 @@ mod tests {
             return b.is_zero() || b.abs().to_f64() < 1e-290;
         }
         a.rel_error_vs(&b) < 2.0f64.powi(-slack_bits)
+    }
+
+    /// Run `f` and return the renormalizations it performed on this thread.
+    fn tallied<R>(f: impl FnOnce() -> R) -> RenormCost {
+        tally::take();
+        let _ = f();
+        let (calls, sweeps) = tally::take();
+        RenormCost { calls, sweeps }
+    }
+
+    fn pinned_at<const N: usize>() {
+        let x: [f64; N] = core::array::from_fn(|i| 1.5 * 2.0f64.powi(-60 * i as i32));
+        let y: [f64; N] = core::array::from_fn(|i| -0.75 * 2.0f64.powi(-58 * i as i32));
+        let add = tallied(|| crate::addition::add(&x, &y));
+        let sub = tallied(|| crate::addition::sub(&x, &y));
+        let mul = tallied(|| crate::multiplication::mul(&x, &y));
+        let general = tallied(|| renorm(x));
+        assert_eq!(add, renorm_cost(RenormOp::Add, N), "add at N={N}");
+        assert_eq!(sub, renorm_cost(RenormOp::Add, N), "sub at N={N}");
+        assert_eq!(mul, renorm_cost(RenormOp::Mul, N), "mul at N={N}");
+        assert_eq!(general, renorm_cost(RenormOp::Renorm, N), "renorm at N={N}");
+    }
+
+    #[test]
+    fn cost_table_matches_the_networks() {
+        pinned_at::<1>();
+        pinned_at::<2>();
+        pinned_at::<3>();
+        pinned_at::<4>();
+        // The closed forms the table and the kernel accounting rely on.
+        let none = RenormCost {
+            calls: 0,
+            sweeps: 0,
+        };
+        assert_eq!(renorm_cost(RenormOp::Add, 2), none);
+        assert_eq!(renorm_cost(RenormOp::Mul, 2), none);
+        assert_eq!(
+            renorm_cost(RenormOp::Add, 3),
+            RenormCost {
+                calls: 1,
+                sweeps: 4
+            }
+        );
+        assert_eq!(
+            renorm_cost(RenormOp::Mul, 3),
+            RenormCost {
+                calls: 1,
+                sweeps: 4
+            }
+        );
+        assert_eq!(
+            renorm_cost(RenormOp::Add, 4),
+            RenormCost {
+                calls: 1,
+                sweeps: 5
+            }
+        );
+        assert_eq!(
+            renorm_cost(RenormOp::Mul, 4),
+            RenormCost {
+                calls: 1,
+                sweeps: 4
+            }
+        );
     }
 
     #[test]

@@ -78,6 +78,8 @@ where
         let ax = kernels::dot(&row, &xe);
         r.push(MultiFloat::<f64, N>::from(b[i]).sub(ax).to_f64());
     }
+    // The row dots counted themselves; add the `b - A·x` subtractions.
+    mf_core::renorm_probes::record_ops(N, n as u64, 0);
     r
 }
 
