@@ -16,9 +16,11 @@
 //! `--dump <path>` skips measurement: it runs a fixed seeded workload
 //! through the *env-selected* realization (`MF_SIMD`) across every
 //! dispatched kernel shape (dot/axpy/gemv/gemm/gemm-tiled, N ∈ {2,3,4},
-//! odd tails included) and writes the result bits as hex lines. The
-//! forced-ISA CI matrix `cmp`s dumps across `MF_SIMD` values: any
-//! realization-dependent bit is a hard diff, with the file as artifact.
+//! odd tails included; plus the row engine through AoS `kernels::gemv`
+//! and `mf_solve`'s extended residual at N ∈ {2,3,4}) and writes the
+//! result bits as hex lines. The forced-ISA CI matrix `cmp`s dumps across
+//! `MF_SIMD` values: any realization-dependent bit is a hard diff, with
+//! the file as artifact.
 //!
 //! Usage:
 //!   cargo run --release -p mf-bench --bin simd -- \
@@ -30,8 +32,10 @@ use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
 use mf_blas::simd::{self, Isa};
 use mf_blas::soa::{self, SoaMatrix, SoaVec};
-use mf_blas::tile;
+use mf_blas::{kernels, tile, Matrix};
 use mf_core::{F64x2, MultiFloat};
+use mf_solve::refine::residual_extended;
+use mf_solve::MatrixF64;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -113,6 +117,40 @@ fn dump_bits(path: &str) {
     dump_n::<2>(&mut out);
     dump_n::<3>(&mut out);
     dump_n::<4>(&mut out);
+
+    /// AoS GEMV and the extended residual: both run on the row engine
+    /// (one full group of eight rows plus a tail at 13 rows).
+    fn dump_rows<const N: usize>(out: &mut String) {
+        let (m, k) = (13usize, 9);
+        let a = Matrix::from_fn(m, k, |i, j| {
+            MultiFloat::<f64, N>::from(((i * k + j) as f64 + 0.25).sin())
+                .mul(MultiFloat::from(1.0 + ((i + j) as f64).cos() * 1e-13))
+        });
+        let x: Vec<MultiFloat<f64, N>> =
+            rand_f64s(41, k).into_iter().map(MultiFloat::from).collect();
+        let y0: Vec<MultiFloat<f64, N>> =
+            rand_f64s(43, m).into_iter().map(MultiFloat::from).collect();
+        let alpha = MultiFloat::<f64, N>::from(0.75);
+        for (tag, beta) in [
+            ("beta0", MultiFloat::ZERO),
+            ("beta", MultiFloat::from(-1.25)),
+        ] {
+            let mut y = y0.clone();
+            kernels::gemv(alpha, &a, &x, beta, &mut y);
+            for (i, &v) in y.iter().enumerate() {
+                dump_mf(out, &format!("gemv-aos/n{N}/{tag}/{i}"), v);
+            }
+        }
+        let af = MatrixF64::from_fn(m, k, |i, j| 1.0 / ((i + j + 1) as f64));
+        let b = rand_f64s(47, m);
+        let xf = rand_f64s(53, k);
+        for (i, r) in residual_extended::<N>(&af, &b, &xf).into_iter().enumerate() {
+            writeln!(out, "residual/n{N}/{i} = {:016x}", r.to_bits()).unwrap();
+        }
+    }
+    dump_rows::<2>(&mut out);
+    dump_rows::<3>(&mut out);
+    dump_rows::<4>(&mut out);
 
     // Matrix shapes with non-multiple-of-lane dims.
     let (m, k, p) = (9usize, 13, 7);

@@ -14,6 +14,7 @@
 //! load per kernel call.
 
 use crate::{Matrix, Scalar};
+use core::ops::Range;
 use mf_telemetry::audit::{self, OpClass};
 
 /// Expand one kernel into the portable `*_body`, the AVX2+FMA
@@ -25,12 +26,14 @@ use mf_telemetry::audit::{self, OpClass};
 /// `where ops = (adds, muls)` gives the kernel's operation count,
 /// evaluated from the arguments before the call and reported once per
 /// call through [`Scalar::s_record_ops`]; the body carries no probe state.
+/// Blocks that run inside a kernel which already reported its whole
+/// count (the GEMV row block) omit the clause.
 macro_rules! fma_dispatched {
-    ($(#[$doc:meta])* pub fn $name:ident / $body:ident / $fma:ident
+    ($(#[$doc:meta])* $vis:vis fn $name:ident / $body:ident / $fma:ident
      <S: Scalar>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
-     where ops = $ops:expr; $code:block) => {
+     $(where ops = $ops:expr;)? $code:block) => {
         #[inline(always)]
-        fn $body<S: Scalar>($($arg: $ty),*) $(-> $ret)? $code
+        pub(crate) fn $body<S: Scalar>($($arg: $ty),*) $(-> $ret)? $code
 
         /// AVX2+FMA instantiation of the kernel body.
         ///
@@ -44,9 +47,11 @@ macro_rules! fma_dispatched {
         }
 
         $(#[$doc])*
-        pub fn $name<S: Scalar>($($arg: $ty),*) $(-> $ret)? {
-            let (adds, muls): (usize, usize) = $ops;
-            S::s_record_ops(adds, muls);
+        $vis fn $name<S: Scalar>($($arg: $ty),*) $(-> $ret)? {
+            $(
+                let (adds, muls): (usize, usize) = $ops;
+                S::s_record_ops(adds, muls);
+            )?
             #[cfg(target_arch = "x86_64")]
             if crate::simd::fma_frame_allowed() {
                 // SAFETY: `fma_frame_allowed` returns true only for ISA
@@ -114,32 +119,75 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
     acc
 }
 
+/// `y <- alpha * A * x + beta * y`, `ij` loop order (row-major `A`).
+///
+/// Standard BLAS semantics: `beta == 0` *overwrites* `y` without reading
+/// it, so NaN/Inf in an uninitialized output buffer never propagates. The
+/// branch is hoisted out of the row loop; the loop bodies stay branch-free.
+///
+/// Each row is the serial chain of [`dot`]; `MultiFloat<f64, N>` runs
+/// eight rows at a time on the [`crate::simd`] row engine
+/// ([`Scalar::s_dot_rows`]) with the same bits.
+pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S]) {
+    assert_eq!(a.rows, y.len());
+    let (adds, muls) = gemv_ops(a.rows, a.cols, beta.s_is_zero());
+    S::s_record_ops(adds, muls);
+    gemv_rows(alpha, a, x, beta, y, 0);
+}
+
 fma_dispatched! {
-    /// `y <- alpha * A * x + beta * y`, `ij` loop order (row-major `A`).
-    ///
-    /// Standard BLAS semantics: `beta == 0` *overwrites* `y` without reading
-    /// it, so NaN/Inf in an uninitialized output buffer never propagates. The
-    /// branch is hoisted out of the row loop; the loop bodies stay branch-free.
-    pub fn gemv / gemv_body / gemv_fma<S: Scalar>(
+    /// Rows `lo..lo + y.len()` of [`gemv`], `y` holding just those rows:
+    /// the block the serial kernel runs whole and [`crate::parallel::gemv`]
+    /// runs per chunk. Reports no operation count (its callers report the
+    /// whole GEMV once) and makes one shadow-oracle draw ([`audit_rows`]).
+    pub(crate) fn gemv_rows / gemv_rows_body / gemv_rows_fma<S: Scalar>(
         alpha: S,
         a: &Matrix<S>,
         x: &[S],
         beta: S,
         y: &mut [S],
-    )
-    where ops = gemv_ops(a.rows, a.cols, beta.s_is_zero()); {
+        lo: usize,
+    ) {
         assert_eq!(a.cols, x.len());
-        assert_eq!(a.rows, y.len());
+        let rows = lo..lo + y.len();
+        audit_rows(y.len(), a.cols, |i, j| (a.at(lo + i, j), x[j]));
         if beta.s_is_zero() {
-            for i in 0..a.rows {
-                y[i] = alpha.s_mul(dot_body(a.row(i), x));
-            }
+            S::s_dot_rows(a, x, rows, |i, acc| y[i - lo] = alpha.s_mul(acc));
         } else {
-            for i in 0..a.rows {
-                let acc = dot_body(a.row(i), x);
-                y[i] = beta.s_mul(y[i]).s_add(alpha.s_mul(acc));
-            }
+            S::s_dot_rows(a, x, rows, |i, acc| {
+                y[i - lo] = beta.s_mul(y[i - lo]).s_add(alpha.s_mul(acc));
+            });
         }
+    }
+}
+
+/// The serial GEMV row loop, one [`dot`] chain per row: the default
+/// [`Scalar::s_dot_rows`].
+#[inline(always)]
+pub(crate) fn dot_rows_serial<S: Scalar>(
+    a: &Matrix<S>,
+    x: &[S],
+    rows: Range<usize>,
+    mut emit: impl FnMut(usize, S),
+) {
+    for i in rows {
+        emit(i, dot_body(a.row(i), x));
+    }
+}
+
+/// One shadow-oracle draw per row-engine call over its `rows x cols`
+/// products: a hit at `(i, j)` (`i` relative to the call's first row)
+/// submits the product `a_ij · x_j`, from `at(i, j)`, as class `dot`,
+/// exactly as [`dot`] submits its sampled term.
+#[inline]
+pub(crate) fn audit_rows<S: Scalar>(
+    rows: usize,
+    cols: usize,
+    at: impl FnOnce(usize, usize) -> (S, S),
+) {
+    if let Some(k) = audit::should_sample_index(rows * cols) {
+        let (a, x) = at(k / cols, k % cols);
+        crate::audit_submit(OpClass::Dot, a, x, S::s_zero(), a.s_mul(x));
     }
 }
 
@@ -362,6 +410,64 @@ mod tests {
         }
     }
 
+    fn gemv_rows_case<const N: usize>() {
+        use mf_core::MultiFloat;
+        let mut rng = SmallRng::seed_from_u64(907 + N as u64);
+        let mut mf = || {
+            MultiFloat::<f64, N>::from_components_renorm(core::array::from_fn(|k| {
+                rng.gen_range(-1.0..1.0f64) * 2f64.powi(-53 * k as i32)
+            }))
+        };
+        let alpha = mf();
+        let beta = mf();
+        let zero = MultiFloat::<f64, N>::ZERO;
+        let bits = |v: &[MultiFloat<f64, N>]| {
+            v.iter()
+                .map(|m| m.components().map(f64::to_bits))
+                .collect::<Vec<_>>()
+        };
+        for rows in [0usize, 1, 7, 8, 9, 17, 192] {
+            for cols in [0usize, 1, 9, 64] {
+                let a = Matrix::from_fn(rows, cols, |_, _| mf());
+                let x: Vec<_> = (0..cols).map(|_| mf()).collect();
+                let y0: Vec<_> = (0..rows).map(|_| mf()).collect();
+                let dots: Vec<_> = (0..rows).map(|i| dot_body(a.row(i), &x)).collect();
+                let want_zero: Vec<_> = dots.iter().map(|&d| alpha.mul(d)).collect();
+                let want_beta: Vec<_> = (0..rows)
+                    .map(|i| beta.mul(y0[i]).add(alpha.mul(dots[i])))
+                    .collect();
+                // beta == 0 overwrites a NaN/Inf-poisoned y without reading it.
+                let mut poisoned: Vec<_> = (0..rows)
+                    .map(|i| MultiFloat::from([f64::NAN, f64::INFINITY][i % 2]))
+                    .collect();
+                let mut yb = y0.clone();
+                gemv(alpha, &a, &x, zero, &mut poisoned);
+                gemv(alpha, &a, &x, beta, &mut yb);
+                let what = format!("N={N} {rows}x{cols}");
+                assert_eq!(bits(&poisoned), bits(&want_zero), "beta=0 {what}");
+                assert_eq!(bits(&yb), bits(&want_beta), "beta {what}");
+                // No 9-row chunks: `parallel`'s span test owns that size.
+                for threads in [3, 4] {
+                    let mut yp = y0.clone();
+                    crate::parallel::gemv(alpha, &a, &x, beta, &mut yp, threads);
+                    assert_eq!(bits(&yp), bits(&want_beta), "parallel/{threads} {what}");
+                }
+            }
+        }
+    }
+
+    /// GEMV through the row engine (`MultiFloat<f64, N>`, N = 1..4) is
+    /// bit-identical to the serial per-row `dot_body` formula under the
+    /// active realization, serial and pooled, for full row groups, tails
+    /// and empty shapes, with `beta` zero (poisoned `y`) and nonzero.
+    #[test]
+    fn gemv_row_engine_matches_serial_rows() {
+        gemv_rows_case::<1>();
+        gemv_rows_case::<2>();
+        gemv_rows_case::<3>();
+        gemv_rows_case::<4>();
+    }
+
     #[test]
     fn all_scalar_types_agree_on_small_problem() {
         let mut rng = SmallRng::seed_from_u64(904);
@@ -498,7 +604,7 @@ mod tests {
         let mut yv_disp = vec![F64x2::from(0.5); m];
         gemv(al, &a, &x, be, &mut yv_disp);
         let mut yv_body = vec![F64x2::from(0.5); m];
-        gemv_body(al, &a, &x, be, &mut yv_body);
+        gemv_rows_body(al, &a, &x, be, &mut yv_body, 0);
         for i in 0..m {
             assert_eq!(yv_disp[i].components(), yv_body[i].components(), "row {i}");
         }

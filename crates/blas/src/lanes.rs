@@ -237,18 +237,21 @@ impl<T: FloatBase, const L: usize> FloatBase for Lanes<T, L> {
         self.0[0].is_sign_negative()
     }
 
-    /// All-lanes-zero (so `FastTwoSum`'s debug precondition stays sound:
-    /// a zero operand means zero in every lane).
+    /// All-lanes-zero.
     fn is_zero(self) -> bool {
         self.0.iter().all(|&v| v.is_zero())
     }
 
-    /// Max over lanes (conservative for the `FastTwoSum` debug assert on
-    /// the *first* operand; checks on the second use the caller's own
-    /// lane-0 semantics — lane kernels are validated against scalar runs
-    /// in release mode, where the asserts compile out).
+    /// Max over lanes.
     fn exponent(self) -> i32 {
         self.0.iter().map(|&v| v.exponent()).max().unwrap_or(0)
+    }
+
+    /// Lane by lane: lanes of unrelated magnitudes (different rows of a
+    /// GEMV, say) each meet the precondition on their own, which no
+    /// all-lanes zero test or max-exponent comparison can express.
+    fn fast_two_sum_ok(self, y: Self) -> bool {
+        self.0.iter().zip(&y.0).all(|(&a, &b)| a.fast_two_sum_ok(b))
     }
 
     fn exp2i(e: i32) -> Self {

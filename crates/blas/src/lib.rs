@@ -20,6 +20,9 @@
 //! * [`lanes`] — explicit lock-step SIMD execution: the same kernels
 //!   instantiated at `T = Lanes<8>` (one AVX-512 register per FPAN wire),
 //!   removing the dependence on autovectorization;
+//! * [`simd`] — the intrinsic-backed 8-lane realizations (AVX2, AVX-512,
+//!   NEON, portable) behind the SoA DOT/AXPY dispatch and the AoS GEMV
+//!   row engine, bit-identical across ISAs;
 //! * [`mp`] — kernels over the limb-based `MpFloat` (the GMP/MPFR-class
 //!   baseline, with its allocation and branching costs included, as in the
 //!   real libraries);
@@ -39,6 +42,7 @@ pub mod simd;
 pub mod soa;
 pub mod tile;
 
+use core::ops::Range;
 use mf_baselines::campary::Expansion;
 use mf_baselines::dd::DoubleDouble;
 use mf_baselines::qd::QuadDouble;
@@ -77,6 +81,14 @@ pub trait Scalar: Copy + Send + Sync + Default + 'static {
     #[inline(always)]
     fn s_record_ops(adds: usize, muls: usize) {
         let _ = (adds, muls);
+    }
+    /// GEMV row reductions: `emit(i, a.row(i) · x)` for each `i` in
+    /// `rows`, every row the serial chain of [`kernels::dot`]. The default
+    /// is the serial row loop; `MultiFloat<f64, N>` runs eight rows at a
+    /// time on the [`simd`] row engine, with the same bits.
+    #[inline(always)]
+    fn s_dot_rows(a: &Matrix<Self>, x: &[Self], rows: Range<usize>, emit: impl FnMut(usize, Self)) {
+        kernels::dot_rows_serial(a, x, rows, emit);
     }
 }
 
@@ -156,6 +168,17 @@ impl<T: FloatBase, const N: usize> Scalar for MultiFloat<T, N> {
     #[inline(always)]
     fn s_record_ops(adds: usize, muls: usize) {
         mf_core::renorm_probes::record_ops(N, adds as u64, muls as u64);
+    }
+    #[inline(always)]
+    fn s_dot_rows(
+        a: &Matrix<Self>,
+        x: &[Self],
+        rows: Range<usize>,
+        mut emit: impl FnMut(usize, Self),
+    ) {
+        if !simd::try_dot_rows_mf(a, x, rows.clone(), &mut emit) {
+            kernels::dot_rows_serial(a, x, rows, emit);
+        }
     }
 }
 

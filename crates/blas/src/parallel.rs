@@ -289,22 +289,6 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
     acc
 }
 
-/// GEMV row block `lo..hi` into `head` (shared by workers and the serial
-/// degrade path). `beta == 0` overwrites without reading `head`, exactly
-/// like the serial kernel, so the parallel path stays bitwise identical.
-fn gemv_rows<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, head: &mut [S], lo: usize) {
-    if beta.s_is_zero() {
-        for (r, yi) in (lo..).zip(head.iter_mut()) {
-            *yi = alpha.s_mul(kernels::dot(a.row(r), x));
-        }
-    } else {
-        for (r, yi) in (lo..).zip(head.iter_mut()) {
-            let acc = kernels::dot(a.row(r), x);
-            *yi = beta.s_mul(*yi).s_add(alpha.s_mul(acc));
-        }
-    }
-}
-
 /// Parallel GEMV: rows are divided among threads.
 pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], threads: usize) {
     assert_eq!(
@@ -328,10 +312,9 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
     }
     let ranges = chunk_ranges(a.rows, threads);
     record_dispatch(&ranges);
-    // `kernels::dot` counts each row's reduction; add the per-row scaling.
+    // The chunks' row blocks report nothing; count the whole GEMV once.
     let (adds, muls) = kernels::gemv_ops(a.rows, a.cols, beta.s_is_zero());
-    let dots = a.rows * a.cols;
-    S::s_record_ops(adds - dots, muls - dots);
+    S::s_record_ops(adds, muls);
     let _sp = trace::span("par.gemv", a.rows as u64);
     let failed = {
         let out = ChunkedMut::new(y);
@@ -340,14 +323,14 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
             let _t = trace::span("par.gemv.chunk", (hi - lo) as u64);
             // SAFETY: chunk ranges are disjoint and each index runs once.
             let head = unsafe { out.slice(lo, hi) };
-            isolated(head, |out| gemv_rows(alpha, a, x, beta, out, lo))
+            isolated(head, |out| kernels::gemv_rows(alpha, a, x, beta, out, lo))
         })
     };
     record_degraded(failed.len());
     for ci in failed {
         let (lo, hi) = ranges[ci];
         degraded_rerun("gemv", lo, hi, || {
-            gemv_rows(alpha, a, x, beta, &mut y[lo..hi], lo)
+            kernels::gemv_rows(alpha, a, x, beta, &mut y[lo..hi], lo)
         });
     }
 }

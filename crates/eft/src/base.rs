@@ -92,6 +92,12 @@ pub trait FloatBase:
     /// with `2^e <= |self| < 2^(e+1)`. Returns `MIN_EXP - PRECISION as i32`
     /// for zero (below every representable magnitude).
     fn exponent(self) -> i32;
+    /// The precondition of `FastTwoSum(self, y)`: `self` or `y` is zero, or
+    /// `exponent(self) >= exponent(y)`. Vector types check it lane by lane,
+    /// since each lane is its own `FastTwoSum`.
+    fn fast_two_sum_ok(self, y: Self) -> bool {
+        self.is_zero() || y.is_zero() || self.exponent() >= y.exponent()
+    }
     /// Unit in the last place of `self`: `2^(exponent(self) - p + 1)`.
     fn ulp(self) -> Self {
         if self.is_zero() {

@@ -43,7 +43,7 @@ pub fn two_diff<T: FloatBase>(x: T, y: T) -> (T, T) {
 #[inline(always)]
 pub fn fast_two_sum<T: FloatBase>(x: T, y: T) -> (T, T) {
     debug_assert!(
-        x.is_zero() || y.is_zero() || x.exponent() >= y.exponent(),
+        x.fast_two_sum_ok(y),
         "fast_two_sum precondition violated: |x| = {:e} < |y| = {:e}",
         x.abs(),
         y.abs()

@@ -10,8 +10,10 @@
 //! residual `r = b − A·x`; each refinement step then recovers roughly
 //! `−log₂(cond(A)·ε)` bits until the extended residual's own precision
 //! floors out. The residual is computed with the branch-free
-//! `MultiFloat<f64, N>` arithmetic through [`mf_blas::kernels::dot`], so
-//! the whole refinement loop stays SIMD-friendly.
+//! `MultiFloat<f64, N>` arithmetic on the [`mf_blas::simd::dot_rows`] row
+//! engine: each row is the same serial dot chain as
+//! [`mf_blas::kernels::dot`], and eight rows run in lock-step across SIMD
+//! lanes.
 //!
 //! Contents:
 //!
