@@ -7,20 +7,16 @@
 //!    opportunity);
 //! 5. unrolled fixed-sequence kernels vs the rolled generic-N construction
 //!    (`addition::add_generic`);
-//! 6. autovectorized SoA kernels vs explicit lock-step `Lanes<8>` execution;
-//! 7. telemetry probe overhead — run once with the default build and once
+//! 6. telemetry probe overhead — run once with the default build and once
 //!    with `--features telemetry` and diff the `telemetry_overhead/*`
 //!    numbers for AXPY/DOT/GEMM at N = 2, 3, 4. With the feature off the
 //!    probes const-fold to nothing (`mf_telemetry::ENABLED`); with it on
 //!    they cost a few counter updates per kernel call, so both builds must
-//!    match to within noise at every N;
-//! 8. persistent worker pool vs per-dispatch scoped spawn for the parallel
-//!    BLAS wrappers (`pool_dispatch`) — small-n dispatch latency is the
-//!    pool's whole reason to exist, large-n must not regress.
+//!    match to within noise at every N.
 //!
 //! The criterion shim has no bench filtering; set `MF_ABLATION_SKIP` to a
 //! comma list of group function names (e.g.
-//! `MF_ABLATION_SKIP=pool_dispatch_ablation`) to skip groups while
+//! `MF_ABLATION_SKIP=telemetry_overhead_ablation`) to skip groups while
 //! iterating on one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -92,40 +88,6 @@ fn kernel_form_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-fn simd_form_ablation(c: &mut Criterion) {
-    if std::env::var("MF_ABLATION_SKIP")
-        .map(|v| v.contains("simd_form_ablation"))
-        .unwrap_or(false)
-    {
-        return;
-    }
-    use mf_bench::workloads::rand_f64s;
-    use mf_blas::soa::{self, SoaVec};
-    use mf_core::MultiFloat;
-    let mut g = c.benchmark_group("simd_form");
-    macro_rules! widths {
-        ($n:expr, $label:expr) => {{
-            let n = 4096;
-            let xs = SoaVec::from_slice(
-                &rand_f64s(1, n)
-                    .into_iter()
-                    .map(MultiFloat::<f64, $n>::from)
-                    .collect::<Vec<_>>(),
-            );
-            let ys = xs.clone();
-            g.bench_function(concat!("dot_lockstep_", $label), |bch| {
-                bch.iter(|| black_box(soa::dot(black_box(&xs), black_box(&ys))))
-            });
-            g.bench_function(concat!("dot_autovec_", $label), |bch| {
-                bch.iter(|| black_box(soa::dot_autovec(black_box(&xs), black_box(&ys))))
-            });
-        }};
-    }
-    widths!(2, "N2");
-    widths!(4, "N4");
-    g.finish();
-}
-
 fn qd_add_ablation(c: &mut Criterion) {
     if std::env::var("MF_ABLATION_SKIP")
         .map(|v| v.contains("qd_add_ablation"))
@@ -142,53 +104,6 @@ fn qd_add_ablation(c: &mut Criterion) {
     g.bench_function("accurate(merge+compress)", |bch| {
         bch.iter(|| black_box(black_box(a).accurate_add(black_box(b2))))
     });
-    g.finish();
-}
-
-fn pool_dispatch_ablation(c: &mut Criterion) {
-    if std::env::var("MF_ABLATION_SKIP")
-        .map(|v| v.contains("pool_dispatch_ablation"))
-        .unwrap_or(false)
-    {
-        return;
-    }
-    use mf_bench::workloads::rand_f64s;
-    use mf_blas::parallel;
-    use mf_core::MultiFloat;
-    let mut g = c.benchmark_group("pool_dispatch");
-    let threads = 4;
-    // Size the pool like the dispatch unless the caller pinned it.
-    if std::env::var("MF_BLAS_THREADS").is_err() {
-        std::env::set_var("MF_BLAS_THREADS", threads.to_string());
-    }
-    // n=128: dispatch latency dominates (what the persistent pool
-    // amortizes). n=16384: kernel work dominates (the shared-cursor
-    // protocol must cost nothing). The `pardispatch` bin measures the same
-    // contrast through the history/trend pipeline.
-    for n in [128usize, 16384] {
-        let to_mf = MultiFloat::<f64, 2>::from;
-        let xs: Vec<_> = rand_f64s(1, n).into_iter().map(to_mf).collect();
-        let mut ys: Vec<_> = rand_f64s(2, n).into_iter().map(to_mf).collect();
-        let alpha = to_mf(1.000000321);
-        for mode in ["pool", "scoped"] {
-            std::env::set_var("MF_BLAS_POOL", if mode == "pool" { "on" } else { "off" });
-            g.bench_function(format!("axpy_N2_n{n}_{mode}"), |bch| {
-                bch.iter(|| {
-                    parallel::axpy(
-                        black_box(alpha),
-                        black_box(&xs),
-                        black_box(&mut ys),
-                        threads,
-                    );
-                    black_box(ys[0]);
-                })
-            });
-            g.bench_function(format!("dot_N2_n{n}_{mode}"), |bch| {
-                bch.iter(|| black_box(parallel::dot(black_box(&xs), black_box(&ys), threads)))
-            });
-        }
-    }
-    std::env::remove_var("MF_BLAS_POOL");
     g.finish();
 }
 
@@ -364,6 +279,6 @@ criterion_group!(
         .sample_size(30)
         .warm_up_time(std::time::Duration::from_millis(200))
         .measurement_time(std::time::Duration::from_millis(500));
-    targets = eft_ablation, division_ablation, qd_add_ablation, kernel_form_ablation, simd_form_ablation, pool_dispatch_ablation, telemetry_overhead_ablation
+    targets = eft_ablation, division_ablation, qd_add_ablation, kernel_form_ablation, telemetry_overhead_ablation
 );
 criterion_main!(benches);

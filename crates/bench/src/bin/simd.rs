@@ -1,12 +1,13 @@
 //! Explicit-SIMD ISA ablation (ISSUE 10; DESIGN.md "Explicit SIMD").
 //!
-//! Measures DOT and AXPY over `MultiFloat<f64, 2>` through the SoA
-//! lock-step dispatch at every ISA realization this host can run
+//! Measures DOT over `MultiFloat<f64, 2>` through the SoA lock-step
+//! dispatch at every ISA realization this host can run
 //! (`mf_blas::simd::force`), and records per-ISA history kernels
-//! (`DOT/16384/mf/simd-avx2`, `AXPY/16384/mf/simd-scalar`, ...) for the
+//! (`DOT/16384/mf/simd-avx2`, `DOT/1024/mf/simd-scalar`, ...) for the
 //! trend pipeline. `simd-scalar` disables the AVX2+FMA frames entirely
 //! (soft-float `mul_add`), so the scalar rows double as the
-//! no-explicit-SIMD baseline of the EXPERIMENTS ablation.
+//! no-explicit-SIMD baseline of the EXPERIMENTS ablation. AXPY runs one
+//! element loop whatever the realization, so it has no per-ISA rows.
 //!
 //! After measuring, scalar (baseline) and avx2 (current) are compared
 //! *in-process* with the same bootstrap machinery the `trend` gate uses:
@@ -235,28 +236,12 @@ fn main() {
     let mut avx2_entries: Vec<KernelEntry> = Vec::new();
 
     for &n in &SIZES {
-        let alpha = F64x2::from(1.000000321);
         let x = soa_from_seed::<2>(1, n);
         let y0 = soa_from_seed::<2>(2, n);
 
         for &isa in &isas {
             simd::force(isa);
             let mode = format!("simd-{isa}");
-
-            let mut y = y0.clone();
-            let m = measure_gops_detailed(n as f64, min_secs, || {
-                soa::axpy(alpha, &x, &mut y);
-                sink(y.comps[0][0]);
-            });
-            history::record_measurement(&format!("AXPY/{n}/mf/{mode}"), &m);
-            eprintln!("AXPY n={n:>5} {mode:<12} {:>9.4} Gop/s", m.gops);
-            let e = entry(&format!("AXPY/{n}"), gops_samples(&m), m.iters);
-            match isa {
-                Isa::Scalar => scalar_entries.push(e),
-                Isa::Avx2 => avx2_entries.push(e),
-                _ => {}
-            }
-
             let m = measure_gops_detailed(n as f64, min_secs, || {
                 sink(soa::dot(&x, &y0));
             });

@@ -15,7 +15,7 @@
 //!
 //! Chunk boundaries are fixed by element index — **not** by thread count —
 //! so results are bitwise identical across `threads` settings; the
-//! parallel path reuses [`crate::parallel`]'s executor dispatch and its
+//! parallel path reuses [`crate::parallel`]'s pool dispatch and its
 //! panic degrade-to-serial contract (a panicking worker chunk is restored
 //! from its snapshot and rerun, adaptively, on the calling thread).
 //!

@@ -1,13 +1,19 @@
-//! Explicit SIMD-lane execution of the FPAN kernels.
+//! The portable lane type of the lock-step engine.
 //!
-//! [`Lanes<L>`] is an `[f64; L]` behaving as a single [`FloatBase`] value
+//! [`Lanes<T, L>`] is a `[T; L]` behaving as a single [`FloatBase`] value
 //! with **element-wise** arithmetic. Because the extended-precision kernels
 //! in `mf-core` are branch-free straight-line code over any `FloatBase`,
-//! instantiating them at `T = Lanes<8>` executes 8 *independent*
+//! instantiating them at `Lanes<T, 8>` executes 8 *independent*
 //! extended-precision operations in lock-step — one AVX-512 register per
 //! wire. This is the paper's GPU/SIMT execution model verbatim (§5: each
-//! GPU lane runs the same FPAN on its own data), and it removes the need
-//! for the autovectorizer to discover the parallelism on its own.
+//! GPU lane runs the same FPAN on its own data).
+//!
+//! `Lanes<T, 8>` is the portable realization of [`crate::simd`]'s lane
+//! engine for every base type: the intrinsic realizations (AVX2, AVX-512,
+//! NEON) exist for `f64` only, and all of them must match this one bit for
+//! bit. It is compiled without any `#[target_feature]` frame, so it is the
+//! no-intrinsics reference that the forced-ISA tests and the `blas-simd`
+//! conformance class compare against.
 //!
 //! Semantics notes:
 //!
@@ -22,49 +28,13 @@
 
 use core::fmt;
 use core::ops::{Add, Div, Mul, Neg, Sub};
-use mf_core::{addition, multiplication, FloatBase, MultiFloat};
+use mf_core::FloatBase;
 
 /// `L` independent lanes of base type `T` executing in lock-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lanes<T: FloatBase, const L: usize>(pub [T; L]);
 
 impl<T: FloatBase, const L: usize> Lanes<T, L> {
-    #[inline(always)]
-    pub fn splat(v: T) -> Self {
-        Lanes([v; L])
-    }
-
-    #[inline(always)]
-    pub fn from_slice(s: &[T]) -> Self {
-        let mut out = [T::ZERO; L];
-        out.copy_from_slice(&s[..L]);
-        Lanes(out)
-    }
-
-    /// Masked load: fills the first `min(s.len(), L)` lanes and
-    /// zero-pads the rest, so chunk tails shorter than `L` load without
-    /// panicking ([`Lanes::from_slice`] requires a full lane block) and
-    /// without callers hand-rolling padding. Zero lanes are inert through
-    /// the element-wise FPANs — they can only *weaken* the `FastTwoSum`
-    /// exponent preconditions (both sides' lane-max exponents move toward
-    /// `exponent(0)` monotonically), never falsely trip them — and the
-    /// matching [`Lanes::store_partial`] discards them.
-    #[inline(always)]
-    pub fn from_slice_partial(s: &[T]) -> Self {
-        let mut out = [T::ZERO; L];
-        let take = s.len().min(L);
-        out[..take].copy_from_slice(&s[..take]);
-        Lanes(out)
-    }
-
-    /// Masked store: writes the first `min(out.len(), L)` lanes; padding
-    /// lanes from [`Lanes::from_slice_partial`] are discarded.
-    #[inline(always)]
-    pub fn store_partial(self, out: &mut [T]) {
-        let take = out.len().min(L);
-        out[..take].copy_from_slice(&self.0[..take]);
-    }
-
     #[inline(always)]
     fn map(self, f: impl Fn(T) -> T) -> Self {
         let mut out = self.0;
@@ -279,148 +249,9 @@ impl<T: FloatBase, const L: usize> FloatBase for Lanes<T, L> {
     }
 }
 
-/// Lane width used by the lock-step kernels (one AVX-512 register of
-/// f64). Measured on this container: 8 lanes beat 4 at every expansion
-/// width for reductions, despite the register spills at N >= 3 — the
-/// spill cost is smaller than the dependency-chain stalls it buys off.
-pub const SIMD_LANES: usize = 8;
-
-/// Lock-step DOT over component slices: processes `SIMD_LANES` elements per
-/// step with `T = Lanes<8>`, giving each FPAN wire a full vector register.
-///
-/// At `T = f64` this dispatches to the explicit-intrinsic realization
-/// selected by [`crate::simd::active`] (bit-identical by construction:
-/// same lane structure, correctly-rounded lane ops); other base types run
-/// the portable [`Lanes`] body.
-pub fn dot_lockstep<T: FloatBase, const N: usize>(
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &[Vec<T>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<T, N> {
-    if let Some(r) = crate::simd::try_dot_f64::<T, N>(xc, xoff, yc, yoff, n) {
-        return r;
-    }
-    dot_lockstep_l::<T, N, SIMD_LANES>(xc, xoff, yc, yoff, n)
-}
-
-/// Lock-step DOT at an explicit lane count.
-pub fn dot_lockstep_l<T: FloatBase, const N: usize, const L: usize>(
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &[Vec<T>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<T, N> {
-    let xs: [&[T]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
-    let ys: [&[T]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
-    let mut acc: [Lanes<T, L>; N] = [Lanes([T::ZERO; L]); N];
-    let chunks = n / L;
-    for c in 0..chunks {
-        let base = c * L;
-        let xi: [Lanes<T, L>; N] = core::array::from_fn(|k| Lanes::from_slice(&xs[k][base..]));
-        let yi: [Lanes<T, L>; N] = core::array::from_fn(|k| Lanes::from_slice(&ys[k][base..]));
-        let p = multiplication::mul(&xi, &yi);
-        acc = addition::add(&acc, &p);
-    }
-    // Reduce the lanes: extract L scalar expansions and sum them.
-    let mut lanes_out: [[T; N]; L] = [[T::ZERO; N]; L];
-    for l in 0..L {
-        for k in 0..N {
-            lanes_out[l][k] = acc[k].0[l];
-        }
-    }
-    // Ceil-half tree reduction: lane l pairs with lane l + ceil(width/2),
-    // and an odd top lane rides down to the next round unpaired. The
-    // previous floor-half version (`width /= 2` then add `l + width`)
-    // silently dropped the top lane(s) whenever `L` was not a power of
-    // two — e.g. at L=3, lanes_out[2] was never added.
-    let mut width = L;
-    while width > 1 {
-        let half = width.div_ceil(2);
-        for l in 0..width / 2 {
-            lanes_out[l] = addition::add(&lanes_out[l], &lanes_out[l + half]);
-        }
-        width = half;
-    }
-    // Tail elements (scalar).
-    let mut total = lanes_out[0];
-    for i in chunks * L..n {
-        let xi: [T; N] = core::array::from_fn(|k| xs[k][i]);
-        let yi: [T; N] = core::array::from_fn(|k| ys[k][i]);
-        let p = multiplication::mul(&xi, &yi);
-        total = addition::add(&total, &p);
-    }
-    MultiFloat::from_components(total)
-}
-
-/// Lock-step AXPY over component slices.
-pub fn axpy_lockstep<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    xc: &[Vec<T>],
-    yc: &mut [Vec<T>],
-    n: usize,
-) {
-    axpy_lockstep_at(alpha, xc, 0, yc, 0, n)
-}
-
-/// Lock-step AXPY over component slices starting at the given offsets
-/// (used by the SoA GEMM inner loop, where x/y are matrix rows).
-///
-/// At `T = f64` this dispatches like [`dot_lockstep`]. AXPY is
-/// element-wise, so — unlike the reduction — the tail shorter than `L`
-/// also rides the vector lanes, via the masked
-/// [`Lanes::from_slice_partial`]/[`Lanes::store_partial`] pair (each real
-/// lane computes the same bits as the old scalar tail loop; padding lanes
-/// are zero in, discarded out).
-pub fn axpy_lockstep_at<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &mut [Vec<T>],
-    yoff: usize,
-    n: usize,
-) {
-    if crate::simd::try_axpy_f64::<T, N>(alpha, xc, xoff, yc, yoff, n) {
-        return;
-    }
-    const L: usize = SIMD_LANES;
-    let a = alpha.components();
-    let av: [Lanes<T, L>; N] = core::array::from_fn(|k| Lanes::splat(a[k]));
-    let chunks = n / L;
-    for c in 0..chunks {
-        let base = c * L;
-        let xi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice(&xc[k][xoff + base..]));
-        let yi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice(&yc[k][yoff + base..]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            yc[k][yoff + base..yoff + base + L].copy_from_slice(&s[k].0);
-        }
-    }
-    let done = chunks * L;
-    if done < n {
-        let xi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice_partial(&xc[k][xoff + done..xoff + n]));
-        let yi: [Lanes<T, L>; N] =
-            core::array::from_fn(|k| Lanes::from_slice_partial(&yc[k][yoff + done..yoff + n]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            s[k].store_partial(&mut yc[k][yoff + done..yoff + n]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soa::SoaVec;
-    use mf_core::F64x4;
-    use mf_mpsoft::MpFloat;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -482,62 +313,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dot_lockstep_matches_oracle() {
-        let mut rng = SmallRng::seed_from_u64(1702);
-        for n in [0usize, 5, 8, 64, 1000, 1003] {
-            let x64: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let y64: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let xs: Vec<F64x4> = x64.iter().map(|&v| F64x4::from(v)).collect();
-            let ys: Vec<F64x4> = y64.iter().map(|&v| F64x4::from(v)).collect();
-            let sx = SoaVec::from_slice(&xs);
-            let sy = SoaVec::from_slice(&ys);
-            let got = dot_lockstep::<f64, 4>(&sx.comps, 0, &sy.comps, 0, n);
-            let exact = MpFloat::exact_dot(&x64, &y64);
-            if exact.is_zero() {
-                assert!(got.is_zero());
-                continue;
-            }
-            let err = got.to_mp(400).rel_error_vs(&exact);
-            assert!(err <= 2.0f64.powi(-190), "n={n} err 2^{:.1}", err.log2());
-        }
-    }
-
-    /// Regression for the non-power-of-two lane reduction: the old
-    /// floor-half tree (`width /= 2; add l + width`) never added the top
-    /// lane(s) for L ∈ {3, 5, 6}, so with small-integer inputs (where every
-    /// summation order is exact and any dropped term shifts the result by
-    /// a whole integer) the dot product came out wrong bitwise. Each L is
-    /// checked against the scalar AoS kernel.
-    #[test]
-    fn dot_lockstep_covers_all_lanes_at_odd_l() {
-        fn check<const L: usize>() {
-            let mut rng = SmallRng::seed_from_u64(1704 + L as u64);
-            // n spans several full lane blocks plus a scalar tail.
-            for n in [L, 2 * L, 5 * L + L - 1, 64] {
-                let x64: Vec<f64> = (0..n).map(|_| rng.gen_range(-64..64i32) as f64).collect();
-                let y64: Vec<f64> = (0..n).map(|_| rng.gen_range(-64..64i32) as f64).collect();
-                let xs: Vec<F64x4> = x64.iter().map(|&v| F64x4::from(v)).collect();
-                let ys: Vec<F64x4> = y64.iter().map(|&v| F64x4::from(v)).collect();
-                let sx = SoaVec::from_slice(&xs);
-                let sy = SoaVec::from_slice(&ys);
-                let got = dot_lockstep_l::<f64, 4, L>(&sx.comps, 0, &sy.comps, 0, n);
-                let want = crate::kernels::dot(&xs, &ys);
-                assert_eq!(
-                    got.components(),
-                    want.components(),
-                    "L={L} n={n}: lane reduction dropped a lane"
-                );
-            }
-        }
-        check::<3>();
-        check::<5>();
-        check::<6>();
-        // Power-of-two widths keep their old (already correct) behaviour.
-        check::<4>();
-        check::<8>();
-    }
-
     /// `PartialOrd` must agree with the derived all-lanes `PartialEq`:
     /// `partial_cmp == Some(Equal)` exactly when `==` holds. Lane-0 ties
     /// with differing tail lanes are unordered, never falsely `Equal`.
@@ -562,71 +337,5 @@ mod tests {
         // NaN lanes stay unordered.
         let n = Lanes::<f64, 3>([f64::NAN, 2.0, 3.0]);
         assert_eq!(n.partial_cmp(&a), None);
-    }
-
-    #[test]
-    fn axpy_lockstep_matches_scalar_axpy_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(1703);
-        let n = 203;
-        let xs: Vec<F64x4> = (0..n)
-            .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let ys: Vec<F64x4> = (0..n)
-            .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let alpha = F64x4::from(1.000001);
-        let sx = SoaVec::from_slice(&xs);
-        let mut sy = SoaVec::from_slice(&ys);
-        axpy_lockstep::<f64, 4>(alpha, &sx.comps, &mut sy.comps, n);
-        let mut y_ref = ys.clone();
-        crate::kernels::axpy(alpha, &xs, &mut y_ref);
-        for i in 0..n {
-            assert_eq!(sy.get(i).components(), y_ref[i].components(), "i={i}");
-        }
-    }
-
-    /// `from_slice` panics on short tails by contract; the masked pair
-    /// must handle every length `0..=L` without padding leaking out.
-    #[test]
-    fn partial_load_store_round_trip() {
-        const L: usize = 8;
-        for len in 0..=L {
-            let src: Vec<f64> = (0..len).map(|i| -(i as f64) - 1.0).collect();
-            let v = Lanes::<f64, L>::from_slice_partial(&src);
-            for l in 0..L {
-                let want = if l < len { -(l as f64) - 1.0 } else { 0.0 };
-                assert_eq!(v.0[l], want, "len={len} lane {l}");
-            }
-            let mut out = [7.5f64; L];
-            v.store_partial(&mut out[..len]);
-            for (i, &o) in out.iter().enumerate() {
-                let want = if i < len { -(i as f64) - 1.0 } else { 7.5 };
-                assert_eq!(o, want, "len={len} out[{i}]");
-            }
-        }
-    }
-
-    /// Vectorized AXPY tails (masked lanes) must match the scalar kernel
-    /// bitwise at every tail length `1..L`, including n < L outright.
-    #[test]
-    fn axpy_lockstep_short_tails_match_scalar_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(1705);
-        for n in [1usize, 2, 3, 5, 7, 8, 9, 11, 15, 17, 23] {
-            let xs: Vec<F64x4> = (0..n)
-                .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-                .collect();
-            let ys: Vec<F64x4> = (0..n)
-                .map(|_| F64x4::from(rng.gen_range(-1.0..1.0)))
-                .collect();
-            let alpha = F64x4::from(-0.517);
-            let sx = SoaVec::from_slice(&xs);
-            let mut sy = SoaVec::from_slice(&ys);
-            axpy_lockstep::<f64, 4>(alpha, &sx.comps, &mut sy.comps, n);
-            let mut y_ref = ys.clone();
-            crate::kernels::axpy(alpha, &xs, &mut y_ref);
-            for i in 0..n {
-                assert_eq!(sy.get(i).components(), y_ref[i].components(), "n={n} i={i}");
-            }
-        }
     }
 }

@@ -17,18 +17,17 @@
 //!   that lets LLVM autovectorize the branch-free FPAN arithmetic across
 //!   elements (the paper's SIMD mechanism; branchy baselines *cannot* be
 //!   written this way, which is the source of the order-of-magnitude gap);
-//! * [`lanes`] — explicit lock-step SIMD execution: the same kernels
-//!   instantiated at `T = Lanes<8>` (one AVX-512 register per FPAN wire),
-//!   removing the dependence on autovectorization;
-//! * [`simd`] — the intrinsic-backed 8-lane realizations (AVX2, AVX-512,
-//!   NEON, portable) behind the SoA DOT/AXPY dispatch and the AoS GEMV
-//!   row engine, bit-identical across ISAs;
+//! * [`simd`] — the lock-step lane engine: the same FPAN networks
+//!   instantiated at an 8-lane vector type (one AVX-512 register per FPAN
+//!   wire), realized with AVX2, AVX-512 or NEON intrinsics for `f64` and by
+//!   the portable [`lanes::Lanes`] for every base. It runs the SoA DOT and
+//!   GEMV reductions and the AoS GEMV row engine, bit-identical across
+//!   ISAs;
 //! * [`mp`] — kernels over the limb-based `MpFloat` (the GMP/MPFR-class
 //!   baseline, with its allocation and branching costs included, as in the
 //!   real libraries);
 //! * [`parallel`] — chunked thread-parallel wrappers running on the
-//!   persistent worker [`pool`] (or per-dispatch `std::thread::scope`
-//!   when `MF_BLAS_POOL=off`; the paper runs thread-per-core; this
+//!   persistent worker [`pool`] (the paper runs thread-per-core; this
 //!   container has one core, so the harness reports the max over
 //!   serial/parallel — see DESIGN.md T7).
 

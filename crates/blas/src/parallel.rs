@@ -1,4 +1,4 @@
-//! Thread-parallel kernel wrappers (chunked rows, pluggable executor).
+//! Thread-parallel kernel wrappers (chunked rows on the worker pool).
 //!
 //! The paper runs every kernel in thread-per-physical-core and
 //! thread-per-logical-core configurations and reports the max. These
@@ -7,18 +7,13 @@
 //! EXPERIMENTS.md, substitution T7), but the implementations are real and
 //! scale on multi-core hosts.
 //!
-//! # Executors
+//! # Executor
 //!
-//! Chunks run on one of two executors, selected per dispatch (see
-//! [`dispatch_chunks`]):
-//!
-//! * the **persistent worker pool** ([`crate::pool`], the default) —
-//!   workers claim chunk indices from a shared atomic cursor, amortizing
-//!   thread creation across calls and rebalancing stragglers;
-//! * **scoped spawn** (`MF_BLAS_POOL=off`) — one fresh OS thread per
-//!   chunk via `std::thread::scope`, the original dispatch, kept
-//!   selectable for A/B ablations (`pardispatch` bin, `pool_dispatch`
-//!   criterion group).
+//! Chunks run on the persistent worker pool ([`crate::pool`]; see
+//! [`dispatch_chunks`]): workers claim chunk indices from a shared atomic
+//! cursor, amortizing thread creation across calls and rebalancing
+//! stragglers. The dispatching thread claims chunks too, so a dispatch
+//! completes even with no free worker.
 //!
 //! # Panic isolation
 //!
@@ -29,8 +24,8 @@
 //! calling thread (counted in `blas.parallel.degraded_*` telemetry). Only
 //! if the serial retry panics too does the panic propagate — and then with
 //! the kernel name and chunk range in the message instead of an opaque
-//! `join().unwrap()`. These semantics are identical on both executors:
-//! the chunk closure catches its own panics, so the pool never sees one.
+//! `join().unwrap()`. The chunk closure catches its own panics, so the
+//! pool never sees one.
 
 use crate::{kernels, Matrix, Scalar};
 use mf_telemetry::{trace, Counter, Histogram};
@@ -117,13 +112,12 @@ fn describe_panic(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Disjoint mutable chunk access for a shared chunk closure. The executors
-/// hand out chunk *indices* (the pool's cursor decides at runtime which
-/// thread runs which chunk), so the output slice can't be pre-split with
-/// `split_at_mut` the way the scoped dispatch originally did. This wrapper
-/// shares the raw base pointer instead; every chunk index maps to an
-/// element range from [`chunk_ranges`], and those ranges never overlap, so
-/// no two concurrently live `slice` views alias.
+/// Disjoint mutable chunk access for a shared chunk closure. The pool hands
+/// out chunk *indices* (its cursor decides at runtime which thread runs
+/// which chunk), so the output slice can't be pre-split with
+/// `split_at_mut`. This wrapper shares the raw base pointer instead; every
+/// chunk index maps to an element range from [`chunk_ranges`], and those
+/// ranges never overlap, so no two concurrently live `slice` views alias.
 pub(crate) struct ChunkedMut<'a, S> {
     ptr: *mut S,
     len: usize,
@@ -131,7 +125,7 @@ pub(crate) struct ChunkedMut<'a, S> {
 }
 
 // SAFETY: distinct chunk indices address disjoint element ranges (the only
-// way `slice` is used), so concurrent access from executor threads is
+// way `slice` is used), so concurrent access from pool threads is
 // data-race-free for any `Send` scalar.
 unsafe impl<S: Send> Sync for ChunkedMut<'_, S> {}
 
@@ -148,7 +142,7 @@ impl<'a, S> ChunkedMut<'a, S> {
     ///
     /// `lo..hi` must be in bounds and disjoint from every other range with
     /// a live view; each chunk index must be executed at most once per
-    /// dispatch (both executors guarantee this).
+    /// dispatch (the pool guarantees this).
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [S] {
         debug_assert!(lo <= hi && hi <= self.len);
@@ -156,32 +150,22 @@ impl<'a, S> ChunkedMut<'a, S> {
     }
 }
 
-/// Execute `task(ci)` for every chunk index in `0..nchunks` and return the
-/// sorted indices whose task reported failure. `task` must catch its own
-/// kernel panics and report them through the return value — both executors
-/// treat an unwinding task as a contract violation (the pool swallows it
-/// defensively; see `pool.task_panics`).
+/// Execute `task(ci)` on the pool for every chunk index in `0..nchunks`
+/// and return the sorted indices whose task reported failure. `task` must
+/// catch its own kernel panics and report them through the return value;
+/// an unwinding task is a contract violation that the pool swallows
+/// defensively (see `pool.task_panics`).
 pub(crate) fn dispatch_chunks(nchunks: usize, task: &(dyn Fn(usize) -> bool + Sync)) -> Vec<usize> {
     let failed = Mutex::new(Vec::new());
-    let run = |ci: usize| {
+    crate::pool::run(nchunks, &|ci| {
         if !task(ci) {
             failed.lock().unwrap_or_else(|e| e.into_inner()).push(ci);
         }
-    };
-    if crate::pool::enabled() {
-        crate::pool::run(nchunks, &run);
-    } else {
-        std::thread::scope(|s| {
-            for ci in 0..nchunks {
-                let run = &run;
-                s.spawn(move || run(ci));
-            }
-        });
-    }
+    });
     let mut failed = failed.into_inner().unwrap_or_else(|e| e.into_inner());
     // The pool's cursor hands chunks out in arbitrary thread order; sort
     // so the degrade path reruns (and reduces) in deterministic chunk
-    // order on both executors.
+    // order.
     failed.sort_unstable();
     failed
 }
@@ -467,59 +451,26 @@ mod tests {
         }
     }
 
-    /// The scoped-spawn executor stays selectable (`MF_BLAS_POOL=off`) and
-    /// bit-identical to the pool path.
-    #[test]
-    fn scoped_mode_matches_serial() {
-        let _env = crate::pool::tests::env_lock();
-        std::env::set_var("MF_BLAS_POOL", "off");
-        let mut rng = SmallRng::seed_from_u64(932);
-        let n = 101;
-        let alpha = F64x2::from(-0.5);
-        let x: Vec<F64x2> = (0..n)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let y0: Vec<F64x2> = (0..n)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)))
-            .collect();
-        let mut y_par = y0.clone();
-        axpy(alpha, &x, &mut y_par, 4);
-        let mut y_ser = y0.clone();
-        kernels::axpy(alpha, &x, &mut y_ser);
-        for i in 0..n {
-            assert_eq!(y_par[i].components(), y_ser[i].components(), "i={i}");
-        }
-        let d_par = dot(&x, &y0, 4).to_f64();
-        let d_ser = kernels::dot(&x, &y0).to_f64();
-        assert!((d_par - d_ser).abs() <= 1e-25);
-        std::env::remove_var("MF_BLAS_POOL");
-    }
-
-    /// Zero-length inputs dispatch a single empty chunk through both
-    /// executors without touching memory or hanging.
+    /// Zero-length inputs dispatch a single empty chunk without touching
+    /// memory or hanging.
     #[test]
     fn zero_length_inputs() {
-        let _env = crate::pool::tests::env_lock();
-        for mode in ["on", "off"] {
-            std::env::set_var("MF_BLAS_POOL", mode);
-            let alpha = F64x2::from(2.0);
-            let x: Vec<F64x2> = Vec::new();
-            let mut y: Vec<F64x2> = Vec::new();
-            axpy(alpha, &x, &mut y, 4);
-            assert!(y.is_empty());
-            assert_eq!(dot(&x, &y, 4).to_f64(), 0.0);
+        let alpha = F64x2::from(2.0);
+        let x: Vec<F64x2> = Vec::new();
+        let mut y: Vec<F64x2> = Vec::new();
+        axpy(alpha, &x, &mut y, 4);
+        assert!(y.is_empty());
+        assert_eq!(dot(&x, &y, 4).to_f64(), 0.0);
 
-            // 0-row matrix: gemv/gemm over no rows.
-            let a = Matrix::from_fn(0, 3, |_, _| F64x2::from(1.0));
-            let xv = vec![F64x2::from(1.0); 3];
-            let mut yv: Vec<F64x2> = Vec::new();
-            gemv(alpha, &a, &xv, F64x2::from(0.0), &mut yv, 4);
-            let b = Matrix::from_fn(3, 2, |_, _| F64x2::from(1.0));
-            let mut c = Matrix::from_fn(0, 2, |_, _| F64x2::from(0.0));
-            gemm(alpha, &a, &b, F64x2::from(0.0), &mut c, 4);
-            assert!(c.data.is_empty());
-        }
-        std::env::remove_var("MF_BLAS_POOL");
+        // 0-row matrix: gemv/gemm over no rows.
+        let a = Matrix::from_fn(0, 3, |_, _| F64x2::from(1.0));
+        let xv = vec![F64x2::from(1.0); 3];
+        let mut yv: Vec<F64x2> = Vec::new();
+        gemv(alpha, &a, &xv, F64x2::from(0.0), &mut yv, 4);
+        let b = Matrix::from_fn(3, 2, |_, _| F64x2::from(1.0));
+        let mut c = Matrix::from_fn(0, 2, |_, _| F64x2::from(0.0));
+        gemm(alpha, &a, &b, F64x2::from(0.0), &mut c, 4);
+        assert!(c.data.is_empty());
     }
 
     #[test]
@@ -743,68 +694,14 @@ mod tests {
         assert!(msg.contains("flaky scalar blew its fuse"), "got: {msg}");
     }
 
-    /// Acceptance: a parallel GEMM dispatch shows one worker span per chunk
-    /// in the exported Chrome trace, each on its own thread, wrapped by the
-    /// dispatch span on the calling thread. Pinned to the scoped executor —
-    /// its thread-per-chunk shape is what "one chunk, one thread" asserts;
-    /// the pool's cursor legitimately lets one worker run several chunks
-    /// (see `pool_dispatch_traces_one_span_per_chunk` for that mode).
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn parallel_gemm_traces_one_span_per_chunk() {
-        use mf_telemetry::trace;
-        let _env = crate::pool::tests::env_lock();
-        std::env::set_var("MF_BLAS_POOL", "off");
-        trace::arm();
-        // 40 rows over 5 threads -> five chunks of exactly 8 rows; no other
-        // test in this binary dispatches gemm with that chunk size, so the
-        // arg value keys this test's events even with tracing armed
-        // process-wide.
-        let (m, k, n) = (40, 6, 5);
-        let a = Matrix::from_fn(m, k, |i, j| F64x2::from((i + j) as f64 * 0.5));
-        let b = Matrix::from_fn(k, n, |i, j| F64x2::from((i * n + j) as f64 * 0.25));
-        let mut c = Matrix::from_fn(m, n, |_, _| F64x2::from(0.0));
-        gemm(F64x2::from(1.0), &a, &b, F64x2::from(0.0), &mut c, 5);
-        std::env::remove_var("MF_BLAS_POOL");
-
-        let doc = trace::chrome_trace();
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let arg_of = |e: &mf_telemetry::json::Json| {
-            e.get("args")
-                .and_then(|a| a.get("arg"))
-                .and_then(|v| v.as_u64())
-        };
-        let chunk_begins: Vec<_> = events
-            .iter()
-            .filter(|e| {
-                e.get("name").and_then(|v| v.as_str()) == Some("par.gemm.chunk")
-                    && e.get("ph").and_then(|v| v.as_str()) == Some("B")
-                    && arg_of(e) == Some(8)
-            })
-            .collect();
-        assert_eq!(chunk_begins.len(), 5, "expected one worker span per chunk");
-        let tids: std::collections::HashSet<u64> = chunk_begins
-            .iter()
-            .map(|e| e.get("tid").unwrap().as_u64().unwrap())
-            .collect();
-        assert_eq!(tids.len(), 5, "each chunk must run on its own thread");
-        assert!(
-            events.iter().any(|e| {
-                e.get("name").and_then(|v| v.as_str()) == Some("par.gemm") && arg_of(e) == Some(40)
-            }),
-            "dispatch span missing"
-        );
-    }
-
-    /// Pool-mode sibling of the trace acceptance test: the pool preserves
-    /// one `par.*.chunk` span per chunk (whichever thread — worker or
-    /// helping caller — claims it emits the span).
+    /// Acceptance: a parallel dispatch shows one `par.*.chunk` span per
+    /// chunk in the exported Chrome trace (whichever thread — worker or
+    /// helping caller — claims a chunk emits its span; one worker may run
+    /// several chunks).
     #[cfg(feature = "telemetry")]
     #[test]
     fn pool_dispatch_traces_one_span_per_chunk() {
         use mf_telemetry::trace;
-        let _env = crate::pool::tests::env_lock();
-        std::env::remove_var("MF_BLAS_POOL");
         trace::arm();
         // 36 rows over 4 threads -> four chunks of exactly 9 rows; no other
         // test in this binary dispatches gemv with that chunk size.

@@ -1,11 +1,10 @@
 //! Persistent worker pool for the parallel BLAS dispatch.
 //!
-//! The scoped-spawn dispatch in [`crate::parallel`] creates fresh OS
-//! threads on **every** kernel call; at small and mid vector lengths that
-//! per-dispatch thread creation dominates the kernel itself (tens of
-//! microseconds against a sub-microsecond AXPY). This module amortizes the
-//! scheduling cost across calls with a lazily-initialized, process-wide
-//! pool of workers that park between dispatches:
+//! Every chunked dispatch in [`crate::parallel`], `tile` and `adaptive`
+//! runs here. Spawning fresh OS threads on **every** kernel call costs tens
+//! of microseconds against a sub-microsecond AXPY, so this module amortizes
+//! the scheduling cost across calls with a lazily-initialized,
+//! process-wide pool of workers that park between dispatches:
 //!
 //! * **Sizing** — `MF_BLAS_THREADS` workers (via
 //!   [`crate::parallel::default_threads`]), re-checked on every dispatch:
@@ -35,9 +34,8 @@
 //!   their dispatchers, which always help). The next dispatch lazily
 //!   restarts the pool.
 //!
-//! The scoped-spawn path remains selectable with `MF_BLAS_POOL=off` for
-//! A/B measurement (see the `pardispatch` bench binary and the
-//! `pool_dispatch` criterion ablation).
+//! The pool replaced a per-dispatch `std::thread::scope` executor; it won
+//! at every measured size, from +22% to +2282% (EXPERIMENTS.md ablation 8).
 //!
 //! Telemetry (feature-gated, no-ops otherwise): `pool.jobs` counts
 //! dispatches through the pool, `pool.park`/`pool.unpark` count worker
@@ -64,19 +62,6 @@ static POOL_QUEUE_DEPTH: Gauge = Gauge::new("pool.queue_depth");
 static POOL_WORKERS_LIVE: Gauge = Gauge::new("pool.workers_live");
 static POOL_WORKERS_BUSY: Gauge = Gauge::new("pool.workers_busy");
 static POOL_JOBS_INFLIGHT: Gauge = Gauge::new("pool.jobs_inflight");
-
-/// Whether the pool path is selected: `MF_BLAS_POOL` unset or anything
-/// but `off`/`0` uses the pool; `off` (or `0`) restores the scoped-spawn
-/// dispatch for A/B measurement.
-pub fn enabled() -> bool {
-    match std::env::var("MF_BLAS_POOL") {
-        Ok(v) => {
-            let v = v.trim();
-            v != "off" && v != "0"
-        }
-        Err(_) => true,
-    }
-}
 
 /// One dispatched job: a type-erased chunk runner plus the shared cursor
 /// workers claim chunk indices from.
@@ -421,20 +406,6 @@ pub(crate) mod tests {
         assert_eq!(worker_count(), 2);
         std::env::remove_var("MF_BLAS_THREADS");
         shutdown();
-    }
-
-    #[test]
-    fn enabled_follows_env() {
-        let _env = env_lock();
-        std::env::remove_var("MF_BLAS_POOL");
-        assert!(enabled(), "pool is the default dispatch mode");
-        std::env::set_var("MF_BLAS_POOL", "off");
-        assert!(!enabled());
-        std::env::set_var("MF_BLAS_POOL", "0");
-        assert!(!enabled());
-        std::env::set_var("MF_BLAS_POOL", "on");
-        assert!(enabled());
-        std::env::remove_var("MF_BLAS_POOL");
     }
 
     /// Straggler rebalancing: with chunk-granular claiming, one slow chunk

@@ -14,21 +14,24 @@
 //!
 //! **Bitwise-identity contract.** Every hot operation the networks use
 //! (add, sub, mul, div, fma, sqrt, abs, neg) is IEEE-754 correctly rounded
-//! in every realization, and the kernels here keep the exact lane
-//! structure of `lanes::dot_lockstep_l::<f64, N, 8>` (fixed 8-lane chunks,
-//! ceil-half tree reduction, scalar tail for reductions). Each lane
-//! therefore computes the same bits whichever realization runs — the
-//! forced-ISA CI matrix and the `"blas-simd"` conformance class assert
-//! this. Cold predicates (`min`/`max`, `is_*`, `exponent`) are scalar
-//! per-lane loops mirroring `Lanes` semantics exactly, because e.g.
-//! `_mm256_max_pd` has different NaN behaviour than `f64::max` and the
-//! predicates feed `debug_assert!`s that must agree across realizations.
+//! in every realization, and each kernel is one body generic over the
+//! realization, so the lane structure (fixed 8-lane chunks, ceil-half tree
+//! reduction, scalar tail for the DOT reduction) never depends on the ISA.
+//! Each lane therefore computes the same bits whichever realization runs —
+//! the forced-ISA CI matrix and the `"blas-simd"` conformance class assert
+//! this against the portable [`Lanes`] instantiation. Cold predicates
+//! (`min`/`max`, `is_*`, `exponent`) are scalar per-lane loops mirroring
+//! `Lanes` semantics exactly, because e.g. `_mm256_max_pd` has different
+//! NaN behaviour than `f64::max` and the predicates feed `debug_assert!`s
+//! that must agree across realizations.
 //!
-//! **Two layouts, one lane engine.** The SoA DOT/AXPY bodies put eight
-//! consecutive *elements* in the lanes. The AoS row engine
-//! ([`dot_rows`], and `Scalar::s_dot_rows` for `MultiFloat<f64, N>`) puts
-//! eight GEMV *rows* in the lanes, each lane running its row's serial
-//! `kernels::dot` chain unchanged, so every row keeps its serial bits.
+//! **Two layouts, one lane engine.** The SoA DOT body ([`dot_lockstep`])
+//! puts eight consecutive *elements* in the lanes; it runs on the intrinsic
+//! realizations for `f64` and on the portable `Lanes<T, 8>` for every other
+//! base. The AoS row engine ([`dot_rows`], and `Scalar::s_dot_rows` for
+//! `MultiFloat<f64, N>`) puts eight GEMV *rows* in the lanes, each lane
+//! running its row's serial `kernels::dot` chain unchanged, so every row
+//! keeps its serial bits.
 //!
 //! **Selection ladder.** [`active`] resolves once per process:
 //!
@@ -55,10 +58,12 @@ use mf_core::{addition, multiplication, FloatBase, MultiFloat};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Lane width of every realization: one AVX-512 register, two AVX2
-/// registers, or four NEON registers per FPAN wire. Fixed at
-/// [`crate::lanes::SIMD_LANES`] so the reduction *structure* (and hence
-/// the computed bits) never depends on which ISA runs.
-pub const LANES: usize = crate::lanes::SIMD_LANES;
+/// registers, or four NEON registers per FPAN wire. Fixed so the reduction
+/// *structure* (and hence the computed bits) never depends on which ISA
+/// runs. 8 lanes beat 4 at every expansion width for reductions, despite
+/// the register spills at N >= 3: the spill cost is smaller than the
+/// dependency-chain stalls it buys off.
+pub const LANES: usize = 8;
 
 // ---------------------------------------------------------------------------
 // ISA selection
@@ -222,50 +227,31 @@ pub(crate) fn fma_frame_allowed() -> bool {
 // The vector-lane trait and its realizations
 // ---------------------------------------------------------------------------
 
-/// An 8-lane `f64` vector usable as the base type of the generic FPAN
-/// networks. Storage is always a plain `[f64; 8]` — the intrinsic
-/// realizations load registers on entry to each op and store on exit;
-/// inside a `#[target_feature]` frame LLVM's mem2reg keeps the values in
-/// registers across the whole network body.
-pub(crate) trait VLane: FloatBase {
-    fn from_array(a: [f64; LANES]) -> Self;
-    fn to_array(self) -> [f64; LANES];
+/// An 8-lane vector of base `T` usable as the base type of the generic
+/// FPAN networks. Storage is always a plain `[T; 8]` — the intrinsic
+/// realizations (`T = f64` only) load registers on entry to each op and
+/// store on exit; inside a `#[target_feature]` frame LLVM's mem2reg keeps
+/// the values in registers across the whole network body.
+pub(crate) trait VLane<T>: FloatBase {
+    fn from_array(a: [T; LANES]) -> Self;
+    fn to_array(self) -> [T; LANES];
 }
 
 /// Full-width load: `s.len() >= LANES`.
 #[inline(always)]
-fn vload<V: VLane>(s: &[f64]) -> V {
-    let mut a = [0.0f64; LANES];
+fn vload<T: FloatBase, V: VLane<T>>(s: &[T]) -> V {
+    let mut a = [T::ZERO; LANES];
     a.copy_from_slice(&s[..LANES]);
     V::from_array(a)
 }
 
-/// Masked load for tails: fills the first `s.len()` (`<= LANES`) lanes,
-/// zero-fills the rest.
-#[inline(always)]
-fn vload_partial<V: VLane>(s: &[f64]) -> V {
-    let mut a = [0.0f64; LANES];
-    let take = s.len().min(LANES);
-    a[..take].copy_from_slice(&s[..take]);
-    V::from_array(a)
-}
-
-/// Masked store for tails: writes the first `out.len()` (`<= LANES`)
-/// lanes; padding lanes are discarded.
-#[inline(always)]
-fn vstore_partial<V: VLane>(v: V, out: &mut [f64]) {
-    let a = v.to_array();
-    let take = out.len().min(LANES);
-    out[..take].copy_from_slice(&a[..take]);
-}
-
-impl VLane for Lanes<f64, LANES> {
+impl<T: FloatBase> VLane<T> for Lanes<T, LANES> {
     #[inline(always)]
-    fn from_array(a: [f64; LANES]) -> Self {
+    fn from_array(a: [T; LANES]) -> Self {
         Lanes(a)
     }
     #[inline(always)]
-    fn to_array(self) -> [f64; LANES] {
+    fn to_array(self) -> [T; LANES] {
         self.0
     }
 }
@@ -495,7 +481,7 @@ macro_rules! v8_realization {
             }
         }
 
-        impl VLane for $T {
+        impl VLane<f64> for $T {
             #[inline(always)]
             fn from_array(a: [f64; LANES]) -> Self {
                 $T(a)
@@ -858,21 +844,21 @@ pub(crate) use neon::V8Neon;
 // Generic kernel bodies (one source, instantiated per realization)
 // ---------------------------------------------------------------------------
 
-/// Lock-step DOT body: mirrors `lanes::dot_lockstep_l::<f64, N, 8>`
-/// *exactly* — 8-lane chunks through the generic mul/add FPANs, ceil-half
-/// tree reduction over extracted scalar expansions, scalar tail. The
-/// reduction structure is what fixes the bits; only the realization of the
-/// lane arithmetic varies.
+/// The lock-step DOT body, the one source of every realization: 8-lane
+/// chunks through the generic mul/add FPANs, a ceil-half tree reduction
+/// over the extracted scalar expansions, then a scalar tail. The reduction
+/// structure is what fixes the bits; only the realization of the lane
+/// arithmetic varies.
 #[inline(always)]
-fn dot_v8_body<V: VLane, const N: usize>(
-    xc: &[Vec<f64>],
+fn dot_lockstep_body<T: FloatBase, V: VLane<T>, const N: usize>(
+    xc: &[Vec<T>],
     xoff: usize,
-    yc: &[Vec<f64>],
+    yc: &[Vec<T>],
     yoff: usize,
     n: usize,
-) -> MultiFloat<f64, N> {
-    let xs: [&[f64]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
-    let ys: [&[f64]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
+) -> MultiFloat<T, N> {
+    let xs: [&[T]; N] = core::array::from_fn(|k| &xc[k][xoff..xoff + n]);
+    let ys: [&[T]; N] = core::array::from_fn(|k| &yc[k][yoff..yoff + n]);
     let mut acc: [V; N] = [V::ZERO; N];
     let chunks = n / LANES;
     for c in 0..chunks {
@@ -882,9 +868,10 @@ fn dot_v8_body<V: VLane, const N: usize>(
         let p = multiplication::mul(&xi, &yi);
         acc = addition::add(&acc, &p);
     }
-    // Extract the lanes and tree-reduce with the scalar FPANs (same
-    // ceil-half pairing as `lanes::dot_lockstep_l`).
-    let mut lanes_out: [[f64; N]; LANES] = [[0.0; N]; LANES];
+    // Extract the lanes and tree-reduce with the scalar FPANs. Lane l
+    // pairs with lane l + ceil(width/2); an odd top lane rides down to the
+    // next round unpaired.
+    let mut lanes_out: [[T; N]; LANES] = [[T::ZERO; N]; LANES];
     for (k, a) in acc.iter().enumerate() {
         let arr = a.to_array();
         for l in 0..LANES {
@@ -903,51 +890,12 @@ fn dot_v8_body<V: VLane, const N: usize>(
     // must stay serial to keep the bits of the 8-lane structure.
     let mut total = lanes_out[0];
     for i in chunks * LANES..n {
-        let xi: [f64; N] = core::array::from_fn(|k| xs[k][i]);
-        let yi: [f64; N] = core::array::from_fn(|k| ys[k][i]);
+        let xi: [T; N] = core::array::from_fn(|k| xs[k][i]);
+        let yi: [T; N] = core::array::from_fn(|k| ys[k][i]);
         let p = multiplication::mul(&xi, &yi);
         total = addition::add(&total, &p);
     }
     MultiFloat::from_components(total)
-}
-
-/// Lock-step AXPY body: element-wise, so *every* element (tail included)
-/// can ride the vector lanes — the tail uses masked partial load/store
-/// with zero padding, and since the FPAN ops are lane-independent each
-/// real lane's bits match the scalar loop exactly. Zero-padded lanes meet
-/// the lane-wise `FastTwoSum` debug precondition trivially.
-#[inline(always)]
-fn axpy_v8_body<V: VLane, const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    let a = alpha.components();
-    let av: [V; N] = core::array::from_fn(|k| V::from_array([a[k]; LANES]));
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        let xi: [V; N] = core::array::from_fn(|k| vload(&xc[k][xoff + base..]));
-        let yi: [V; N] = core::array::from_fn(|k| vload(&yc[k][yoff + base..]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            yc[k][yoff + base..yoff + base + LANES].copy_from_slice(&s[k].to_array());
-        }
-    }
-    let done = chunks * LANES;
-    if done < n {
-        let xi: [V; N] = core::array::from_fn(|k| vload_partial(&xc[k][xoff + done..xoff + n]));
-        let yi: [V; N] = core::array::from_fn(|k| vload_partial(&yc[k][yoff + done..yoff + n]));
-        let p = multiplication::mul(&av, &xi);
-        let s = addition::add(&p, &yi);
-        for k in 0..N {
-            vstore_partial(s[k], &mut yc[k][yoff + done..yoff + n]);
-        }
-    }
 }
 
 // Per-ISA instantiations. The `#[target_feature]` frame is what turns the
@@ -956,79 +904,41 @@ fn axpy_v8_body<V: VLane, const N: usize>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn dot_v8_avx2<const N: usize>(
+unsafe fn dot_lockstep_avx2<const N: usize>(
     xc: &[Vec<f64>],
     xoff: usize,
     yc: &[Vec<f64>],
     yoff: usize,
     n: usize,
 ) -> MultiFloat<f64, N> {
-    dot_v8_body::<V8Avx2, N>(xc, xoff, yc, yoff, n)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_v8_avx2<const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    axpy_v8_body::<V8Avx2, N>(alpha, xc, xoff, yc, yoff, n)
+    dot_lockstep_body::<f64, V8Avx2, N>(xc, xoff, yc, yoff, n)
 }
 
 #[cfg(all(target_arch = "x86_64", mf_avx512))]
 #[target_feature(enable = "avx512f,fma")]
-unsafe fn dot_v8_avx512<const N: usize>(
+unsafe fn dot_lockstep_avx512<const N: usize>(
     xc: &[Vec<f64>],
     xoff: usize,
     yc: &[Vec<f64>],
     yoff: usize,
     n: usize,
 ) -> MultiFloat<f64, N> {
-    dot_v8_body::<V8Avx512, N>(xc, xoff, yc, yoff, n)
-}
-
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn axpy_v8_avx512<const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    axpy_v8_body::<V8Avx512, N>(alpha, xc, xoff, yc, yoff, n)
+    dot_lockstep_body::<f64, V8Avx512, N>(xc, xoff, yc, yoff, n)
 }
 
 #[cfg(target_arch = "aarch64")]
-fn dot_v8_neon<const N: usize>(
+fn dot_lockstep_neon<const N: usize>(
     xc: &[Vec<f64>],
     xoff: usize,
     yc: &[Vec<f64>],
     yoff: usize,
     n: usize,
 ) -> MultiFloat<f64, N> {
-    dot_v8_body::<V8Neon, N>(xc, xoff, yc, yoff, n)
-}
-
-#[cfg(target_arch = "aarch64")]
-fn axpy_v8_neon<const N: usize>(
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    axpy_v8_body::<V8Neon, N>(alpha, xc, xoff, yc, yoff, n)
+    dot_lockstep_body::<f64, V8Neon, N>(xc, xoff, yc, yoff, n)
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch: f64 specialization of the generic lock-step entry points
+// Dispatch: the active realization for f64, the portable lanes otherwise
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
@@ -1047,24 +957,10 @@ fn comps_as_f64<T: FloatBase>(c: &[Vec<T>]) -> &[Vec<f64>] {
 }
 
 #[inline(always)]
-fn comps_as_f64_mut<T: FloatBase>(c: &mut [Vec<T>]) -> &mut [Vec<f64>] {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: as for `comps_as_f64`.
-    unsafe { &mut *(c as *mut [Vec<T>] as *mut [Vec<f64>]) }
-}
-
-#[inline(always)]
-fn mf_to_f64<T: FloatBase, const N: usize>(v: MultiFloat<T, N>) -> MultiFloat<f64, N> {
+fn mf_from_f64<T: FloatBase, const N: usize>(v: MultiFloat<f64, N>) -> MultiFloat<T, N> {
     debug_assert!(is_f64::<T>());
     // SAFETY: `T == f64` (checked by the caller), so source and target are
     // the same type; `transmute_copy` of a `Copy` value is the identity.
-    unsafe { core::mem::transmute_copy(&v) }
-}
-
-#[inline(always)]
-fn mf_from_f64<T: FloatBase, const N: usize>(v: MultiFloat<f64, N>) -> MultiFloat<T, N> {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: as for `mf_to_f64`.
     unsafe { core::mem::transmute_copy(&v) }
 }
 
@@ -1077,9 +973,23 @@ fn mf_slice_as_f64<T: FloatBase, const N: usize>(s: &[MultiFloat<T, N>]) -> &[Mu
     unsafe { &*(s as *const [MultiFloat<T, N>] as *const [MultiFloat<f64, N>]) }
 }
 
-/// Run the DOT body at an explicit realization (test/bench hook: the
-/// forced-ISA bit-identity tests call each supported realization directly
-/// without flipping the process-global selection).
+/// Lock-step DOT of `x[xoff..xoff + n]` and `y[yoff..yoff + n]` over SoA
+/// component vectors on the portable [`Lanes`] realization, compiled
+/// without intrinsics: the reference every realization must match bit for
+/// bit.
+pub fn dot_lockstep_portable<T: FloatBase, const N: usize>(
+    xc: &[Vec<T>],
+    xoff: usize,
+    yc: &[Vec<T>],
+    yoff: usize,
+    n: usize,
+) -> MultiFloat<T, N> {
+    dot_lockstep_body::<T, Lanes<T, LANES>, N>(xc, xoff, yc, yoff, n)
+}
+
+/// Run the DOT body at an explicit realization (test hook: the forced-ISA
+/// bit-identity tests call each supported realization directly without
+/// flipping the process-global selection).
 pub(crate) fn dot_f64_at<const N: usize>(
     isa: Isa,
     xc: &[Vec<f64>],
@@ -1090,91 +1000,40 @@ pub(crate) fn dot_f64_at<const N: usize>(
 ) -> MultiFloat<f64, N> {
     debug_assert!(isa.supported());
     match isa {
-        Isa::Scalar => dot_v8_body::<Lanes<f64, LANES>, N>(xc, xoff, yc, yoff, n),
+        Isa::Scalar => dot_lockstep_portable::<f64, N>(xc, xoff, yc, yoff, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa.supported()` (checked by `active()`/`force()`/the
         // caller) established avx2+fma via runtime detection.
-        Isa::Avx2 => unsafe { dot_v8_avx2::<N>(xc, xoff, yc, yoff, n) },
+        Isa::Avx2 => unsafe { dot_lockstep_avx2::<N>(xc, xoff, yc, yoff, n) },
         #[cfg(all(target_arch = "x86_64", mf_avx512))]
         // SAFETY: as above, with avx512f+fma.
-        Isa::Avx512 => unsafe { dot_v8_avx512::<N>(xc, xoff, yc, yoff, n) },
+        Isa::Avx512 => unsafe { dot_lockstep_avx512::<N>(xc, xoff, yc, yoff, n) },
         #[cfg(target_arch = "aarch64")]
-        Isa::Neon => dot_v8_neon::<N>(xc, xoff, yc, yoff, n),
+        Isa::Neon => dot_lockstep_neon::<N>(xc, xoff, yc, yoff, n),
         #[allow(unreachable_patterns)]
         other => unreachable!("dot_f64_at: {other} not compiled into this build"),
     }
 }
 
-/// Run the AXPY body at an explicit realization (test/bench hook).
-pub(crate) fn axpy_f64_at<const N: usize>(
-    isa: Isa,
-    alpha: MultiFloat<f64, N>,
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &mut [Vec<f64>],
-    yoff: usize,
-    n: usize,
-) {
-    debug_assert!(isa.supported());
-    match isa {
-        Isa::Scalar => axpy_v8_body::<Lanes<f64, LANES>, N>(alpha, xc, xoff, yc, yoff, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Avx2 => unsafe { axpy_v8_avx2::<N>(alpha, xc, xoff, yc, yoff, n) },
-        #[cfg(all(target_arch = "x86_64", mf_avx512))]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Avx512 => unsafe { axpy_v8_avx512::<N>(alpha, xc, xoff, yc, yoff, n) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => axpy_v8_neon::<N>(alpha, xc, xoff, yc, yoff, n),
-        #[allow(unreachable_patterns)]
-        other => unreachable!("axpy_f64_at: {other} not compiled into this build"),
-    }
-}
-
-/// f64 specialization of `lanes::dot_lockstep`: `Some(result)` when `T`
-/// is `f64` (the intrinsic backend applies), `None` otherwise (caller
-/// falls back to the generic portable path). Under `Isa::Scalar` this
-/// still goes through the cast layer and the portable body — identical
-/// bits to the fallback, but it keeps the whole dispatch surface (TypeId
-/// check, slice reinterpretation, partial loads) exercised under Miri.
+/// Lock-step DOT over SoA component vectors (see
+/// [`dot_lockstep_portable`]): `f64` runs on the [`active`] realization,
+/// every other base on the portable lanes. Bit-identical to
+/// [`dot_lockstep_portable`] either way. Under `Isa::Scalar` an `f64` call
+/// still goes through the cast layer, which keeps the whole dispatch
+/// surface (TypeId check, slice reinterpretation) exercised under Miri.
 #[inline]
-pub(crate) fn try_dot_f64<T: FloatBase, const N: usize>(
+pub fn dot_lockstep<T: FloatBase, const N: usize>(
     xc: &[Vec<T>],
     xoff: usize,
     yc: &[Vec<T>],
     yoff: usize,
     n: usize,
-) -> Option<MultiFloat<T, N>> {
+) -> MultiFloat<T, N> {
     if !is_f64::<T>() {
-        return None;
+        return dot_lockstep_portable::<T, N>(xc, xoff, yc, yoff, n);
     }
     let r = dot_f64_at::<N>(active(), comps_as_f64(xc), xoff, comps_as_f64(yc), yoff, n);
-    Some(mf_from_f64(r))
-}
-
-/// f64 specialization of `lanes::axpy_lockstep_at`: `true` when handled.
-#[inline]
-pub(crate) fn try_axpy_f64<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    xc: &[Vec<T>],
-    xoff: usize,
-    yc: &mut [Vec<T>],
-    yoff: usize,
-    n: usize,
-) -> bool {
-    if !is_f64::<T>() {
-        return false;
-    }
-    axpy_f64_at::<N>(
-        active(),
-        mf_to_f64(alpha),
-        comps_as_f64(xc),
-        xoff,
-        comps_as_f64_mut(yc),
-        yoff,
-        n,
-    );
-    true
+    mf_from_f64(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -1209,10 +1068,9 @@ impl<const N: usize> RowElem<N> for f64 {
 /// Each lane runs the serial chain of `kernels::dot`,
 /// `acc = acc + a_ij·x_j` for `j = 0..cols` through the same `mul`/`add`
 /// networks, so every lane's bits are its row's serial bits. Lanes past
-/// `live` hold zero rows and their results are discarded, as in
-/// [`axpy_v8_body`].
+/// `live` hold zero rows and their results are discarded.
 #[inline(always)]
-fn dot_rows8_body<V: VLane, E: RowElem<N>, F: RowElem<N>, const N: usize>(
+fn dot_rows8_body<V: VLane<f64>, E: RowElem<N>, F: RowElem<N>, const N: usize>(
     a: &[E],
     cols: usize,
     i0: usize,
@@ -1398,7 +1256,7 @@ pub(crate) fn try_dot_rows_mf<T: FloatBase, const N: usize>(
 mod tests {
     use super::*;
     use crate::soa::SoaVec;
-    use mf_core::{F64x2, F64x3, F64x4};
+    use mf_core::{F64x2, F64x3};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1441,38 +1299,46 @@ mod tests {
         assert!(Isa::Scalar.supported(), "scalar runs everywhere");
     }
 
-    /// The portable body must be bit-identical to the pre-existing
-    /// `lanes::dot_lockstep_l` it mirrors — that function is the
-    /// conformance reference for the `"blas-simd"` divergence kind.
+    /// With small-integer inputs every summation order is exact, so a lane
+    /// the tree reduction dropped, or a tail element it skipped, shifts the
+    /// result by a whole integer. Checked against the serial AoS kernel for
+    /// `f64` (active realization) and `f32` (portable lanes), across full
+    /// lane blocks, tails and the empty input.
     #[test]
-    fn portable_body_matches_lanes_lockstep_bitwise() {
-        for n in [0usize, 1, 7, 8, 9, 17, 64, 203] {
-            let (sx, sy) = soa_pair(0x51D0 + n as u64, n);
-            let got = dot_v8_body::<Lanes<f64, LANES>, 3>(&sx.comps, 0, &sy.comps, 0, n);
-            let want = crate::lanes::dot_lockstep_l::<f64, 3, LANES>(&sx.comps, 0, &sy.comps, 0, n);
-            assert_eq!(got.components(), want.components(), "n={n}");
+    fn dot_lockstep_sums_every_lane_and_tail() {
+        fn check<T: FloatBase>(seed: u64) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for n in [0, 1, LANES - 1, LANES, 2 * LANES, 6 * LANES - 1, 64] {
+                let mut ints = |n: usize| -> Vec<MultiFloat<T, 4>> {
+                    (0..n)
+                        .map(|_| MultiFloat::from(rng.gen_range(-64..64i32) as f64))
+                        .collect()
+                };
+                let (x, y) = (ints(n), ints(n));
+                let (sx, sy) = (SoaVec::from_slice(&x), SoaVec::from_slice(&y));
+                let got = dot_lockstep::<T, 4>(&sx.comps, 0, &sy.comps, 0, n);
+                let want = crate::kernels::dot(&x, &y);
+                assert_eq!(got.components(), want.components(), "n={n}");
+            }
         }
+        check::<f64>(1704);
+        check::<f32>(1705);
     }
 
-    /// Every runnable realization must produce the same bits as the
-    /// portable one, for DOT and AXPY, across sizes straddling the lane
+    /// Every runnable realization, and the dispatched entry point `soa.rs`
+    /// calls (whatever `MF_SIMD` selected for this process), must produce
+    /// the same bits as the portable one across sizes straddling the lane
     /// width (tails shorter than L included).
     #[test]
     fn all_runnable_isas_bit_identical() {
         for n in [0usize, 1, 5, 8, 13, 16, 64, 201] {
             let (sx, sy) = soa_pair(0x15A + n as u64, n);
-            let want = dot_f64_at::<3>(Isa::Scalar, &sx.comps, 0, &sy.comps, 0, n);
-            let alpha = F64x3::from(1.000000521);
-            let mut y_want = sy.clone();
-            axpy_f64_at::<3>(Isa::Scalar, alpha, &sx.comps, 0, &mut y_want.comps, 0, n);
+            let want = dot_lockstep_portable::<f64, 3>(&sx.comps, 0, &sy.comps, 0, n);
+            let got = dot_lockstep::<f64, 3>(&sx.comps, 0, &sy.comps, 0, n);
+            assert_eq!(got.components(), want.components(), "dispatched n={n}");
             for isa in runnable_isas() {
                 let got = dot_f64_at::<3>(isa, &sx.comps, 0, &sy.comps, 0, n);
                 assert_eq!(got.components(), want.components(), "dot {isa} n={n}");
-                let mut y_got = sy.clone();
-                axpy_f64_at::<3>(isa, alpha, &sx.comps, 0, &mut y_got.comps, 0, n);
-                for k in 0..3 {
-                    assert_eq!(y_got.comps[k], y_want.comps[k], "axpy {isa} n={n} comp {k}");
-                }
             }
         }
     }
@@ -1502,107 +1368,6 @@ mod tests {
             let got = dot_f64_at::<2>(isa, &sx.comps, 0, &sy.comps, 0, n);
             assert_eq!(got.components(), want.components(), "{isa}");
             assert!(!got.is_zero(), "{isa}: subnormal product flushed to zero");
-        }
-    }
-
-    /// NaN / infinity lanes: element-wise AXPY must place non-finite
-    /// results exactly where the scalar kernel does and nowhere else
-    /// (no cross-lane contamination). Compared structurally (NaN is
-    /// NaN-position equal, finite lanes bitwise) rather than bit-for-bit:
-    /// NaN *payload* propagation through a soft-float `fma` fallback is
-    /// the one place IEEE 754 leaves implementations room.
-    #[test]
-    fn nan_inf_lanes_stay_lanewise() {
-        let n = 2 * LANES + 3;
-        let mut rng = SmallRng::seed_from_u64(0xA17);
-        let mut xs: Vec<F64x2> = (0..n)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0f64)))
-            .collect();
-        xs[3] = F64x2::from(f64::NAN);
-        xs[LANES] = F64x2::from(f64::INFINITY);
-        xs[n - 1] = F64x2::from(f64::NEG_INFINITY);
-        let ys: Vec<F64x2> = (0..n)
-            .map(|_| F64x2::from(rng.gen_range(-1.0..1.0f64)))
-            .collect();
-        let alpha = F64x2::from(2.5);
-        let sx = SoaVec::from_slice(&xs);
-        let sy = SoaVec::from_slice(&ys);
-        let mut y_want = sy.clone();
-        axpy_f64_at::<2>(Isa::Scalar, alpha, &sx.comps, 0, &mut y_want.comps, 0, n);
-        for isa in runnable_isas() {
-            let mut y_got = sy.clone();
-            axpy_f64_at::<2>(isa, alpha, &sx.comps, 0, &mut y_got.comps, 0, n);
-            for k in 0..2 {
-                for i in 0..n {
-                    let (g, w) = (y_got.comps[k][i], y_want.comps[k][i]);
-                    if w.is_nan() {
-                        assert!(g.is_nan(), "{isa}: [{k}][{i}] lost NaN");
-                    } else {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{isa}: [{k}][{i}]");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Masked tail helpers: short loads zero-fill, short stores leave the
-    /// untouched region intact.
-    #[test]
-    fn partial_load_store_edges() {
-        for len in 0..=LANES {
-            let src: Vec<f64> = (0..len).map(|i| (i + 1) as f64).collect();
-            let v: Lanes<f64, LANES> = vload_partial(&src);
-            for l in 0..LANES {
-                let want = if l < len { (l + 1) as f64 } else { 0.0 };
-                assert_eq!(v.0[l], want, "len={len} lane {l}");
-            }
-            let mut out = [-1.0f64; LANES + 2];
-            vstore_partial(v, &mut out[..len]);
-            for (i, &o) in out.iter().enumerate() {
-                let want = if i < len { (i + 1) as f64 } else { -1.0 };
-                assert_eq!(o, want, "len={len} out[{i}]");
-            }
-        }
-        // NaN / inf / subnormal values survive the masked round-trip bitwise.
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE / 2.0,
-            -0.0,
-        ];
-        let v: Lanes<f64, LANES> = vload_partial(&specials);
-        for (i, s) in specials.iter().enumerate() {
-            assert_eq!(v.0[i].to_bits(), s.to_bits(), "special {i}");
-        }
-    }
-
-    /// The dispatched generic entry points (what `soa.rs` calls) must
-    /// agree bitwise with the element-wise scalar kernel / the portable
-    /// lockstep reference, whatever `MF_SIMD` selected for this process.
-    #[test]
-    fn dispatched_entry_matches_references() {
-        let mut rng = SmallRng::seed_from_u64(0xD15);
-        let n = 3 * LANES + 5;
-        let xs: Vec<F64x4> = (0..n)
-            .map(|_| F64x4::from(rng.gen_range(-1.0..1.0f64)))
-            .collect();
-        let ys: Vec<F64x4> = (0..n)
-            .map(|_| F64x4::from(rng.gen_range(-1.0..1.0f64)))
-            .collect();
-        let sx = SoaVec::from_slice(&xs);
-        let sy = SoaVec::from_slice(&ys);
-        let got = crate::lanes::dot_lockstep::<f64, 4>(&sx.comps, 0, &sy.comps, 0, n);
-        let want = crate::lanes::dot_lockstep_l::<f64, 4, LANES>(&sx.comps, 0, &sy.comps, 0, n);
-        assert_eq!(got.components(), want.components());
-
-        let alpha = F64x4::from(0.739);
-        let mut y_lock = sy.clone();
-        crate::lanes::axpy_lockstep::<f64, 4>(alpha, &sx.comps, &mut y_lock.comps, n);
-        let mut y_ref = ys.clone();
-        crate::kernels::axpy(alpha, &xs, &mut y_ref);
-        for i in 0..n {
-            assert_eq!(y_lock.get(i).components(), y_ref[i].components(), "i={i}");
         }
     }
 
@@ -1767,17 +1532,5 @@ mod tests {
         let mut called = false;
         assert!(!try_dot_rows_mf(&af, &xf, 0..2, &mut |_, _| called = true));
         assert!(!called, "declined dispatch must not emit");
-    }
-
-    /// Non-f64 base types must fall through the specialization untouched.
-    #[test]
-    fn non_f64_base_declines_dispatch() {
-        let xc: Vec<Vec<f32>> = vec![vec![1.0f32; 8]; 2];
-        let yc = xc.clone();
-        assert!(try_dot_f64::<f32, 2>(&xc, 0, &yc, 0, 8).is_none());
-        let mut yc2 = yc.clone();
-        let alpha = MultiFloat::<f32, 2>::from(1.5f32);
-        assert!(!try_axpy_f64::<f32, 2>(alpha, &xc, 0, &mut yc2, 0, 8));
-        assert_eq!(yc2, yc, "declined dispatch must not touch y");
     }
 }

@@ -24,8 +24,8 @@
 //! conformance harness asserts.
 //!
 //! **Parallelism & degrade:** one pool job per C-tile via
-//! [`crate::parallel::dispatch_chunks`] (pool or scoped executor, like
-//! every other dispatch). Each tile task computes into a thread-local
+//! [`crate::parallel::dispatch_chunks`], like every other dispatch. Each
+//! tile task computes into a thread-local
 //! packed C buffer — the shared matrix is only touched in the final
 //! write-back — and runs under `catch_unwind` with a pre-task snapshot of
 //! its tile region, so a panicking scalar degrades that tile to a serial
@@ -46,8 +46,8 @@ use std::time::Instant;
 
 static TILE_DISPATCHES: Counter = Counter::new("blas.tile.dispatches");
 static TILE_TILES: Counter = Counter::new("blas.tile.tiles");
-/// Latency from dispatch to each tile task starting (queue wait under the
-/// pool; spawn latency under the scoped executor).
+/// Latency from dispatch to each tile task starting (the pool's queue
+/// wait).
 static TILE_QUEUE_WAIT: Section = Section::new("blas.tile.queue_wait");
 
 /// Tile heights/widths (rows/cols of C per tile) and k-panel depth.
@@ -62,8 +62,8 @@ pub const KC: usize = 128;
 const JB: usize = 8;
 
 /// Per-component raw view of a SoA matrix's storage, allowing concurrent
-/// disjoint-tile mutation from executor threads. The executors hand out
-/// tile *indices*; distinct tile indices map to disjoint row/col rectangles
+/// disjoint-tile mutation from pool threads. The pool hands out tile
+/// *indices*; distinct tile indices map to disjoint row/col rectangles
 /// of `C`, so no two concurrently live accesses alias (same argument as
 /// `parallel::ChunkedMut`, lifted to N component arrays).
 struct SoaTiles<'a, T> {
@@ -74,7 +74,7 @@ struct SoaTiles<'a, T> {
 }
 
 // SAFETY: distinct tile indices address disjoint element rectangles (the
-// only way the pointers are used), so concurrent access from executor
+// only way the pointers are used), so concurrent access from pool
 // threads is data-race-free for any `Send` component type.
 unsafe impl<T: Send> Sync for SoaTiles<'_, T> {}
 
@@ -96,7 +96,7 @@ impl<'a, T: FloatBase> SoaTiles<'a, T> {
     ///
     /// The (row, column-range) rectangle must be in bounds and disjoint
     /// from every other live view; each tile index runs at most once per
-    /// dispatch (both executors guarantee this).
+    /// dispatch (the pool guarantees this).
     #[allow(clippy::mut_from_ref)]
     unsafe fn row_mut(&self, q: usize, i: usize, j0: usize, j1: usize) -> &'a mut [T] {
         debug_assert!(j0 <= j1 && i * self.cols + j1 <= self.len);

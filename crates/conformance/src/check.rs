@@ -7,7 +7,7 @@ use crate::{Case, Divergence};
 use core::cmp::Ordering;
 use mf_baselines::{campary::Expansion, dd::DoubleDouble, qd::QuadDouble};
 use mf_blas::soa::{SoaMatrix, SoaVec};
-use mf_blas::{kernels, lanes, parallel, soa, tile, Matrix};
+use mf_blas::{kernels, parallel, simd, soa, tile, Matrix};
 use mf_core::{Adaptive, FloatBase, GuardPolicy, MultiFloat};
 use mf_mpsoft::MpFloat;
 use mf_softfloat::SoftFloat;
@@ -1168,18 +1168,13 @@ fn check_vec_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
             let par = parallel::dot(&x, &y, 3);
             // Lock-step SIMD class: the SoA path dispatches through the
             // active `simd` realization (MF_SIMD); it must match the
-            // portable `Lanes` lockstep body bit for bit — same lane
-            // structure, correctly-rounded lane ops, no tolerance.
+            // portable `Lanes` instantiation of the same body bit for bit —
+            // same lane structure, correctly-rounded lane ops, no tolerance.
             let sx = SoaVec::from_slice(&x);
             let sy = SoaVec::from_slice(&y);
             let simd_got = soa::dot(&sx, &sy);
-            let simd_ref = lanes::dot_lockstep_l::<f64, N, { lanes::SIMD_LANES }>(
-                &sx.comps,
-                0,
-                &sy.comps,
-                0,
-                x.len(),
-            );
+            let simd_ref =
+                simd::dot_lockstep_portable::<f64, N>(&sx.comps, 0, &sy.comps, 0, x.len());
             if simd_got.components() != simd_ref.components() {
                 out.push(diverge(
                     case,
@@ -1188,7 +1183,7 @@ fn check_vec_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
                         "simd dot {:?} != lockstep {:?} (isa {})",
                         simd_got.components(),
                         simd_ref.components(),
-                        mf_blas::simd::active()
+                        simd::active()
                     ),
                 ));
             }
@@ -1245,10 +1240,10 @@ fn check_vec_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
             kernels::axpy(alpha, &x, &mut got);
             let mut par = y.clone();
             parallel::axpy(alpha, &x, &mut par, 3);
-            // Lock-step SIMD class: element-wise AXPY through the SoA /
-            // simd dispatch must equal the serial AoS kernel bitwise
-            // (FPAN multiplication is commutative by construction, and
-            // the lane ops are correctly rounded — see DESIGN.md).
+            // SIMD class: SoA AXPY (one element loop, vectorized inside the
+            // FMA frame) must equal the serial AoS kernel bitwise — the
+            // same mul/add per element, correctly rounded either way (see
+            // DESIGN.md).
             let sx = SoaVec::from_slice(&x);
             let mut sy = SoaVec::from_slice(&y);
             soa::axpy(alpha, &sx, &mut sy);
@@ -1261,7 +1256,7 @@ fn check_vec_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
                             "simd axpy[{i}] {:?} != serial {:?} (isa {})",
                             sy.get(i).components(),
                             got[i].components(),
-                            mf_blas::simd::active()
+                            simd::active()
                         ),
                     ));
                 }

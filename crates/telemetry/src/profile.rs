@@ -8,7 +8,7 @@
 //! parallel GEMM records tens of thousands of worker spans that a human
 //! cannot eyeball. This module collapses the same records into the familiar
 //! profiler aggregate: for every unique span *path* (the `;`-joined chain
-//! of open span names, e.g. `bench.pardispatch;blas.gemm.par;blas.gemm.worker`),
+//! of open span names, e.g. `bench.measure;par.gemm.tiled;par.gemm.tile`),
 //! the call count, total (inclusive) wall time, and **self** time — total
 //! minus time spent in child spans.
 //!

@@ -4,8 +4,8 @@
 # Usage: scripts/refresh_baseline.sh [baseline.jsonl]
 #   (default: results/history/baseline.jsonl)
 #
-# Reruns the history-producing bench binaries (tables + pardispatch +
-# solve + adaptive + simd) twice in quick mode in the telemetry build, and
+# Reruns the history-producing bench binaries (tables + solve + adaptive +
+# simd) twice in quick mode in the telemetry build, and
 # `tables --config wide` twice in the default build, against the given
 # baseline file, replacing its contents. The trend gate identifies kernels
 # by name and build, so each build is gated against its own baseline
@@ -48,8 +48,6 @@ for pass in 1 2; do
   ./target/release/tables --config wide --manifest results/manifest_baseline_tables.json >/dev/null
   echo "=== baseline pass $pass/2: tables (default build) ===" >&2
   ./target/default/release/tables --config wide --manifest results/manifest_baseline_tables.json >/dev/null
-  echo "=== baseline pass $pass/2: pardispatch ===" >&2
-  ./target/release/pardispatch --manifest results/manifest_baseline_pardispatch.json >/dev/null
   echo "=== baseline pass $pass/2: solve ===" >&2
   ./target/release/solve --manifest results/manifest_baseline_solve.json >/dev/null
   echo "=== baseline pass $pass/2: adaptive ===" >&2

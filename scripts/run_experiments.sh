@@ -58,13 +58,6 @@ cargo run --release -p mf-bench $FEATURES --bin gpu_sim -- --out results/gpu_sim
   "${TRACE_ARGS[@]}" | tee results/gpu_sim.txt
 
 echo
-echo "=== Ablation 9: pool vs scoped parallel dispatch (DESIGN.md 9) ==="
-trace_for pardispatch
-cargo run --release -p mf-bench $FEATURES --bin pardispatch -- \
-  --manifest results/manifest_pardispatch.json \
-  "${TRACE_ARGS[@]}" | tee results/pardispatch.txt
-
-echo
 echo "=== E8: simulated-annealing FPAN search (paper 4.1) ==="
 cargo run --release $FEATURES --example fpan_search | tee results/fpan_search.txt
 
