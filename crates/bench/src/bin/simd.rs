@@ -16,10 +16,11 @@
 //!
 //! `--dump <path>` skips measurement: it runs a fixed seeded workload
 //! through the *env-selected* realization (`MF_SIMD`) across every
-//! dispatched kernel shape (dot/axpy/gemv/gemm/gemm-tiled, N ∈ {2,3,4},
-//! odd tails included; plus the row engine through AoS `kernels::gemv`
-//! and `mf_solve`'s extended residual at N ∈ {2,3,4}) and writes the
-//! result bits as hex lines. The forced-ISA CI matrix `cmp`s dumps across
+//! dispatched kernel shape (SoA dot/axpy/gemv/gemm/gemm-tiled, N ∈ {2,3,4},
+//! odd tails included; the row engine through AoS `kernels::gemv` and
+//! `mf_solve`'s extended residual; AoS `kernels::dot`/`axpy`/`gemm`;
+//! `f32` SoA dot/axpy; adaptive dot/axpy over one clean and one escalating
+//! chunk) and writes the result bits as hex lines. The forced-ISA CI matrix `cmp`s dumps across
 //! `MF_SIMD` values: any realization-dependent bit is a hard diff, with
 //! the file as artifact.
 //!
@@ -31,9 +32,11 @@
 use mf_bench::history::{self, HistoryRecord, KernelEntry};
 use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
+use mf_blas::adaptive::{axpy_adaptive, dot_adaptive, ADAPTIVE_CHUNK};
 use mf_blas::simd::{self, Isa};
 use mf_blas::soa::{self, SoaMatrix, SoaVec};
 use mf_blas::{kernels, tile, Matrix};
+use mf_core::adaptive::EscalationPolicy;
 use mf_core::{F64x2, MultiFloat};
 use mf_solve::refine::residual_extended;
 use mf_solve::MatrixF64;
@@ -89,6 +92,15 @@ fn dump_mf<const N: usize>(out: &mut String, name: &str, v: MultiFloat<f64, N>) 
     write!(out, "{name} =").unwrap();
     for c in v.components() {
         write!(out, " {:016x}", c.to_bits()).unwrap();
+    }
+    out.push('\n');
+}
+
+/// Append one `f32` result expansion as a `name = hex...` line.
+fn dump_mf32<const N: usize>(out: &mut String, name: &str, v: MultiFloat<f32, N>) {
+    write!(out, "{name} =").unwrap();
+    for c in v.components() {
+        write!(out, " {:08x}", c.to_bits()).unwrap();
     }
     out.push('\n');
 }
@@ -177,6 +189,87 @@ fn dump_bits(path: &str) {
             dump_mf(&mut out, &format!("gemm-tiled/{i}/{j}"), ct.get(i, j));
         }
     }
+
+    // AoS flat kernels at N = 2..4 (odd lengths, GEMM with beta != 0).
+    fn dump_aos<const N: usize>(out: &mut String) {
+        let n = 4 * simd::LANES + 3;
+        let mf = |seed: u64, n: usize| -> Vec<MultiFloat<f64, N>> {
+            rand_f64s(seed, n)
+                .into_iter()
+                .map(|v| MultiFloat::from(v).mul(MultiFloat::from(1.0 + v * 1e-12)))
+                .collect()
+        };
+        let (x, mut y) = (mf(61 + N as u64, n), mf(67 + N as u64, n));
+        dump_mf(out, &format!("dot-aos/n{N}"), kernels::dot(&x, &y));
+        kernels::axpy(MultiFloat::from(-0.6180339887), &x, &mut y);
+        for i in [0usize, 1, n / 2, n - 2, n - 1] {
+            dump_mf(out, &format!("axpy-aos/n{N}/{i}"), y[i]);
+        }
+        let (m, k, p) = (5usize, 7, 6);
+        let a = Matrix::from_fn(m, k, |i, j| mf(71 + (i * k + j) as u64, 1)[0]);
+        let b = Matrix::from_fn(k, p, |i, j| mf(73 + (i * p + j) as u64, 1)[0]);
+        let mut c = Matrix::from_fn(m, p, |i, j| MultiFloat::from((i + 3 * j) as f64 * 0.375));
+        kernels::gemm(
+            MultiFloat::from(1.25),
+            &a,
+            &b,
+            MultiFloat::from(-0.5),
+            &mut c,
+        );
+        for (e, &v) in c.data.iter().enumerate() {
+            dump_mf(out, &format!("gemm-aos/n{N}/{e}"), v);
+        }
+    }
+    dump_aos::<2>(&mut out);
+    dump_aos::<3>(&mut out);
+    dump_aos::<4>(&mut out);
+
+    // Adaptive DOT/AXPY over two chunks: the first clean (base pass only),
+    // the second with a transient overflow that escalates up the ladder.
+    let n = 2 * ADAPTIVE_CHUNK;
+    let policy = EscalationPolicy::default();
+    let ax: Vec<F64x2> = rand_f64s(79, n).into_iter().map(F64x2::from).collect();
+    let ay: Vec<F64x2> = rand_f64s(83, n).into_iter().map(F64x2::from).collect();
+    let big = 2.0f64.powi(512);
+    let (mut hx, mut hy) = (ax.clone(), ay.clone());
+    let h = ADAPTIVE_CHUNK + 5;
+    for (d, xv) in [big, big, -1.5 * big].into_iter().enumerate() {
+        hx[h + d] = F64x2::from(xv);
+        hy[h + d] = F64x2::from(big / 2.0);
+    }
+    let (d, rep) = dot_adaptive(&hx, &hy, &policy, 1);
+    dump_mf(&mut out, "dot-adaptive", d);
+    writeln!(out, "dot-adaptive/escalated = {}", rep.escalated).unwrap();
+    let mut hy = ay.clone();
+    hy[h] = F64x2::from(-(2.0f64.powi(1023)));
+    let mut hx = ax.clone();
+    hx[h] = F64x2::from(big);
+    let rep = axpy_adaptive(F64x2::from(big), &hx, &mut hy, &policy, 1);
+    writeln!(out, "axpy-adaptive/escalated = {}", rep.escalated).unwrap();
+    for i in [0usize, 1, h - 1, h, h + 1, n - 1] {
+        dump_mf(&mut out, &format!("axpy-adaptive/{i}"), hy[i]);
+    }
+
+    // f32 SoA DOT/AXPY: the portable lanes and the element loop over f32.
+    fn dump_f32<const N: usize>(out: &mut String) {
+        let n = 4 * simd::LANES + 3;
+        let sv = |seed: u64| -> SoaVec<f32, N> {
+            let v: Vec<MultiFloat<f32, N>> = rand_f64s(seed, n)
+                .into_iter()
+                .map(|v| MultiFloat::from(v as f32).mul(MultiFloat::from(1.0 + v as f32 * 1e-5)))
+                .collect();
+            SoaVec::from_slice(&v)
+        };
+        let (x, mut y) = (sv(89 + N as u64), sv(97 + N as u64));
+        dump_mf32(out, &format!("dot-f32/n{N}"), soa::dot(&x, &y));
+        soa::axpy(MultiFloat::from(0.4142135f32), &x, &mut y);
+        for i in [0usize, 1, n / 2, n - 2, n - 1] {
+            dump_mf32(out, &format!("axpy-f32/n{N}/{i}"), y.get(i));
+        }
+    }
+    dump_f32::<2>(&mut out);
+    dump_f32::<3>(&mut out);
+    dump_f32::<4>(&mut out);
 
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
