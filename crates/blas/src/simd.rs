@@ -43,11 +43,25 @@
 //!    even when detected — PR 7 measured license-downclocking regressions
 //!    on wide-vector frames; it stays an explicit opt-in (DESIGN.md).
 //!
-//! `MF_SIMD=scalar` also disables the AVX2+FMA `#[target_feature]` frames
-//! in `kernels.rs`/`soa.rs`/`tile.rs`/`adaptive.rs` (via
-//! [`fma_frame_allowed`]), so one env var pins *every* layer to portable
-//! codegen — that is what makes the forced-ISA CI matrix a like-for-like
-//! bit comparison.
+//! **One frame ladder.** The crate's only `#[target_feature]` frames are
+//! here, one per realization: `avx2,fma` and, under `cfg(mf_avx512)`,
+//! `avx512f,fma` (NEON is aarch64 baseline and needs none). Every kernel
+//! enters them through one of two functions:
+//!
+//! - [`fma_frame`] runs a scalar body (the flat, SoA, tiled and adaptive
+//!   kernels) in the AVX2+FMA frame when the active realization is an x86
+//!   vector ISA, so its `mul_add`s lower to `vfmadd`, and portably
+//!   otherwise. `MF_SIMD=scalar` thus pins every layer to portable codegen
+//!   with one env var, which makes the forced-ISA CI matrix a like-for-like
+//!   bit comparison.
+//! - [`on_isa`] runs a [`LaneKernel`] — a body generic over the lane type —
+//!   on `Lanes`, `V8Avx2`, `V8Avx512` or `V8Neon`.
+//!
+//! A new kernel therefore adds a body, never a frame. A closure handed to
+//! a frame must be written `#[inline(always)] || body(..)`: without the
+//! attribute LLVM may emit it as a standalone function outside the frame,
+//! same bits but slower code, which `scripts/check_frames.sh` catches from
+//! the symbol table.
 
 use crate::lanes::Lanes;
 use crate::Matrix;
@@ -212,14 +226,13 @@ pub fn force(isa: Isa) {
     ACTIVE.store(isa.to_u8(), Ordering::Relaxed);
 }
 
-/// Whether the AVX2+FMA `#[target_feature]` frames in `kernels.rs`,
-/// `soa.rs`, `tile.rs` and `adaptive.rs` may be entered. True exactly when
-/// the active realization is an x86 vector ISA — so those frames' feature
-/// requirements were detected — and false under `MF_SIMD=scalar`, pinning
-/// every dispatch layer to portable codegen at once.
+/// Whether the AVX2+FMA frame may be entered: the active realization is
+/// an x86 vector ISA, so that frame's features were detected. False under
+/// `MF_SIMD=scalar`, which pins every [`fma_frame`] body to portable
+/// codegen at once.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // callers are x86-gated
-pub(crate) fn fma_frame_allowed() -> bool {
+fn fma_frame_allowed() -> bool {
     matches!(active(), Isa::Avx2 | Isa::Avx512)
 }
 
@@ -498,10 +511,10 @@ macro_rules! v8_realization {
 ///
 /// # Safety invariant
 ///
-/// Values of this type are only constructed and operated on inside call
-/// trees entered through [`active`]`() == Isa::Avx2` (or an explicit
-/// `supported()` check in tests), so the `avx2`/`fma` CPU features are
-/// guaranteed present when any `v_*` method executes its intrinsics. The
+/// Values of this type are only constructed and operated on inside
+/// [`on_isa`]`(Isa::Avx2, ..)`, whose `isa` is [`Isa::supported`], so the
+/// `avx2`/`fma` CPU features are guaranteed present when any `v_*` method
+/// executes its intrinsics. The
 /// type is `pub(crate)` so no outside code can break the invariant.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -841,6 +854,92 @@ mod neon {
 pub(crate) use neon::V8Neon;
 
 // ---------------------------------------------------------------------------
+// The frame ladder: one `#[target_feature]` frame per realization
+// ---------------------------------------------------------------------------
+
+/// The AVX2+FMA frame. Everything inlined into it is compiled with those
+/// features, so the `v_*` intrinsics become bare instructions, LLVM keeps
+/// the plain-array lane storage in registers across the inlined networks,
+/// and the EFT `mul_add`s lower to `vfmadd`.
+///
+/// # Safety
+///
+/// Caller must ensure the `avx2` and `fma` CPU features are present.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_frame<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// The AVX-512F+FMA frame, as [`avx2_frame`].
+///
+/// # Safety
+///
+/// Caller must ensure the `avx512f` and `fma` CPU features are present.
+#[cfg(all(target_arch = "x86_64", mf_avx512))]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn avx512_frame<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// Run a scalar body (no lane type) inside the AVX2+FMA frame when
+/// [`active`] is an x86 vector ISA, and as portable code otherwise. Its
+/// `mul_add`s then lower to `vfmadd`; both lowerings are correctly rounded,
+/// so the bits do not change. Pass `#[inline(always)] || body(..)` (module
+/// docs).
+#[inline(always)]
+pub(crate) fn fma_frame<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if fma_frame_allowed() {
+        // SAFETY: `fma_frame_allowed` holds only for ISA selections whose
+        // avx2+fma features were runtime-detected.
+        return unsafe { avx2_frame(f) };
+    }
+    f()
+}
+
+/// A kernel body generic over the lane realization `V`, run by
+/// [`on_isa`]. `run` must be `#[inline(always)]` so the body lands inside
+/// the realization's frame.
+pub(crate) trait LaneKernel {
+    type Out;
+    fn run<V: VLane<f64>>(self) -> Self::Out;
+}
+
+/// Run `k` on the realization `isa`: the portable [`Lanes`] for
+/// `Isa::Scalar`, else the ISA's vector type inside its frame (NEON is
+/// baseline on aarch64 and needs none). `isa` must be
+/// [`Isa::supported`], which [`active`] and [`force`] guarantee.
+#[inline(always)]
+pub(crate) fn on_isa<K: LaneKernel>(isa: Isa, k: K) -> K::Out {
+    debug_assert!(isa.supported());
+    match isa {
+        Isa::Scalar => k.run::<Lanes<f64, LANES>>(),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa.supported()` established avx2+fma via runtime
+        // detection.
+        Isa::Avx2 => unsafe {
+            avx2_frame(
+                #[inline(always)]
+                || k.run::<V8Avx2>(),
+            )
+        },
+        #[cfg(all(target_arch = "x86_64", mf_avx512))]
+        // SAFETY: as above, with avx512f+fma.
+        Isa::Avx512 => unsafe {
+            avx512_frame(
+                #[inline(always)]
+                || k.run::<V8Avx512>(),
+            )
+        },
+        #[cfg(target_arch = "aarch64")]
+        Isa::Neon => k.run::<V8Neon>(),
+        #[allow(unreachable_patterns)]
+        other => unreachable!("on_isa: {other} not compiled into this build"),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Generic kernel bodies (one source, instantiated per realization)
 // ---------------------------------------------------------------------------
 
@@ -898,43 +997,18 @@ fn dot_lockstep_body<T: FloatBase, V: VLane<T>, const N: usize>(
     MultiFloat::from_components(total)
 }
 
-// Per-ISA instantiations. The `#[target_feature]` frame is what turns the
-// `v_*` intrinsic calls into bare instructions (and lets LLVM keep the
-// plain-array storage in registers across the inlined network bodies).
+/// The SoA DOT body over `f64` components as a [`LaneKernel`]: the
+/// arguments `(xc, xoff, yc, yoff, n)` of [`dot_lockstep`].
+struct DotLockstep<'a, const N: usize>(&'a [Vec<f64>], usize, &'a [Vec<f64>], usize, usize);
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_lockstep_avx2<const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    dot_lockstep_body::<f64, V8Avx2, N>(xc, xoff, yc, yoff, n)
-}
+impl<const N: usize> LaneKernel for DotLockstep<'_, N> {
+    type Out = MultiFloat<f64, N>;
 
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn dot_lockstep_avx512<const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    dot_lockstep_body::<f64, V8Avx512, N>(xc, xoff, yc, yoff, n)
-}
-
-#[cfg(target_arch = "aarch64")]
-fn dot_lockstep_neon<const N: usize>(
-    xc: &[Vec<f64>],
-    xoff: usize,
-    yc: &[Vec<f64>],
-    yoff: usize,
-    n: usize,
-) -> MultiFloat<f64, N> {
-    dot_lockstep_body::<f64, V8Neon, N>(xc, xoff, yc, yoff, n)
+    #[inline(always)]
+    fn run<V: VLane<f64>>(self) -> MultiFloat<f64, N> {
+        let DotLockstep(xc, xoff, yc, yoff, n) = self;
+        dot_lockstep_body::<f64, V, N>(xc, xoff, yc, yoff, n)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -998,21 +1072,7 @@ pub(crate) fn dot_f64_at<const N: usize>(
     yoff: usize,
     n: usize,
 ) -> MultiFloat<f64, N> {
-    debug_assert!(isa.supported());
-    match isa {
-        Isa::Scalar => dot_lockstep_portable::<f64, N>(xc, xoff, yc, yoff, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa.supported()` (checked by `active()`/`force()`/the
-        // caller) established avx2+fma via runtime detection.
-        Isa::Avx2 => unsafe { dot_lockstep_avx2::<N>(xc, xoff, yc, yoff, n) },
-        #[cfg(all(target_arch = "x86_64", mf_avx512))]
-        // SAFETY: as above, with avx512f+fma.
-        Isa::Avx512 => unsafe { dot_lockstep_avx512::<N>(xc, xoff, yc, yoff, n) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => dot_lockstep_neon::<N>(xc, xoff, yc, yoff, n),
-        #[allow(unreachable_patterns)]
-        other => unreachable!("dot_f64_at: {other} not compiled into this build"),
-    }
+    on_isa(isa, DotLockstep(xc, xoff, yc, yoff, n))
 }
 
 /// Lock-step DOT over SoA component vectors (see
@@ -1064,81 +1124,47 @@ impl<const N: usize> RowElem<N> for f64 {
     }
 }
 
-/// Rows `i0..i0 + live` (`live <= LANES`) of `A·x`, one row per lane.
-/// Each lane runs the serial chain of `kernels::dot`,
+/// Rows `i0..i0 + live` (`live <= LANES`) of `A·x`, one row per lane, as
+/// a [`LaneKernel`] over `(a, cols, i0, live, x)`. Each lane runs the serial chain of `kernels::dot`,
 /// `acc = acc + a_ij·x_j` for `j = 0..cols` through the same `mul`/`add`
 /// networks, so every lane's bits are its row's serial bits. Lanes past
 /// `live` hold zero rows and their results are discarded.
-#[inline(always)]
-fn dot_rows8_body<V: VLane<f64>, E: RowElem<N>, F: RowElem<N>, const N: usize>(
-    a: &[E],
-    cols: usize,
-    i0: usize,
-    live: usize,
-    x: &[F],
-) -> [[f64; N]; LANES] {
-    let rows = &a[i0 * cols..(i0 + live) * cols];
-    let mut acc = [V::ZERO; N];
-    for (j, &xj) in x.iter().enumerate() {
-        let mut g = [[0.0f64; LANES]; N];
-        for l in 0..LANES {
-            let c = if l < live {
-                rows[l * cols + j].row_comps()
-            } else {
-                [0.0; N]
-            };
-            for k in 0..N {
-                g[k][l] = c[k];
+struct Rows8<'a, E, F, const N: usize>(&'a [E], usize, usize, usize, &'a [F]);
+
+impl<E: RowElem<N>, F: RowElem<N>, const N: usize> LaneKernel for Rows8<'_, E, F, N> {
+    type Out = [[f64; N]; LANES];
+
+    #[inline(always)]
+    fn run<V: VLane<f64>>(self) -> [[f64; N]; LANES] {
+        let Rows8(a, cols, i0, live, x) = self;
+        let rows = &a[i0 * cols..(i0 + live) * cols];
+        let mut acc = [V::ZERO; N];
+        for (j, &xj) in x.iter().enumerate() {
+            let mut g = [[0.0f64; LANES]; N];
+            for l in 0..LANES {
+                let c = if l < live {
+                    rows[l * cols + j].row_comps()
+                } else {
+                    [0.0; N]
+                };
+                for k in 0..N {
+                    g[k][l] = c[k];
+                }
+            }
+            let aj: [V; N] = core::array::from_fn(|k| V::from_array(g[k]));
+            let xc = xj.row_comps();
+            let xv: [V; N] = core::array::from_fn(|k| V::from_array([xc[k]; LANES]));
+            let p = multiplication::mul(&aj, &xv);
+            acc = addition::add(&acc, &p);
+        }
+        let mut out = [[0.0f64; N]; LANES];
+        for (k, v) in acc.iter().enumerate() {
+            for (l, c) in v.to_array().into_iter().enumerate() {
+                out[l][k] = c;
             }
         }
-        let aj: [V; N] = core::array::from_fn(|k| V::from_array(g[k]));
-        let xc = xj.row_comps();
-        let xv: [V; N] = core::array::from_fn(|k| V::from_array([xc[k]; LANES]));
-        let p = multiplication::mul(&aj, &xv);
-        acc = addition::add(&acc, &p);
+        out
     }
-    let mut out = [[0.0f64; N]; LANES];
-    for (k, v) in acc.iter().enumerate() {
-        for (l, c) in v.to_array().into_iter().enumerate() {
-            out[l][k] = c;
-        }
-    }
-    out
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_rows8_avx2<E: RowElem<N>, F: RowElem<N>, const N: usize>(
-    a: &[E],
-    cols: usize,
-    i0: usize,
-    live: usize,
-    x: &[F],
-) -> [[f64; N]; LANES] {
-    dot_rows8_body::<V8Avx2, E, F, N>(a, cols, i0, live, x)
-}
-
-#[cfg(all(target_arch = "x86_64", mf_avx512))]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn dot_rows8_avx512<E: RowElem<N>, F: RowElem<N>, const N: usize>(
-    a: &[E],
-    cols: usize,
-    i0: usize,
-    live: usize,
-    x: &[F],
-) -> [[f64; N]; LANES] {
-    dot_rows8_body::<V8Avx512, E, F, N>(a, cols, i0, live, x)
-}
-
-#[cfg(target_arch = "aarch64")]
-fn dot_rows8_neon<E: RowElem<N>, F: RowElem<N>, const N: usize>(
-    a: &[E],
-    cols: usize,
-    i0: usize,
-    live: usize,
-    x: &[F],
-) -> [[f64; N]; LANES] {
-    dot_rows8_body::<V8Neon, E, F, N>(a, cols, i0, live, x)
 }
 
 /// One group of rows through the realization `isa`. Not generic over the
@@ -1152,19 +1178,7 @@ fn dot_rows8_at<E: RowElem<N>, F: RowElem<N>, const N: usize>(
     live: usize,
     x: &[F],
 ) -> [[f64; N]; LANES] {
-    match isa {
-        Isa::Scalar => dot_rows8_body::<Lanes<f64, LANES>, E, F, N>(a, cols, i0, live, x),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Avx2 => unsafe { dot_rows8_avx2::<E, F, N>(a, cols, i0, live, x) },
-        #[cfg(all(target_arch = "x86_64", mf_avx512))]
-        // SAFETY: as in `dot_f64_at`.
-        Isa::Avx512 => unsafe { dot_rows8_avx512::<E, F, N>(a, cols, i0, live, x) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => dot_rows8_neon::<E, F, N>(a, cols, i0, live, x),
-        #[allow(unreachable_patterns)]
-        other => unreachable!("dot_rows_at: {other} not compiled into this build"),
-    }
+    on_isa(isa, Rows8::<E, F, N>(a, cols, i0, live, x))
 }
 
 /// Run the row engine at an explicit realization: `emit(i, row_i · x)`

@@ -11,9 +11,11 @@
 //! CAMPARY's zero-tests and magnitude merges create lane-divergent control
 //! flow, which is why their 3/4-term columns collapse in Figure 9.
 //!
-//! Each kernel has one implementation. The element-wise kernels (AXPY and
-//! GEMM's inner update) run a plain element loop, which LLVM vectorizes
-//! across `i` inside the FMA frame; the explicit lock-step engine measured
+//! Each kernel has one implementation: the public entry reports its
+//! operation count, then runs its `#[inline(always)]` `*_body` through
+//! [`simd::fma_frame`]. The element-wise kernels (AXPY and GEMM's inner
+//! update) run a plain element loop, which LLVM vectorizes across `i`
+//! inside that frame; the explicit lock-step engine measured
 //! slower on them at N <= 2 and for every `f32` width, the widths the
 //! benchmark workloads run (EXPERIMENTS.md ablation 15). The reductions
 //! (DOT, GEMV rows) run the lock-step lane engine
@@ -144,61 +146,29 @@ fn slices_mut<T: FloatBase, const N: usize>(
     core::array::from_fn(|_| &mut it.next().unwrap()[lo..hi])
 }
 
-/// Expand one SoA entry point into the portable `*_body`, the AVX2+FMA
-/// `#[target_feature]` instantiation, and the dispatching public wrapper —
-/// the same pattern as the tiled GEMM path and the flat AoS kernels (see
-/// `kernels::fma_dispatched`). The element loops and the networks they call
-/// are `#[inline(always)]`, so the whole hot loop lands inside the
-/// feature-enabled frame and the EFT `mul_add`s lower to `vfmadd`; both
-/// lowerings are correctly rounded, so results stay bit-identical.
-/// `where ops = (adds, muls)` is reported once per call, as in
-/// `kernels::fma_dispatched`.
-macro_rules! fma_dispatched_soa {
-    ($(#[$doc:meta])* pub fn $name:ident / $body:ident / $fma:ident
-     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
-     where ops = $ops:expr; $code:block) => {
+/// `y <- alpha*x + y` over SoA vectors. The loop body is branch-free
+/// straight-line FPAN code; with unit-stride loads LLVM vectorizes it
+/// across `i`.
+pub fn axpy<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    x: &SoaVec<T, N>,
+    y: &mut SoaVec<T, N>,
+) {
+    renorm_probes::record_ops(N, x.len() as u64, x.len() as u64);
+    simd::fma_frame(
         #[inline(always)]
-        fn $body<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? $code
-
-        /// AVX2+FMA instantiation of the kernel body.
-        ///
-        /// # Safety
-        ///
-        /// Caller must ensure the `avx2` and `fma` CPU features are present.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn $fma<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? {
-            $body::<T, N>($($arg),*)
-        }
-
-        $(#[$doc])*
-        pub fn $name<T: FloatBase, const N: usize>($($arg: $ty),*) $(-> $ret)? {
-            let (adds, muls): (usize, usize) = $ops;
-            renorm_probes::record_ops(N, adds as u64, muls as u64);
-            #[cfg(target_arch = "x86_64")]
-            if crate::simd::fma_frame_allowed() {
-                // SAFETY: `fma_frame_allowed` returns true only for ISA
-                // selections whose avx2+fma features were runtime-detected.
-                return unsafe { $fma::<T, N>($($arg),*) };
-            }
-            $body::<T, N>($($arg),*)
-        }
-    };
+        || axpy_body(alpha, x, y),
+    )
 }
 
-fma_dispatched_soa! {
-    /// `y <- alpha*x + y` over SoA vectors. The loop body is branch-free
-    /// straight-line FPAN code; with unit-stride loads LLVM vectorizes it
-    /// across `i`.
-    pub fn axpy / axpy_body / axpy_fma(
-        alpha: MultiFloat<T, N>,
-        x: &SoaVec<T, N>,
-        y: &mut SoaVec<T, N>,
-    )
-    where ops = (x.len(), x.len()); {
-        assert_eq!(x.len(), y.len());
-        axpy_at::<T, N>(alpha, &x.comps, 0, &mut y.comps, 0, x.len());
-    }
+#[inline(always)]
+fn axpy_body<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    x: &SoaVec<T, N>,
+    y: &mut SoaVec<T, N>,
+) {
+    assert_eq!(x.len(), y.len());
+    axpy_at::<T, N>(alpha, &x.comps, 0, &mut y.comps, 0, x.len());
 }
 
 /// `y[yoff..yoff + n] <- alpha*x[xoff..xoff + n] + y[yoff..yoff + n]` over
@@ -227,88 +197,115 @@ fn axpy_at<T: FloatBase, const N: usize>(
     }
 }
 
-fma_dispatched_soa! {
-    /// Dot product on the lock-step lane engine: [`LANES`] independent
-    /// accumulators, then a lane tree and a serial tail.
-    pub fn dot / dot_body / dot_fma(
-        x: &SoaVec<T, N>,
-        y: &SoaVec<T, N>,
-    ) -> MultiFloat<T, N>
-    where ops = (x.len() + LANES - 1, x.len()); {
-        assert_eq!(x.len(), y.len());
-        simd::dot_lockstep::<T, N>(&x.comps, 0, &y.comps, 0, x.len())
-    }
+/// Dot product on the lock-step lane engine: [`LANES`] independent
+/// accumulators, then a lane tree and a serial tail.
+pub fn dot<T: FloatBase, const N: usize>(x: &SoaVec<T, N>, y: &SoaVec<T, N>) -> MultiFloat<T, N> {
+    renorm_probes::record_ops(N, (x.len() + LANES - 1) as u64, x.len() as u64);
+    simd::fma_frame(
+        #[inline(always)]
+        || dot_body(x, y),
+    )
 }
 
-fma_dispatched_soa! {
-    /// `y <- alpha*A*x + beta*y`, `ij` order, SoA layout.
-    pub fn gemv / gemv_body / gemv_fma(
-        alpha: MultiFloat<T, N>,
-        a: &SoaMatrix<T, N>,
-        x: &SoaVec<T, N>,
-        beta: MultiFloat<T, N>,
-        y: &mut SoaVec<T, N>,
-    )
+#[inline(always)]
+fn dot_body<T: FloatBase, const N: usize>(x: &SoaVec<T, N>, y: &SoaVec<T, N>) -> MultiFloat<T, N> {
+    assert_eq!(x.len(), y.len());
+    simd::dot_lockstep::<T, N>(&x.comps, 0, &y.comps, 0, x.len())
+}
+
+/// `y <- alpha*A*x + beta*y`, `ij` order, SoA layout.
+pub fn gemv<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    a: &SoaMatrix<T, N>,
+    x: &SoaVec<T, N>,
+    beta: MultiFloat<T, N>,
+    y: &mut SoaVec<T, N>,
+) {
     // The flat GEMV count plus each row reduction's lane tree.
-    where ops = {
-        let (adds, muls) = kernels::gemv_ops(a.rows, a.cols, beta.is_zero());
-        (adds + a.rows * (LANES - 1), muls)
-    }; {
-        assert_eq!(a.cols, x.len());
-        assert_eq!(a.rows, y.len());
-        // beta == 0 overwrites y without reading it (standard BLAS semantics;
-        // matches the AoS kernels' fix — no NaN propagation from garbage y).
-        if beta.is_zero() {
-            for i in 0..a.rows {
-                let row = simd::dot_lockstep::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
-                y.set(i, alpha.mul(row));
-            }
-        } else {
-            for i in 0..a.rows {
-                let row = simd::dot_lockstep::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
-                let yi = y.get(i);
-                y.set(i, beta.mul(yi).add(alpha.mul(row)));
-            }
+    let (adds, muls) = kernels::gemv_ops(a.rows, a.cols, beta.is_zero());
+    let adds = adds + a.rows * (LANES - 1);
+    renorm_probes::record_ops(N, adds as u64, muls as u64);
+    simd::fma_frame(
+        #[inline(always)]
+        || gemv_body(alpha, a, x, beta, y),
+    )
+}
+
+#[inline(always)]
+fn gemv_body<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    a: &SoaMatrix<T, N>,
+    x: &SoaVec<T, N>,
+    beta: MultiFloat<T, N>,
+    y: &mut SoaVec<T, N>,
+) {
+    assert_eq!(a.cols, x.len());
+    assert_eq!(a.rows, y.len());
+    // beta == 0 overwrites y without reading it (standard BLAS semantics;
+    // matches the AoS kernels' fix — no NaN propagation from garbage y).
+    if beta.is_zero() {
+        for i in 0..a.rows {
+            let row = simd::dot_lockstep::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
+            y.set(i, alpha.mul(row));
+        }
+    } else {
+        for i in 0..a.rows {
+            let row = simd::dot_lockstep::<T, N>(&a.comps, i * a.cols, &x.comps, 0, a.cols);
+            let yi = y.get(i);
+            y.set(i, beta.mul(yi).add(alpha.mul(row)));
         }
     }
 }
 
-fma_dispatched_soa! {
-    /// `C <- alpha*A*B + beta*C`, `ikj` order, SoA layout (the inner `j` loop
-    /// is the vectorized one).
-    pub fn gemm / gemm_body / gemm_fma(
-        alpha: MultiFloat<T, N>,
-        a: &SoaMatrix<T, N>,
-        b: &SoaMatrix<T, N>,
-        beta: MultiFloat<T, N>,
-        c: &mut SoaMatrix<T, N>,
+/// `C <- alpha*A*B + beta*C`, `ikj` order, SoA layout (the inner `j` loop
+/// is the vectorized one).
+pub fn gemm<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    a: &SoaMatrix<T, N>,
+    b: &SoaMatrix<T, N>,
+    beta: MultiFloat<T, N>,
+    c: &mut SoaMatrix<T, N>,
+) {
+    let (adds, muls) = kernels::gemm_ops(a.rows, a.cols, b.cols, beta.is_zero());
+    renorm_probes::record_ops(N, adds as u64, muls as u64);
+    simd::fma_frame(
+        #[inline(always)]
+        || gemm_body(alpha, a, b, beta, c),
     )
-    where ops = kernels::gemm_ops(a.rows, a.cols, b.cols, beta.is_zero()); {
-        assert_eq!(a.cols, b.rows);
-        assert_eq!(c.rows, a.rows);
-        assert_eq!(c.cols, b.cols);
-        let n = b.cols;
-        // Scale C by beta; beta == 0 overwrites (no read of possibly-garbage C).
-        if beta.is_zero() {
-            for comp in c.comps.iter_mut() {
-                for v in comp.iter_mut() {
-                    *v = T::ZERO;
-                }
-            }
-        } else {
-            for i in 0..c.rows {
-                for j in 0..n {
-                    let v = c.get(i, j);
-                    c.set(i, j, beta.mul(v));
-                }
+}
+
+#[inline(always)]
+fn gemm_body<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    a: &SoaMatrix<T, N>,
+    b: &SoaMatrix<T, N>,
+    beta: MultiFloat<T, N>,
+    c: &mut SoaMatrix<T, N>,
+) {
+    assert_eq!(a.cols, b.rows);
+    assert_eq!(c.rows, a.rows);
+    assert_eq!(c.cols, b.cols);
+    let n = b.cols;
+    // Scale C by beta; beta == 0 overwrites (no read of possibly-garbage C).
+    if beta.is_zero() {
+        for comp in c.comps.iter_mut() {
+            for v in comp.iter_mut() {
+                *v = T::ZERO;
             }
         }
-        for i in 0..a.rows {
-            let cbase = i * n;
-            for k in 0..a.cols {
-                let aik = alpha.mul(a.get(i, k));
-                axpy_at::<T, N>(aik, &b.comps, k * n, &mut c.comps, cbase, n);
+    } else {
+        for i in 0..c.rows {
+            for j in 0..n {
+                let v = c.get(i, j);
+                c.set(i, j, beta.mul(v));
             }
+        }
+    }
+    for i in 0..a.rows {
+        let cbase = i * n;
+        for k in 0..a.cols {
+            let aik = alpha.mul(a.get(i, k));
+            axpy_at::<T, N>(aik, &b.comps, k * n, &mut c.comps, cbase, n);
         }
     }
 }

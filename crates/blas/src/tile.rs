@@ -10,10 +10,10 @@
 //! panels of `A` and `B` that are **packed** into contiguous AoS scratch
 //! buffers sized for cache residency (`alpha*A` row-major, `B` block-major
 //! per `JB`-column block), and the micro-kernel accumulates `JB` columns
-//! of one C row in registers across the whole k-panel. On x86-64 the tile
-//! body is additionally compiled with AVX2+FMA enabled behind a runtime
-//! feature check, turning `two_prod`'s `mul_add` into a single `vfmadd`
-//! (bit-identical — both are correctly rounded).
+//! of one C row in registers across the whole k-panel. The tile body runs
+//! inside the crate's AVX2+FMA frame ([`crate::simd::fma_frame`]) when the
+//! active realization is an x86 vector ISA, turning `two_prod`'s `mul_add`
+//! into a single `vfmadd` (bit-identical — both are correctly rounded).
 //!
 //! **Bitwise contract:** per element, the tiled kernel performs exactly
 //! the serial kernels' operation sequence — `beta*c_ij` (or the `beta == 0`
@@ -38,7 +38,7 @@
 
 use crate::parallel::{self, dispatch_chunks};
 use crate::soa::SoaMatrix;
-use crate::{kernels, Scalar};
+use crate::{kernels, simd, Scalar};
 use mf_core::{renorm_probes, FloatBase, MultiFloat};
 use mf_telemetry::{trace, Counter, Section};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,13 +129,10 @@ fn tiles_of(rows: usize, cols: usize) -> Vec<Tile> {
     out
 }
 
-/// Compute one C-tile: runtime-dispatched entry point. On x86-64 with
-/// AVX2+FMA available the tile body is compiled with those features
-/// enabled — `two_prod`'s `mul_add` becomes one `vfmadd` instruction
-/// instead of a soft-float libm call (both are correctly rounded, so the
-/// result is bit-identical), which is worth several× on the fused
-/// extended-precision kernels. Everything else falls back to the portable
-/// build of the same body.
+/// Compute one C-tile: [`compute_tile_body`] inside the FMA frame
+/// ([`simd::fma_frame`]), where `two_prod`'s `mul_add` is one `vfmadd`
+/// instead of a soft-float libm call (bit-identical: both are correctly
+/// rounded), worth several× on the fused extended-precision kernels.
 fn compute_tile<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
     a: &SoaMatrix<T, N>,
@@ -144,34 +141,10 @@ fn compute_tile<T: FloatBase, const N: usize>(
     c: &SoaTiles<'_, T>,
     t: Tile,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::fma_frame_allowed() {
-        // SAFETY: `fma_frame_allowed` returns true only for ISA selections
-        // whose avx2+fma features were runtime-detected.
-        return unsafe { compute_tile_fma(alpha, a, b, beta, c, t) };
-    }
-    compute_tile_body(alpha, a, b, beta, c, t)
-}
-
-/// AVX2+FMA instantiation of the tile body (the `#[target_feature]`
-/// attribute applies to everything inlined into this frame, which the
-/// `#[inline(always)]` on the body and the `#[inline]` EFT primitives
-/// guarantee for the hot path).
-///
-/// # Safety
-///
-/// Caller must ensure the `avx2` and `fma` CPU features are present.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn compute_tile_fma<T: FloatBase, const N: usize>(
-    alpha: MultiFloat<T, N>,
-    a: &SoaMatrix<T, N>,
-    b: &SoaMatrix<T, N>,
-    beta: MultiFloat<T, N>,
-    c: &SoaTiles<'_, T>,
-    t: Tile,
-) {
-    compute_tile_body(alpha, a, b, beta, c, t)
+    simd::fma_frame(
+        #[inline(always)]
+        || compute_tile_body(alpha, a, b, beta, c, t),
+    )
 }
 
 /// Compute one C-tile through packed panels. The tile of `C` and the
