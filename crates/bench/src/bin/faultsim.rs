@@ -28,10 +28,11 @@
 //!       [--flips N] [--seed S] [--tol BITS] [--manifest <json>]
 
 use mf_bench::{cli, history, sink, RunManifest};
+use mf_core::nets::{self, NetSpec};
 use mf_core::{GuardPolicy, MultiFloat};
 use mf_fpan::fault::{self, AdaptiveFaultStats, FaultStats};
 use mf_fpan::verify::random_expansion;
-use mf_fpan::{networks, Fpan};
+use mf_fpan::Fpan;
 use mf_telemetry::json::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,58 +41,46 @@ use std::time::Instant;
 const USAGE: &str =
     "[--adaptive] [--nets <net,..>] [--cases N] [--flips N] [--seed S] [--tol BITS] [--manifest <json>] [--trace <json>]";
 
-/// One campaign target: a network plus its verified error bound and a
-/// case generator producing valid (in-contract) input vectors.
+/// One campaign target: a network, its verified error bound, and the spec
+/// whose `inputs` list generates valid (in-contract) input vectors.
 struct Target {
     name: &'static str,
+    spec: &'static NetSpec,
     net: Fpan,
     q: i32,
 }
 
+/// The campaign networks with their verified error bounds `2^-q`.
+const TARGETS: [(&str, &NetSpec, i32); 6] = [
+    ("add2", &nets::ADD2, 104),
+    ("add3", &nets::ADD3, 156),
+    ("add4", &nets::ADD4, 208),
+    ("mul2", &nets::MUL2, 103),
+    ("mul3", &nets::MUL3, 156),
+    ("mul4", &nets::MUL4, 208),
+];
+
 fn target(name: &str) -> Option<Target> {
-    let (net, q) = match name {
-        "add2" => (networks::add_n(2), 104),
-        "add3" => (networks::add_n(3), 156),
-        "add4" => (networks::add_n(4), 208),
-        "mul2" => (networks::mul_n(2), 103),
-        "mul3" => (networks::mul_n(3), 156),
-        "mul4" => (networks::mul_n(4), 208),
-        _ => return None,
-    };
+    let &(name, spec, q) = TARGETS.iter().find(|t| t.0 == name)?;
     Some(Target {
-        name: match name {
-            "add2" => "add2",
-            "add3" => "add3",
-            "add4" => "add4",
-            "mul2" => "mul2",
-            "mul3" => "mul3",
-            "mul4" => "mul4",
-            _ => unreachable!(),
-        },
-        net,
+        name,
+        spec,
+        net: Fpan::from_spec(spec),
         q,
     })
 }
 
-/// Valid input vector for a target: interleaved expansion pairs for the
-/// addition networks, the pruned `TwoProd` expansion step for the
-/// multiplication networks (mirrors the verifier's generators).
-fn gen_case(name: &str, rng: &mut SmallRng) -> Vec<f64> {
-    let n = name[3..].parse::<usize>().expect("net name ends in n");
+/// Valid input vector for a target: random nonoverlapping operands loaded
+/// into the network's input wires — interleaved pairs for the addition
+/// networks, the pruned `TwoProd` expansion step for the multiplication
+/// networks (mirrors the verifier's generators).
+fn gen_case(t: &Target, rng: &mut SmallRng) -> Vec<f64> {
+    let n = t.spec.outputs.len();
     let ex = rng.gen_range(-40..40);
     let x = random_expansion::<f64>(rng, n, ex);
     let ey = rng.gen_range(-40..40);
     let y = random_expansion::<f64>(rng, n, ey);
-    if name.starts_with("add") {
-        let mut inputs = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            inputs.push(x[i]);
-            inputs.push(y[i]);
-        }
-        inputs
-    } else {
-        networks::mul_expansion_step(&x, &y)
-    }
+    t.spec.load(&x, &y)
 }
 
 fn adaptive_stats_json(st: &AdaptiveFaultStats) -> Json {
@@ -139,7 +128,7 @@ fn run_adaptive(
     for (ni, name) in nets.iter().enumerate() {
         let t = target(name).expect("validated above");
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(ni as u64));
-        let inputs: Vec<Vec<f64>> = (0..cases).map(|_| gen_case(name, &mut rng)).collect();
+        let inputs: Vec<Vec<f64>> = (0..cases).map(|_| gen_case(&t, &mut rng)).collect();
         let mut faults = fault::sample_bit_flips(&t.net, flips, seed ^ (ni as u64) << 8);
         faults.extend(fault::all_dropouts(&t.net));
         let st = fault::adaptive_campaign(&t.net, &inputs, &faults, t.q, tol_bits);
@@ -340,7 +329,7 @@ fn main() {
     let started = Instant::now();
     let args: Vec<String> = std::env::args().collect();
     let quick = mf_bench::quick_mode();
-    let all_nets = ["add2", "add3", "add4", "mul2", "mul3", "mul4"];
+    let all_nets = TARGETS.map(|t| t.0);
     let mut nets: Vec<String> = all_nets.iter().map(|s| s.to_string()).collect();
     let mut cases: usize = if quick { 8 } else { 50 };
     let mut flips: usize = if quick { 128 } else { 1_500 };
@@ -473,7 +462,7 @@ fn main() {
     for (ni, name) in nets.iter().enumerate() {
         let t = target(name).expect("validated above");
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(ni as u64));
-        let inputs: Vec<Vec<f64>> = (0..cases).map(|_| gen_case(name, &mut rng)).collect();
+        let inputs: Vec<Vec<f64>> = (0..cases).map(|_| gen_case(&t, &mut rng)).collect();
         let mut faults = fault::sample_bit_flips(&t.net, flips, seed ^ (ni as u64) << 8);
         faults.extend(fault::all_dropouts(&t.net));
         let st = fault::campaign(&t.net, &inputs, &faults, t.q, tol_bits);

@@ -56,6 +56,7 @@ pub mod division;
 pub mod guard;
 pub mod math;
 pub mod multiplication;
+pub mod nets;
 pub mod ops;
 pub mod renorm;
 pub mod renorm_probes;

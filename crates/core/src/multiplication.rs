@@ -14,8 +14,15 @@
 //!   product is exactly invariant under swapping the operands. The paper
 //!   notes this matters for complex arithmetic, where a non-commutative
 //!   product gives `(a+bi)(a-bi)` a spurious imaginary part.
+//!
+//! The expansion step and gate lists of [`mul2`]/[`mul3`]/[`mul4`] live in
+//! [`crate::nets`], which expands each into the kernel re-exported here and
+//! into the data `mf-fpan` verifies. [`mul_scalar`] and [`sqr`] are
+//! hand-written specializations.
 
-use crate::renorm::renorm_weak;
+use crate::nets::widen;
+pub use crate::nets::{mul2, mul3, mul4};
+use crate::renorm::renorm_m_to_n;
 use mf_eft::{fast_two_sum, two_prod, two_sum, FloatBase};
 
 /// Dispatch: multiply two `N`-term nonoverlapping expansions.
@@ -27,9 +34,9 @@ pub fn mul<T: FloatBase, const N: usize>(x: &[T; N], y: &[T; N]) -> [T; N] {
             out[0] = x[0] * y[0];
             out
         }
-        2 => copy_into(&mul2([x[0], x[1]], [y[0], y[1]])),
-        3 => copy_into(&mul3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
-        4 => copy_into(&mul4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
+        2 => widen(&mul2([x[0], x[1]], [y[0], y[1]])),
+        3 => widen(&mul3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
+        4 => widen(&mul4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
         _ => unreachable!("N is checked at construction"),
     }
 }
@@ -47,7 +54,7 @@ pub fn mul_scalar<T: FloatBase, const N: usize>(x: &[T; N], y: T) -> [T; N] {
             let (p0, e0) = two_prod(x[0], y);
             let p1 = x[1].mul_add(y, e0);
             let (z0, z1) = fast_two_sum(p0, p1);
-            copy_into(&[z0, z1])
+            widen(&[z0, z1])
         }
         3 => {
             let (p0, e0) = two_prod(x[0], y);
@@ -55,7 +62,7 @@ pub fn mul_scalar<T: FloatBase, const N: usize>(x: &[T; N], y: T) -> [T; N] {
             let p2 = x[2].mul_add(y, e1);
             let (s1, t1) = two_sum(p1, e0);
             let tail = p2 + t1;
-            renorm_weak::<T, 4, N>([p0, s1, tail, T::ZERO])
+            renorm_m_to_n([p0, s1, tail, T::ZERO])
         }
         4 => {
             let (p0, e0) = two_prod(x[0], y);
@@ -66,88 +73,10 @@ pub fn mul_scalar<T: FloatBase, const N: usize>(x: &[T; N], y: T) -> [T; N] {
             let (s2, t2) = two_sum(p2, e1);
             let (s2b, u1) = two_sum(s2, t1);
             let tail = (p3 + t2) + u1;
-            renorm_weak::<T, 5, N>([p0, s1, s2b, tail, T::ZERO])
+            renorm_m_to_n([p0, s1, s2b, tail, T::ZERO])
         }
         _ => unreachable!(),
     }
-}
-
-#[inline(always)]
-fn copy_into<T: FloatBase, const M: usize, const N: usize>(v: &[T; M]) -> [T; N] {
-    let mut out = [T::ZERO; N];
-    out[..M].copy_from_slice(v);
-    out
-}
-
-/// 2-term multiplication FPAN (paper Figure 5: size 3, depth 3 — provably
-/// optimal). Expansion step: 1 `TwoProd` + 2 plain products. Discarded
-/// error `<= 2^-(2p-3) |xy|`.
-#[inline(always)]
-pub fn mul2<T: FloatBase>(x: [T; 2], y: [T; 2]) -> [T; 2] {
-    let (p00, e00) = two_prod(x[0], y[0]);
-    // Level-1 plain products; their sum is commutative.
-    let cross = x[0] * y[1] + x[1] * y[0]; // gate 1 (add)
-    let lo = e00 + cross; // gate 2 (add)
-    let (z0, z1) = fast_two_sum(p00, lo); // gate 3
-    [z0, z1]
-}
-
-/// 3-term multiplication FPAN (paper Figure 6 class: size 12, depth 7
-/// reference). Expansion step: 3 `TwoProd` + 3 plain products (= n(n-1)/2
-/// and n for n = 3).
-#[inline(always)]
-pub fn mul3<T: FloatBase>(x: [T; 3], y: [T; 3]) -> [T; 3] {
-    // Expansion step with pruning (i + j <= 1 exact, i + j == 2 plain).
-    let (p00, q00) = two_prod(x[0], y[0]);
-    let (p01, q01) = two_prod(x[0], y[1]);
-    let (p10, q10) = two_prod(x[1], y[0]);
-    let r2 = x[0] * y[2] + x[2] * y[0]; // commutative plain pair
-    let r11 = x[1] * y[1];
-    // Commutativity layer for the level-1 symmetric pair.
-    let (a1, b2) = two_sum(p01, p10);
-    // Level-1 accumulation.
-    let (s1, c2) = two_sum(a1, q00);
-    // Level-2 accumulation (plain adds; all commutative by construction).
-    let t2 = (((q01 + q10) + r2) + r11) + (b2 + c2);
-    renorm_weak::<T, 3, 3>([p00, s1, t2])
-}
-
-/// 4-term multiplication FPAN (paper Figure 7 class: size 27, depth 10
-/// reference). Expansion step: 6 `TwoProd` + 4 plain products.
-#[inline(always)]
-pub fn mul4<T: FloatBase>(x: [T; 4], y: [T; 4]) -> [T; 4] {
-    // Expansion step with pruning.
-    let (p00, q00) = two_prod(x[0], y[0]);
-    let (p01, q01) = two_prod(x[0], y[1]);
-    let (p10, q10) = two_prod(x[1], y[0]);
-    let (p02, q02) = two_prod(x[0], y[2]);
-    let (p20, q20) = two_prod(x[2], y[0]);
-    let (p11, q11) = two_prod(x[1], y[1]);
-    // Level-3 plain products, combined commutatively.
-    let r3a = x[0] * y[3] + x[3] * y[0];
-    let r3b = x[1] * y[2] + x[2] * y[1];
-
-    // Commutativity layer. The level-2 pair (q01, q10) needs a TwoSum: a
-    // plain add would discard a level-3 error (~2^-(3p)) that the 4-term
-    // bound 2^-(4p-4) cannot absorb.
-    let (a1, b2) = two_sum(p01, p10); // level 1 head, level 2 tail
-    let (a2, b3) = two_sum(p02, p20); // level 2 head, level 3 tail
-    let (cq1, cq1e) = two_sum(q01, q10); // level 2 head, level 3 tail
-    let cq2 = q02 + q20; // level 3 (commutative add)
-
-    // Level-1 accumulation.
-    let (s1, c2) = two_sum(a1, q00);
-
-    // Level-2 accumulation: a2, p11, cq1, b2, c2.
-    let (t2, d3a) = two_sum(a2, p11);
-    let (t2, d3b) = two_sum(t2, cq1);
-    let (t2, d3c) = two_sum(t2, b2);
-    let (t2, d3d) = two_sum(t2, c2);
-
-    // Level-3 accumulation (plain adds).
-    let t3 = ((q11 + cq2) + (r3a + r3b)) + ((b3 + cq1e) + (d3a + d3b) + (d3c + d3d));
-
-    renorm_weak::<T, 4, 4>([p00, s1, t2, t3])
 }
 
 /// Squaring: exploits symmetry (`p_ij == p_ji`), saving the commutativity
@@ -165,7 +94,7 @@ pub fn sqr<T: FloatBase, const N: usize>(x: &[T; N]) -> [T; N] {
             let cross = (x[0] * x[1]) * T::TWO;
             let lo = q00 + cross;
             let (z0, z1) = fast_two_sum(p00, lo);
-            copy_into(&[z0, z1])
+            widen(&[z0, z1])
         }
         3 => {
             let (p00, q00) = two_prod(x[0], x[0]);
@@ -174,7 +103,7 @@ pub fn sqr<T: FloatBase, const N: usize>(x: &[T; N]) -> [T; N] {
             let r11 = x[1] * x[1];
             let (s1, c2) = two_sum(p01, q00);
             let t2 = ((q01 + r2) + r11) + c2;
-            renorm_weak::<T, 3, N>([p00, s1, t2])
+            renorm_m_to_n([p00, s1, t2])
         }
         4 => {
             let (p00, q00) = two_prod(x[0], x[0]);
@@ -188,7 +117,7 @@ pub fn sqr<T: FloatBase, const N: usize>(x: &[T; N]) -> [T; N] {
             let (t2, d3b) = two_sum(t2, q01);
             let (t2, d3c) = two_sum(t2, c2);
             let t3 = ((q11 + q02) + r3) + ((d3a + d3b) + d3c);
-            renorm_weak::<T, 4, N>([p00, s1, t2, t3])
+            renorm_m_to_n([p00, s1, t2, t3])
         }
         _ => unreachable!(),
     }
@@ -197,7 +126,7 @@ pub fn sqr<T: FloatBase, const N: usize>(x: &[T; N]) -> [T; N] {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::addition::tests::rand_expansion;
+    use crate::addition::tests::rand_in;
     use crate::MultiFloat;
     use mf_mpsoft::MpFloat;
     use rand::rngs::SmallRng;
@@ -213,14 +142,8 @@ pub(crate) mod tests {
     fn check_mul<const N: usize>(rng: &mut SmallRng, bound_exp: i32, iters: usize) -> f64 {
         let mut worst: f64 = 0.0;
         for _ in 0..iters {
-            let x = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<N>(rng, e0)
-            };
-            let y = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<N>(rng, e0)
-            };
+            let x = rand_in::<N>(rng, -30..30);
+            let y = rand_in::<N>(rng, -30..30);
             let z = mul(&x, &y);
             let mfz = MultiFloat::<f64, N> { c: z };
             assert!(
@@ -274,32 +197,14 @@ pub(crate) mod tests {
         // under operand swap, at every N.
         let mut rng = SmallRng::seed_from_u64(303);
         for _ in 0..20_000 {
-            let x2 = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<2>(&mut rng, e0)
-            };
-            let y2 = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<2>(&mut rng, e0)
-            };
+            let x2 = rand_in::<2>(&mut rng, -30..30);
+            let y2 = rand_in::<2>(&mut rng, -30..30);
             assert_eq!(mul(&x2, &y2), mul(&y2, &x2), "x={x2:?} y={y2:?}");
-            let x3 = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<3>(&mut rng, e0)
-            };
-            let y3 = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<3>(&mut rng, e0)
-            };
+            let x3 = rand_in::<3>(&mut rng, -30..30);
+            let y3 = rand_in::<3>(&mut rng, -30..30);
             assert_eq!(mul(&x3, &y3), mul(&y3, &x3), "x={x3:?} y={y3:?}");
-            let x4 = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<4>(&mut rng, e0)
-            };
-            let y4 = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<4>(&mut rng, e0)
-            };
+            let x4 = rand_in::<4>(&mut rng, -30..30);
+            let y4 = rand_in::<4>(&mut rng, -30..30);
             assert_eq!(mul(&x4, &y4), mul(&y4, &x4), "x={x4:?} y={y4:?}");
         }
     }
@@ -310,10 +215,7 @@ pub(crate) mod tests {
         let mut one4 = [0.0f64; 4];
         one4[0] = 1.0;
         for _ in 0..5_000 {
-            let x = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<4>(&mut rng, e0)
-            };
+            let x = rand_in::<4>(&mut rng, -30..30);
             assert_eq!(mul(&x, &one4), x, "x * 1 != x for x={x:?}");
             assert_eq!(mul(&x, &[0.0; 4]), [0.0; 4]);
         }
@@ -323,10 +225,7 @@ pub(crate) mod tests {
     fn mul_powers_of_two_exact() {
         let mut rng = SmallRng::seed_from_u64(305);
         for _ in 0..5_000 {
-            let x = {
-                let e0 = rng.gen_range(-30..30);
-                rand_expansion::<3>(&mut rng, e0)
-            };
+            let x = rand_in::<3>(&mut rng, -30..30);
             let two = {
                 let mut t = [0.0f64; 3];
                 t[0] = 2.0;
@@ -343,10 +242,7 @@ pub(crate) mod tests {
     fn sqr_matches_mul_value() {
         let mut rng = SmallRng::seed_from_u64(306);
         for _ in 0..20_000 {
-            let x = {
-                let e0 = rng.gen_range(-20..20);
-                rand_expansion::<4>(&mut rng, e0)
-            };
+            let x = rand_in::<4>(&mut rng, -20..20);
             let s = sqr(&x);
             let exact = exact_product(&x, &x);
             let got = MpFloat::exact_sum(&s);
@@ -361,10 +257,7 @@ pub(crate) mod tests {
             assert!(MultiFloat::<f64, 4> { c: s }.is_nonoverlapping(), "x={x:?}");
         }
         for _ in 0..20_000 {
-            let x = {
-                let e0 = rng.gen_range(-20..20);
-                rand_expansion::<2>(&mut rng, e0)
-            };
+            let x = rand_in::<2>(&mut rng, -20..20);
             let s = sqr(&x);
             let exact = exact_product(&x, &x);
             let got = MpFloat::exact_sum(&s);
@@ -380,10 +273,7 @@ pub(crate) mod tests {
     fn mul_scalar_matches_full_mul() {
         let mut rng = SmallRng::seed_from_u64(307);
         for _ in 0..20_000 {
-            let x = {
-                let e0 = rng.gen_range(-20..20);
-                rand_expansion::<3>(&mut rng, e0)
-            };
+            let x = rand_in::<3>(&mut rng, -20..20);
             let y: f64 = rng.gen_range(-2.0..2.0);
             if y == 0.0 {
                 continue;
@@ -409,14 +299,8 @@ pub(crate) mod tests {
         // commutative kernel.
         let mut rng = SmallRng::seed_from_u64(308);
         for _ in 0..10_000 {
-            let a = {
-                let e0 = rng.gen_range(-10..10);
-                rand_expansion::<2>(&mut rng, e0)
-            };
-            let b = {
-                let e0 = rng.gen_range(-10..10);
-                rand_expansion::<2>(&mut rng, e0)
-            };
+            let a = rand_in::<2>(&mut rng, -10..10);
+            let b = rand_in::<2>(&mut rng, -10..10);
             let nb = [-b[0], -b[1]];
             // Im((a+bi)(a+(-b)i)) = a*(-b) + b*a
             let t1 = mul(&a, &nb);

@@ -83,28 +83,7 @@ pub fn run_faulted(net: &Fpan, inputs: &[f64], fault: Fault) -> Vec<f64> {
         if gi == fault.gate && fault.kind == FaultKind::Dropout {
             continue;
         }
-        let (a, b) = (w[g.hi], w[g.lo]);
-        match g.kind {
-            crate::GateKind::Add => {
-                w[g.hi] = a + b;
-                w[g.lo] = 0.0;
-            }
-            crate::GateKind::TwoSum => {
-                let (s, e) = mf_eft::two_sum(a, b);
-                w[g.hi] = s;
-                w[g.lo] = e;
-            }
-            crate::GateKind::FastTwoSum => {
-                // Inline 3-op sequence rather than mf_eft::fast_two_sum:
-                // upstream faults legitimately violate the precondition its
-                // debug_assert checks, and the fault model wants the
-                // release-mode silent-inexact semantics.
-                let s = a + b;
-                let e = b - (s - a);
-                w[g.hi] = s;
-                w[g.lo] = e;
-            }
-        }
+        crate::apply(g, &mut w);
         if gi == fault.gate {
             if let FaultKind::BitFlip(bit) = fault.kind {
                 let wi = match fault.site {
@@ -494,12 +473,7 @@ mod tests {
         let x = random_expansion::<f64>(rng, n, ex);
         let ey = rng.gen_range(-30..30);
         let y = random_expansion::<f64>(rng, n, ey);
-        let mut inputs = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            inputs.push(x[i]);
-            inputs.push(y[i]);
-        }
-        inputs
+        networks::add_spec(n).load(&x, &y)
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   the same network object executes on `f64`, `f32`, or the bit-exact
 //!   [`mf_softfloat::SoftFloat`] at any toy precision;
 //! * [`networks`] — the six shipped networks (2/3/4-term addition and
-//!   multiplication accumulation), each tested bit-for-bit against the
-//!   hand-unrolled kernels in `mf-core`;
+//!   multiplication accumulation), built by [`Fpan::from_spec`] from the
+//!   gate lists in `mf_core::nets` that also expand into `mf-core`'s
+//!   kernels, so the verifier checks the code that runs;
 //! * [`verify`] — the empirical verification procedure standing in for the
 //!   paper's SMT pipeline (DESIGN.md substitution T1);
 //! * [`search`] — the simulated-annealing discovery procedure of §4.1.
@@ -30,7 +31,9 @@ pub mod networks;
 pub mod search;
 pub mod verify;
 
-use mf_eft::{fast_two_sum, two_sum, FloatBase};
+use mf_core::nets::NetSpec;
+use mf_core::renorm::kernel_sweeps;
+use mf_eft::{two_sum, FloatBase};
 use mf_telemetry::Counter;
 
 static EXEC_RUNS: Counter = Counter::new("fpan.exec.runs");
@@ -52,28 +55,7 @@ fn record_run(net: &Fpan) {
     EXEC_FAST_TWO_SUM.add(fast_two_sums as u64);
 }
 
-/// The three gate kinds of an FPAN diagram (paper §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GateKind {
-    /// Plain floating-point addition; discards its rounding error.
-    Add,
-    /// Error-free `TwoSum` (Algorithm 1).
-    TwoSum,
-    /// Error-free `FastTwoSum` (Algorithm 3); requires
-    /// `exponent(hi) >= exponent(lo)` or a zero operand.
-    FastTwoSum,
-}
-
-/// One gate: operates on the values currently held by wires `hi` and `lo`.
-/// For two-output gates, the sum lands on `hi` and the error on `lo`;
-/// for [`GateKind::Add`], the sum lands on `hi` and `lo` becomes dead
-/// (zeroed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Gate {
-    pub kind: GateKind,
-    pub hi: usize,
-    pub lo: usize,
-}
+pub use mf_core::nets::{Gate, GateKind};
 
 /// A floating-point accumulation network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,6 +83,24 @@ impl Fpan {
         }
     }
 
+    /// The network `spec` describes: its gates, then its renormalization
+    /// unrolled into `TwoSum` sweeps over the renorm wires with the
+    /// kernels' schedule (up, up, then `kernel_sweeps(m) - 2` down).
+    pub fn from_spec(spec: &NetSpec) -> Self {
+        let mut b = Builder::new(spec.inputs.len());
+        b.fpan.gates.extend_from_slice(spec.gates);
+        let (r, m) = (spec.renorm, spec.renorm.len());
+        if m > 0 {
+            for sweep in 0..kernel_sweeps(m) {
+                for k in 0..m - 1 {
+                    let i = if sweep < 2 { m - 2 - k } else { k };
+                    b.two_sum(r[i], r[i + 1]);
+                }
+            }
+        }
+        b.finish(spec.outputs.to_vec())
+    }
+
     /// Total number of gates (the paper's *size* metric).
     pub fn size(&self) -> usize {
         self.gates.len()
@@ -125,30 +125,7 @@ impl Fpan {
     /// Execute the network on `inputs` (length `n_inputs`), returning the
     /// output values in `outputs` order.
     pub fn run<T: FloatBase>(&self, inputs: &[T]) -> Vec<T> {
-        assert_eq!(inputs.len(), self.n_inputs, "wrong input count");
-        record_run(self);
-        let mut w = vec![T::ZERO; self.n_wires];
-        w[..inputs.len()].copy_from_slice(inputs);
-        for g in &self.gates {
-            let (a, b) = (w[g.hi], w[g.lo]);
-            match g.kind {
-                GateKind::Add => {
-                    w[g.hi] = a + b;
-                    w[g.lo] = T::ZERO;
-                }
-                GateKind::TwoSum => {
-                    let (s, e) = two_sum(a, b);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-                GateKind::FastTwoSum => {
-                    let (s, e) = fast_two_sum(a, b);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-            }
-        }
-        self.outputs.iter().map(|&i| w[i]).collect()
+        self.run_checked(inputs).0
     }
 
     /// Like [`Fpan::run`] but reports whether any `FastTwoSum` gate saw its
@@ -161,29 +138,7 @@ impl Fpan {
         w[..inputs.len()].copy_from_slice(inputs);
         let mut precond_ok = true;
         for g in &self.gates {
-            let (a, b) = (w[g.hi], w[g.lo]);
-            match g.kind {
-                GateKind::Add => {
-                    w[g.hi] = a + b;
-                    w[g.lo] = T::ZERO;
-                }
-                GateKind::TwoSum => {
-                    let (s, e) = two_sum(a, b);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-                GateKind::FastTwoSum => {
-                    if !(a.is_zero() || b.is_zero() || a.exponent() >= b.exponent()) {
-                        precond_ok = false;
-                    }
-                    // Evaluate with TwoSum semantics of the would-be result:
-                    // FastTwoSum computes s = a+b; e = b - (s - a).
-                    let s = a + b;
-                    let e = b - (s - a);
-                    w[g.hi] = s;
-                    w[g.lo] = e;
-                }
-            }
+            precond_ok &= apply(g, &mut w);
         }
         (self.outputs.iter().map(|&i| w[i]).collect(), precond_ok)
     }
@@ -207,6 +162,30 @@ impl Fpan {
         let (a, t, f) = self.gate_counts();
         a + 6 * t + 3 * f
     }
+}
+
+/// Apply one gate to the wires `w` (the semantics of `mf_core::nets`'
+/// kernels), returning whether a `FastTwoSum` gate's magnitude
+/// precondition held. `FastTwoSum` is evaluated inline rather than through
+/// `mf_eft::fast_two_sum`, whose `debug_assert` would reject the violations
+/// that verification and fault injection must observe.
+#[inline]
+pub(crate) fn apply<T: FloatBase>(g: &Gate, w: &mut [T]) -> bool {
+    let (a, b) = (w[g.hi], w[g.lo]);
+    let (hi, lo, ok) = match g.kind {
+        GateKind::Add => (a + b, T::ZERO, true),
+        GateKind::TwoSum => {
+            let (s, e) = two_sum(a, b);
+            (s, e, true)
+        }
+        GateKind::FastTwoSum => {
+            let s = a + b;
+            (s, b - (s - a), a.fast_two_sum_ok(b))
+        }
+    };
+    w[g.hi] = hi;
+    w[g.lo] = lo;
+    ok
 }
 
 /// Convenience builder used by [`networks`] and tests.

@@ -271,8 +271,7 @@ fn mul_energy(net: &Fpan, n: usize, q: i32, trials: usize, seed: u64) -> f64 {
 /// ([`crate::networks::commutativity_layer`]) is a **frozen prefix** that
 /// mutations never touch — the paper notes this layer "does not naturally
 /// occur in multiplication FPANs, and we must deliberately impose" it.
-/// Outputs are wires `[0, 2, 6, 11][..n]` for n = 4 and `[0, 2, 3][..n]`
-/// for n = 3 (the head-product wires).
+/// Outputs are the shipped network's output wires.
 ///
 /// Progress is observable through `mf-telemetry`, exactly as in
 /// [`search_addition`].
@@ -281,11 +280,7 @@ pub fn search_multiplication(cfg: SearchConfig) -> (Fpan, bool) {
     let n = cfg.n;
     let prefix = crate::networks::commutativity_layer(n);
     let frozen = prefix.len();
-    let outputs: Vec<usize> = match n {
-        2 => vec![0, 1],
-        3 => vec![0, 2, 3],
-        _ => vec![0, 2, 6, 11],
-    };
+    let outputs = crate::networks::mul_spec(n).outputs.to_vec();
     let mut current = Fpan::new(n * n, outputs);
     current.gates = prefix;
     let mut cur_energy = mul_energy(&current, n, cfg.q, cfg.trials, cfg.seed ^ 1);

@@ -25,6 +25,7 @@
 //! happens to be correct on that input (paper §3's second condition is
 //! about *all* inputs, and a violated precondition is a latent bug).
 
+use crate::networks::{add_spec, mul_spec};
 use crate::Fpan;
 use mf_eft::FloatBase;
 use mf_mpsoft::MpFloat;
@@ -272,6 +273,7 @@ where
 /// head cancellation (`y0 = -x0`).
 pub fn verify_addition_f64(net: &Fpan, n: usize, cfg: Config) -> Report {
     assert_eq!(net.n_inputs, 2 * n);
+    let spec = add_spec(n);
     verify_with::<f64, _>(net, cfg, move |rng| {
         let e0 = rng.gen_range(-40..40);
         let x = random_expansion::<f64>(rng, n, e0);
@@ -287,12 +289,7 @@ pub fn verify_addition_f64(net: &Fpan, n: usize, cfg: Config) -> Report {
         if cancel && !y.is_empty() && y[0] != 0.0 {
             y[0] = -x[0]; // exact head cancellation, tails remain valid
         }
-        let mut inputs = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            inputs.push(x[i]);
-            inputs.push(y[i]);
-        }
-        inputs
+        spec.load(&x, &y)
     })
 }
 
@@ -300,6 +297,7 @@ pub fn verify_addition_f64(net: &Fpan, n: usize, cfg: Config) -> Report {
 /// exact integer reference. This is the search's inner-loop oracle.
 pub fn verify_addition_soft<const P: u32>(net: &Fpan, n: usize, cfg: Config) -> Report {
     assert_eq!(net.n_inputs, 2 * n);
+    let spec = add_spec(n);
     verify_with::<SoftFloat<P>, _>(net, cfg, move |rng| {
         let e0 = rng.gen_range(-8..8);
         let x = random_expansion::<SoftFloat<P>>(rng, n, e0);
@@ -315,12 +313,7 @@ pub fn verify_addition_soft<const P: u32>(net: &Fpan, n: usize, cfg: Config) -> 
         if cancel && !y[0].is_zero() {
             y[0] = -x[0];
         }
-        let mut inputs = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            inputs.push(x[i]);
-            inputs.push(y[i]);
-        }
-        inputs
+        spec.load(&x, &y)
     })
 }
 
@@ -330,6 +323,7 @@ pub fn verify_addition_soft<const P: u32>(net: &Fpan, n: usize, cfg: Config) -> 
 /// product (the bound is relative to `|x·y|`).
 pub fn verify_multiplication_f64(net: &Fpan, n: usize, cfg: Config) -> Report {
     assert_eq!(net.n_inputs, n * n);
+    let step = mul_spec(n);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut report = Report::new();
     for _ in 0..cfg.trials {
@@ -338,7 +332,7 @@ pub fn verify_multiplication_f64(net: &Fpan, n: usize, cfg: Config) -> Report {
         let x = random_expansion::<f64>(&mut rng, n, ex);
         let ey = rng.gen_range(-30..30);
         let y = random_expansion::<f64>(&mut rng, n, ey);
-        let inputs = crate::networks::mul_expansion_step(&x, &y);
+        let inputs = step.load(&x, &y);
         let (outputs, precond_ok) = net.run_checked(&inputs);
         if !precond_ok {
             report.record(&inputs, ViolationKind::Precondition);
@@ -481,6 +475,7 @@ pub fn verify_addition_exhaustive<const P: u32>(
 /// inner-loop oracle for [`crate::search::search_multiplication`].
 pub fn verify_mul_accumulation_soft<const P: u32>(net: &Fpan, n: usize, cfg: Config) -> Report {
     assert_eq!(net.n_inputs, n * n);
+    let step = mul_spec(n);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut report = Report::new();
     for _ in 0..cfg.trials {
@@ -489,7 +484,7 @@ pub fn verify_mul_accumulation_soft<const P: u32>(net: &Fpan, n: usize, cfg: Con
         let x = random_expansion::<SoftFloat<P>>(&mut rng, n, ex);
         let ey = rng.gen_range(-6..6);
         let y = random_expansion::<SoftFloat<P>>(&mut rng, n, ey);
-        let inputs = crate::networks::mul_expansion_step_generic(&x, &y);
+        let inputs = step.load(&x, &y);
         let inputs_f64: Vec<f64> = inputs.iter().map(|v| v.to_f64()).collect();
         let (outputs, precond_ok) = net.run_checked(&inputs);
         if !precond_ok {
