@@ -20,7 +20,9 @@
 //! odd tails included; the row engine through AoS `kernels::gemv` and
 //! `mf_solve`'s extended residual; AoS `kernels::dot`/`axpy`/`gemm`;
 //! `f32` SoA dot/axpy; adaptive dot/axpy over one clean and one escalating
-//! chunk) and writes the result bits as hex lines. The forced-ISA CI matrix `cmp`s dumps across
+//! chunk; the pooled `parallel` kernels at 2 and 3 threads, two-tile
+//! `gemm_tiled` and adaptive dot/axpy/gemv at 2 threads) and writes the
+//! result bits as hex lines. The forced-ISA CI matrix `cmp`s dumps across
 //! `MF_SIMD` values: any realization-dependent bit is a hard diff, with
 //! the file as artifact.
 //!
@@ -32,10 +34,10 @@
 use mf_bench::history::{self, HistoryRecord, KernelEntry};
 use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
-use mf_blas::adaptive::{axpy_adaptive, dot_adaptive, ADAPTIVE_CHUNK};
+use mf_blas::adaptive::{axpy_adaptive, dot_adaptive, gemv_adaptive, ADAPTIVE_CHUNK};
 use mf_blas::simd::{self, Isa};
 use mf_blas::soa::{self, SoaMatrix, SoaVec};
-use mf_blas::{kernels, tile, Matrix};
+use mf_blas::{kernels, parallel, tile, Matrix};
 use mf_core::adaptive::EscalationPolicy;
 use mf_core::{F64x2, MultiFloat};
 use mf_solve::refine::residual_extended;
@@ -224,6 +226,59 @@ fn dump_bits(path: &str) {
     dump_aos::<3>(&mut out);
     dump_aos::<4>(&mut out);
 
+    // Pooled AoS kernels at 2 and 3 threads: chunked DOT/AXPY/GEMV/GEMM
+    // through the pool executor (row/element chunks of unequal length).
+    fn dump_par<const N: usize>(out: &mut String) {
+        let n = 4 * simd::LANES + 3;
+        let mf = |seed: u64, n: usize| -> Vec<MultiFloat<f64, N>> {
+            rand_f64s(seed, n)
+                .into_iter()
+                .map(|v| MultiFloat::from(v).mul(MultiFloat::from(1.0 - v * 1e-12)))
+                .collect()
+        };
+        let (x, y0) = (mf(101 + N as u64, n), mf(103 + N as u64, n));
+        let (m, k, p) = (7usize, 9, 5);
+        let a = Matrix::from_fn(m, k, |i, j| mf(107 + (i * k + j) as u64, 1)[0]);
+        let b = Matrix::from_fn(k, p, |i, j| mf(109 + (i * p + j) as u64, 1)[0]);
+        let xv = mf(113, k);
+        let yv0 = mf(127, m);
+        let c0 = Matrix::from_fn(m, p, |i, j| MultiFloat::from((2 * i + j) as f64 * 0.625));
+        let (alpha, beta) = (MultiFloat::from(-1.375), MultiFloat::from(0.5));
+        for t in [2usize, 3] {
+            dump_mf(out, &format!("dot-par{t}/n{N}"), parallel::dot(&x, &y0, t));
+            let mut y = y0.clone();
+            parallel::axpy(alpha, &x, &mut y, t);
+            for i in [0usize, 1, n / 2, n - 2, n - 1] {
+                dump_mf(out, &format!("axpy-par{t}/n{N}/{i}"), y[i]);
+            }
+            let mut yv = yv0.clone();
+            parallel::gemv(alpha, &a, &xv, beta, &mut yv, t);
+            for (i, &v) in yv.iter().enumerate() {
+                dump_mf(out, &format!("gemv-par{t}/n{N}/{i}"), v);
+            }
+            let mut c = c0.clone();
+            parallel::gemm(alpha, &a, &b, beta, &mut c, t);
+            for (e, &v) in c.data.iter().enumerate() {
+                dump_mf(out, &format!("gemm-par{t}/n{N}/{e}"), v);
+            }
+        }
+    }
+    dump_par::<2>(&mut out);
+    dump_par::<3>(&mut out);
+    dump_par::<4>(&mut out);
+
+    // Pooled tiled GEMM: two row tiles on two threads.
+    let (m, k, p) = (tile::MC + 5, 11usize, 6usize);
+    let a = SoaMatrix::<f64, 2>::from_fn(m, k, |i, j| F64x2::from(((i * k + j) as f64).cos()));
+    let b = SoaMatrix::<f64, 2>::from_fn(k, p, |i, j| F64x2::from(((i * p + j) as f64).sin()));
+    let mut ct = SoaMatrix::<f64, 2>::from_fn(m, p, |i, j| F64x2::from((i + j) as f64 * 0.25));
+    tile::gemm_tiled(alpha, &a, &b, beta, &mut ct, 2);
+    for i in 0..m {
+        for j in 0..p {
+            dump_mf(&mut out, &format!("gemm-tiled-par2/{i}/{j}"), ct.get(i, j));
+        }
+    }
+
     // Adaptive DOT/AXPY over two chunks: the first clean (base pass only),
     // the second with a transient overflow that escalates up the ladder.
     let n = 2 * ADAPTIVE_CHUNK;
@@ -248,6 +303,32 @@ fn dump_bits(path: &str) {
     writeln!(out, "axpy-adaptive/escalated = {}", rep.escalated).unwrap();
     for i in [0usize, 1, h - 1, h, h + 1, n - 1] {
         dump_mf(&mut out, &format!("axpy-adaptive/{i}"), hy[i]);
+    }
+
+    // The same adaptive calls pooled on two threads, plus a GEMV whose
+    // second row carries the escalating pattern.
+    let (mut hx, mut hy) = (ax.clone(), ay.clone());
+    for (d, xv) in [big, big, -1.5 * big].into_iter().enumerate() {
+        hx[h + d] = F64x2::from(xv);
+        hy[h + d] = F64x2::from(big / 2.0);
+    }
+    let (d, rep) = dot_adaptive(&hx, &hy, &policy, 2);
+    dump_mf(&mut out, "dot-adaptive-par2", d);
+    writeln!(out, "dot-adaptive-par2/escalated = {}", rep.escalated).unwrap();
+    let ga = Matrix::from_fn(5, n, |i, j| if i == 1 { hx[j] } else { ax[j] });
+    let (gy, rep) = gemv_adaptive(&ga, &hy, &policy, 2);
+    writeln!(out, "gemv-adaptive-par2/escalated = {}", rep.escalated).unwrap();
+    for (i, &v) in gy.iter().enumerate() {
+        dump_mf(&mut out, &format!("gemv-adaptive-par2/{i}"), v);
+    }
+    let mut hy = ay.clone();
+    hy[h] = F64x2::from(-(2.0f64.powi(1023)));
+    let mut hx = ax.clone();
+    hx[h] = F64x2::from(big);
+    let rep = axpy_adaptive(F64x2::from(big), &hx, &mut hy, &policy, 2);
+    writeln!(out, "axpy-adaptive-par2/escalated = {}", rep.escalated).unwrap();
+    for i in [0usize, 1, h - 1, h, h + 1, n - 1] {
+        dump_mf(&mut out, &format!("axpy-adaptive-par2/{i}"), hy[i]);
     }
 
     // f32 SoA DOT/AXPY: the portable lanes and the element loop over f32.
