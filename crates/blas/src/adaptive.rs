@@ -15,7 +15,7 @@
 //!
 //! Chunk boundaries are fixed by element index — **not** by thread count —
 //! so results are bitwise identical across `threads` settings; the
-//! parallel path reuses [`crate::parallel`]'s pool dispatch and its
+//! parallel path runs on [`crate::parallel`]'s chunk executor and its
 //! panic degrade-to-serial contract (a panicking worker chunk is restored
 //! from its snapshot and rerun, adaptively, on the calling thread).
 //!
@@ -24,8 +24,6 @@
 //! escalation budget are properties of the scalar engine's per-value
 //! ladder, while a chunk's rung is decided fresh on every call.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use mf_core::adaptive::{EscalationPolicy, Rung};
 use mf_core::guard::{escalated_nonfinite, noncanonical};
 use mf_core::{renorm_probes, F64x2, MultiFloat};
@@ -33,7 +31,7 @@ use mf_mpsoft::MpFloat;
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::{trace, Counter};
 
-use crate::parallel::{degraded_rerun, dispatch_chunks, record_degraded, ChunkedMut};
+use crate::parallel::{chunk_ranges, run_chunks};
 use crate::{kernels, simd, Matrix, Scalar};
 
 static ADAPT_CHUNKS: Counter = Counter::new("blas.adaptive.chunks");
@@ -315,49 +313,24 @@ pub fn dot_adaptive(
     assert_eq!(x.len(), y.len());
     let _sp = trace::span("blas.adaptive.dot", x.len() as u64);
     let ranges = fixed_chunks(x.len());
+    // One chunk runs serially, with no dispatch.
+    let threads = if ranges.len() == 1 { 1 } else { threads };
+    let (partials, degraded) = run_chunks(
+        "adaptive_dot",
+        Some("blas.adaptive.dot.chunk"),
+        threads,
+        &ranges,
+        &mut [(); 0],
+        0,
+        |_, (lo, hi), _| dot_chunk(&x[lo..hi], &y[lo..hi], policy),
+    );
     let mut report = AdaptiveReport::default();
-    if threads <= 1 || ranges.len() == 1 {
-        let v = dot_serial(x, y, policy, &mut report);
-        report.flush_telemetry();
-        return (v, report);
-    }
-
-    let mut partials = vec![(F64x2::ZERO, Rung::N2); ranges.len()];
-    let failed = {
-        let slots = ChunkedMut::new(&mut partials);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("blas.adaptive.dot.chunk", (hi - lo) as u64);
-            match catch_unwind(AssertUnwindSafe(|| {
-                dot_chunk(&x[lo..hi], &y[lo..hi], policy)
-            })) {
-                Ok(v) => {
-                    // SAFETY: slot ci is written only by the single
-                    // executor of chunk ci.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = v;
-                    true
-                }
-                Err(_) => false,
-            }
-        })
-    };
-    record_degraded(failed.len());
-    report.degraded = failed.len() as u64;
     let mut acc = F64x2::ZERO;
-    for (ci, &(lo, hi)) in ranges.iter().enumerate() {
-        let (v, rung) = if failed.binary_search(&ci).is_ok() {
-            let mut out = (F64x2::ZERO, Rung::N2);
-            degraded_rerun("adaptive_dot", lo, hi, || {
-                out = dot_chunk(&x[lo..hi], &y[lo..hi], policy)
-            });
-            out
-        } else {
-            partials[ci]
-        };
+    for (v, rung) in partials {
         report.tally(rung);
         acc += v;
     }
+    report.degraded = degraded as u64;
     report.flush_telemetry();
     (acc, report)
 }
@@ -474,57 +447,22 @@ pub fn axpy_adaptive(
     assert_eq!(x.len(), y.len());
     let _sp = trace::span("blas.adaptive.axpy", y.len() as u64);
     let ranges = fixed_chunks(y.len());
+    // One chunk runs serially, with no dispatch.
+    let threads = if ranges.len() == 1 { 1 } else { threads };
+    let (rungs, degraded) = run_chunks(
+        "adaptive_axpy",
+        Some("blas.adaptive.axpy.chunk"),
+        threads,
+        &ranges,
+        y,
+        1,
+        |_, (lo, hi), y| axpy_chunk(alpha, &x[lo..hi], y, policy),
+    );
     let mut report = AdaptiveReport::default();
-    if threads <= 1 || ranges.len() == 1 {
-        for &(lo, hi) in &ranges {
-            let rung = axpy_chunk(alpha, &x[lo..hi], &mut y[lo..hi], policy);
-            report.tally(rung);
-        }
-        report.flush_telemetry();
-        return report;
-    }
-
-    let mut rungs = vec![Rung::N2; ranges.len()];
-    let failed = {
-        let out = ChunkedMut::new(y);
-        let slots = ChunkedMut::new(&mut rungs);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("blas.adaptive.axpy.chunk", (hi - lo) as u64);
-            // SAFETY: chunk ranges are disjoint and each index runs once.
-            let snap = unsafe { out.slice(lo, hi) }.to_vec();
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: as above; this view lives only inside the closure.
-                let head = unsafe { out.slice(lo, hi) };
-                axpy_chunk(alpha, &x[lo..hi], head, policy)
-            }));
-            match res {
-                Ok(rung) => {
-                    // SAFETY: slot ci is written only by chunk ci's executor.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = rung;
-                    true
-                }
-                Err(_) => {
-                    // SAFETY: the panicked closure's view is dead; restore
-                    // the snapshot for the deterministic serial rerun.
-                    unsafe { out.slice(lo, hi) }.copy_from_slice(&snap);
-                    false
-                }
-            }
-        })
-    };
-    record_degraded(failed.len());
-    report.degraded = failed.len() as u64;
-    for ci in &failed {
-        let (lo, hi) = ranges[*ci];
-        degraded_rerun("adaptive_axpy", lo, hi, || {
-            rungs[*ci] = axpy_chunk(alpha, &x[lo..hi], &mut y[lo..hi], policy)
-        });
-    }
     for rung in rungs {
         report.tally(rung);
     }
+    report.degraded = degraded as u64;
     report.flush_telemetry();
     report
 }
@@ -552,58 +490,29 @@ pub fn gemv_adaptive(
     );
     let _sp = trace::span("blas.adaptive.gemv", a.rows as u64);
     let mut y = vec![F64x2::ZERO; a.rows];
+    // One row runs serially, with no dispatch.
+    let threads = if a.rows <= 1 { 1 } else { threads };
+    let ranges = chunk_ranges(a.rows, threads);
+    let (reports, degraded) = run_chunks(
+        "adaptive_gemv",
+        Some("blas.adaptive.gemv.chunk"),
+        threads,
+        &ranges,
+        &mut y,
+        1,
+        |_, (lo, _), y| {
+            let mut local = AdaptiveReport::default();
+            for (r, out) in (lo..).zip(y) {
+                *out = dot_serial(a.row(r), x, policy, &mut local);
+            }
+            local
+        },
+    );
     let mut report = AdaptiveReport::default();
-    if threads <= 1 || a.rows <= 1 {
-        for (r, out) in y.iter_mut().enumerate() {
-            *out = dot_serial(a.row(r), x, policy, &mut report);
-        }
-        report.flush_telemetry();
-        return (y, report);
-    }
-
-    let ranges = crate::parallel::chunk_ranges(a.rows, threads);
-    let mut reports = vec![AdaptiveReport::default(); ranges.len()];
-    let failed = {
-        let out = ChunkedMut::new(&mut y);
-        let slots = ChunkedMut::new(&mut reports);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("blas.adaptive.gemv.chunk", (hi - lo) as u64);
-            let res = catch_unwind(AssertUnwindSafe(|| {
-                let mut local = AdaptiveReport::default();
-                // SAFETY: row ranges are disjoint and each index runs once.
-                let head = unsafe { out.slice(lo, hi) };
-                for (r, out_y) in (lo..hi).zip(head.iter_mut()) {
-                    *out_y = dot_serial(a.row(r), x, policy, &mut local);
-                }
-                local
-            }));
-            match res {
-                Ok(local) => {
-                    // SAFETY: slot ci is written only by chunk ci's executor.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = local;
-                    true
-                }
-                Err(_) => false,
-            }
-        })
-    };
-    record_degraded(failed.len());
-    for ci in &failed {
-        let (lo, hi) = ranges[*ci];
-        let mut local = AdaptiveReport::default();
-        degraded_rerun("adaptive_gemv", lo, hi, || {
-            for r in lo..hi {
-                y[r] = dot_serial(a.row(r), x, policy, &mut local);
-            }
-        });
-        local.degraded = 1;
-        reports[*ci] = local;
-    }
     for local in &reports {
         report.merge(local);
     }
+    report.degraded = degraded as u64;
     report.flush_telemetry();
     (y, report)
 }

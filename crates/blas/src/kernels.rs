@@ -19,15 +19,6 @@ use crate::{Matrix, Scalar};
 use core::ops::Range;
 use mf_telemetry::audit::{self, OpClass};
 
-/// Dispatch half of [`axpy`] (audit sampling lives in the wrapper).
-pub fn axpy_dispatched<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    S::s_record_ops(x.len(), x.len());
-    fma_frame(
-        #[inline(always)]
-        || axpy_body(alpha, x, y),
-    )
-}
-
 #[inline(always)]
 pub(crate) fn axpy_body<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len());
@@ -46,19 +37,14 @@ pub(crate) fn axpy_body<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
 pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     let picked = audit::should_sample_index(x.len());
     let before = picked.map(|j| (j, y[j]));
-    axpy_dispatched(alpha, x, y);
-    if let Some((j, yj)) = before {
-        crate::audit_submit(OpClass::Axpy, alpha, x[j], yj, y[j]);
-    }
-}
-
-/// Dispatch half of [`dot`] (audit sampling lives in the wrapper).
-pub fn dot_dispatched<S: Scalar>(x: &[S], y: &[S]) -> S {
     S::s_record_ops(x.len(), x.len());
     fma_frame(
         #[inline(always)]
-        || dot_body(x, y),
-    )
+        || axpy_body(alpha, x, y),
+    );
+    if let Some((j, yj)) = before {
+        crate::audit_submit(OpClass::Axpy, alpha, x[j], yj, y[j]);
+    }
 }
 
 #[inline(always)]
@@ -80,7 +66,11 @@ pub(crate) fn dot_body<S: Scalar>(x: &[S], y: &[S]) -> S {
 /// sampled term exercises the type's multiply path without perturbing or
 /// re-running the reduction.
 pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
-    let acc = dot_dispatched(x, y);
+    S::s_record_ops(x.len(), x.len());
+    let acc = fma_frame(
+        #[inline(always)]
+        || dot_body(x, y),
+    );
     if let Some(j) = audit::should_sample_index(x.len()) {
         crate::audit_submit(OpClass::Dot, x[j], y[j], S::s_zero(), x[j].s_mul(y[j]));
     }
@@ -174,43 +164,58 @@ pub(crate) fn audit_rows<S: Scalar>(
 
 /// `C <- alpha * A * B + beta * C`, `ikj` loop order.
 pub fn gemm<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &mut Matrix<S>) {
+    assert_eq!(a.cols, b.rows);
+    assert_eq!(c.rows, a.rows);
+    assert_eq!(c.cols, b.cols);
     let (adds, muls) = gemm_ops(a.rows, a.cols, b.cols, beta.s_is_zero());
     S::s_record_ops(adds, muls);
-    fma_frame(
-        #[inline(always)]
-        || gemm_body(alpha, a, b, beta, c),
-    )
+    gemm_rows(alpha, a, b, beta, &mut c.data, 0);
 }
 
-#[inline(always)]
-pub(crate) fn gemm_body<S: Scalar>(
+/// Output rows `lo..` of [`gemm`], `c` holding just those rows (row-major,
+/// `b.cols` wide): the block the serial kernel runs whole and
+/// [`crate::parallel::gemm`] runs per chunk. Reports no operation count
+/// (its callers report the whole GEMM once).
+pub(crate) fn gemm_rows<S: Scalar>(
     alpha: S,
     a: &Matrix<S>,
     b: &Matrix<S>,
     beta: S,
-    c: &mut Matrix<S>,
+    c: &mut [S],
+    lo: usize,
 ) {
-    assert_eq!(a.cols, b.rows);
-    assert_eq!(c.rows, a.rows);
-    assert_eq!(c.cols, b.cols);
+    fma_frame(
+        #[inline(always)]
+        || gemm_rows_body(alpha, a, b, beta, c, lo),
+    )
+}
+
+#[inline(always)]
+pub(crate) fn gemm_rows_body<S: Scalar>(
+    alpha: S,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    beta: S,
+    c: &mut [S],
+    lo: usize,
+) {
     // Scale C by beta first (ikj accumulates into C). beta == 0 overwrites
     // instead of scaling (standard BLAS semantics: garbage/NaN in C must
     // not propagate); the branch is per-call, the loops stay branch-free.
     if beta.s_is_zero() {
-        for v in &mut c.data {
+        for v in c.iter_mut() {
             *v = S::s_zero();
         }
     } else {
-        for v in &mut c.data {
+        for v in c.iter_mut() {
             *v = beta.s_mul(*v);
         }
     }
     let n = b.cols;
-    for i in 0..a.rows {
+    for (r, crow) in c.chunks_exact_mut(n.max(1)).enumerate() {
         for k in 0..a.cols {
-            let aik = alpha.s_mul(a.at(i, k));
+            let aik = alpha.s_mul(a.at(lo + r, k));
             let brow = &b.data[k * n..(k + 1) * n];
-            let crow = &mut c.data[i * n..(i + 1) * n];
             for j in 0..n {
                 crow[j] = crow[j].s_mul_acc(aik, brow[j]);
             }
@@ -580,7 +585,7 @@ mod tests {
         let mut c_disp = c0.clone();
         gemm(al, &a, &b, be, &mut c_disp);
         let mut c_body = c0.clone();
-        gemm_body(al, &a, &b, be, &mut c_body);
+        gemm_rows_body(al, &a, &b, be, &mut c_body.data, 0);
         for i in 0..m * n {
             assert_eq!(c_disp.data[i].components(), c_body.data[i].components());
         }

@@ -8,7 +8,7 @@
 //! * **GEMV** — `y <- α·A·x + β·y` (matrix-vector), `ij` loop order
 //! * **GEMM** — `C <- α·A·B + β·C` (matrix-matrix), `ikj` loop order
 //!
-//! Both loop orders match the paper's setup. Kernels come in three forms:
+//! Both loop orders match the paper's setup. Kernels come in these forms:
 //!
 //! * [`kernels`] — scalar array-of-structs kernels, generic over [`Scalar`]
 //!   (every arithmetic type in the workspace: `f64`/`f32`, `MultiFloat`,
@@ -26,10 +26,12 @@
 //! * [`mp`] — kernels over the limb-based `MpFloat` (the GMP/MPFR-class
 //!   baseline, with its allocation and branching costs included, as in the
 //!   real libraries);
-//! * [`parallel`] — chunked thread-parallel wrappers running on the
-//!   persistent worker [`pool`] (the paper runs thread-per-core; this
-//!   container has one core, so the harness reports the max over
-//!   serial/parallel — see DESIGN.md T7).
+//! * [`parallel`] — chunked thread-parallel wrappers of the AoS kernels.
+//!   They, the cache-blocked [`tile`] GEMM and the [`adaptive`]
+//!   precision-escalating entry points run their chunks through one
+//!   executor on the persistent worker [`pool`]. The paper runs
+//!   thread-per-core; the reproduction container has 2 vCPUs, so the
+//!   harness reports the max over serial/parallel (DESIGN.md T7).
 
 pub mod adaptive;
 pub mod kernels;

@@ -2,34 +2,32 @@
 //!
 //! The paper runs every kernel in thread-per-physical-core and
 //! thread-per-logical-core configurations and reports the max. These
-//! wrappers provide the same knob; on this reproduction's single-core
-//! container they mostly measure overhead (recorded as such in
-//! EXPERIMENTS.md, substitution T7), but the implementations are real and
-//! scale on multi-core hosts.
+//! wrappers provide the same knob. On the 2-vCPU reproduction container
+//! they mostly measure dispatch overhead (EXPERIMENTS.md, substitution
+//! T7); the implementations are real and scale on multi-core hosts.
 //!
 //! # Executor
 //!
-//! Chunks run on the persistent worker pool ([`crate::pool`]; see
-//! [`dispatch_chunks`]): workers claim chunk indices from a shared atomic
+//! Every pooled kernel in the crate — the wrappers here,
+//! [`crate::tile::gemm_tiled`] and the [`crate::adaptive`] entry points —
+//! runs its chunks through one executor, [`run_chunks`]. On the pool
+//! ([`crate::pool`]) workers claim chunk indices from a shared atomic
 //! cursor, amortizing thread creation across calls and rebalancing
 //! stragglers. The dispatching thread claims chunks too, so a dispatch
 //! completes even with no free worker.
 //!
 //! # Panic isolation
 //!
-//! Every chunk runs its kernel under [`std::panic::catch_unwind`]. A
-//! panicking chunk no longer poisons the whole call: mutating kernels
-//! snapshot their output chunk first and restore it on panic, and the
-//! dispatcher then *degrades* the failed chunks to the serial kernel on the
-//! calling thread (counted in `blas.parallel.degraded_*` telemetry). Only
-//! if the serial retry panics too does the panic propagate — and then with
-//! the kernel name and chunk range in the message instead of an opaque
-//! `join().unwrap()`. The chunk closure catches its own panics, so the
-//! pool never sees one.
+//! Every pooled chunk runs under [`std::panic::catch_unwind`] with a
+//! snapshot of its output slice. A panicking chunk no longer poisons the
+//! whole call: its slice is restored and the executor then *degrades* it
+//! to a rerun on the calling thread, in chunk order (counted in
+//! `blas.parallel.degraded_*` telemetry). Only if the rerun panics too does
+//! the panic propagate — and then with the kernel name and chunk range in
+//! the message. Chunks never unwind into the pool.
 
 use crate::{kernels, Matrix, Scalar};
 use mf_telemetry::{trace, Counter, Histogram};
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -46,11 +44,12 @@ static PAR_DEGRADED_DISPATCHES: Counter = Counter::new("blas.parallel.degraded_d
 /// Individual chunks rerun serially after a worker panic.
 static PAR_DEGRADED_CHUNKS: Counter = Counter::new("blas.parallel.degraded_chunks");
 
-/// Record one parallel dispatch over `ranges` (one task per chunk).
-#[inline]
-fn record_dispatch(ranges: &[(usize, usize)]) {
+/// `chunk_ranges(len, threads)` for one parallel dispatch, recorded as
+/// one task per chunk.
+fn dispatch_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
+    let ranges = chunk_ranges(len, threads);
     if !mf_telemetry::ENABLED {
-        return;
+        return ranges;
     }
     PAR_DISPATCHES.incr();
     PAR_TASKS.add(ranges.len() as u64);
@@ -59,20 +58,12 @@ fn record_dispatch(ranges: &[(usize, usize)]) {
     let max = sizes.clone().max().unwrap_or(0);
     let min = sizes.min().unwrap_or(0);
     PAR_CHUNK_IMBALANCE.record((max - min) as u64);
-}
-
-#[inline]
-pub(crate) fn record_degraded(chunks: usize) {
-    if !mf_telemetry::ENABLED || chunks == 0 {
-        return;
-    }
-    PAR_DEGRADED_DISPATCHES.incr();
-    PAR_DEGRADED_CHUNKS.add(chunks as u64);
+    ranges
 }
 
 /// Worker count: the `MF_BLAS_THREADS` environment variable when set to a
 /// positive integer (reproducible benchmarking), otherwise the machine's
-/// available parallelism (1 on this container).
+/// available parallelism.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("MF_BLAS_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -112,92 +103,93 @@ fn describe_panic(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Disjoint mutable chunk access for a shared chunk closure. The pool hands
-/// out chunk *indices* (its cursor decides at runtime which thread runs
-/// which chunk), so the output slice can't be pre-split with
-/// `split_at_mut`. This wrapper shares the raw base pointer instead; every
-/// chunk index maps to an element range from [`chunk_ranges`], and those
-/// ranges never overlap, so no two concurrently live `slice` views alias.
-pub(crate) struct ChunkedMut<'a, S> {
-    ptr: *mut S,
-    len: usize,
-    _life: PhantomData<&'a mut [S]>,
-}
-
-// SAFETY: distinct chunk indices address disjoint element ranges (the only
-// way `slice` is used), so concurrent access from pool threads is
-// data-race-free for any `Send` scalar.
-unsafe impl<S: Send> Sync for ChunkedMut<'_, S> {}
-
-impl<'a, S> ChunkedMut<'a, S> {
-    pub(crate) fn new(data: &'a mut [S]) -> Self {
-        ChunkedMut {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            _life: PhantomData,
-        }
+/// The crate's one chunk executor: `task(ci, (lo, hi), chunk)` for every
+/// chunk `ranges[ci] = (lo, hi)`, where `chunk` is `out[lo*stride..hi*stride]`.
+/// Returns the results in chunk order and the number of degraded chunks.
+/// The chunks must be ascending and disjoint (checked). With `stride == 0`
+/// every chunk is empty (reductions, and kernels that write their output
+/// themselves).
+///
+/// With `threads <= 1` the chunks run inline, in order, unisolated.
+/// Otherwise they run on the pool, each under `catch_unwind` inside a
+/// `span` (arg `hi - lo`) when one is named, with a snapshot of its slice:
+/// a panicking chunk gets its slice restored and is rerun on the caller,
+/// in chunk order, through [`degraded_rerun`].
+pub(crate) fn run_chunks<S: Copy + Send, R: Send>(
+    kernel: &str,
+    span: Option<&'static str>,
+    threads: usize,
+    ranges: &[(usize, usize)],
+    out: &mut [S],
+    stride: usize,
+    task: impl Fn(usize, (usize, usize), &mut [S]) -> R + Sync,
+) -> (Vec<R>, usize) {
+    let elems = |(lo, hi): (usize, usize)| lo * stride..hi * stride;
+    if threads <= 1 {
+        let results = (ranges.iter().enumerate())
+            .map(|(ci, &r)| task(ci, r, &mut out[elems(r)]))
+            .collect();
+        return (results, 0);
     }
-
-    /// # Safety
-    ///
-    /// `lo..hi` must be in bounds and disjoint from every other range with
-    /// a live view; each chunk index must be executed at most once per
-    /// dispatch (the pool guarantees this).
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice(&self, lo: usize, hi: usize) -> &'a mut [S] {
-        debug_assert!(lo <= hi && hi <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo)
-    }
-}
-
-/// Execute `task(ci)` on the pool for every chunk index in `0..nchunks`
-/// and return the sorted indices whose task reported failure. `task` must
-/// catch its own kernel panics and report them through the return value;
-/// an unwinding task is a contract violation that the pool swallows
-/// defensively (see `pool.task_panics`).
-pub(crate) fn dispatch_chunks(nchunks: usize, task: &(dyn Fn(usize) -> bool + Sync)) -> Vec<usize> {
-    let failed = Mutex::new(Vec::new());
-    crate::pool::run(nchunks, &|ci| {
-        if !task(ci) {
-            failed.lock().unwrap_or_else(|e| e.into_inner()).push(ci);
+    // The pool decides at run time which thread runs which chunk, so split
+    // `out` into the chunks' slices up front (`split_at_mut` checks that
+    // they are ascending and in bounds), each in a cell with its result.
+    let (mut rest, mut at) = (&mut *out, 0);
+    let cells: Vec<Mutex<(&mut [S], Option<R>)>> = (ranges.iter())
+        .map(|&r| {
+            let e = elems(r);
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(e.start - at);
+            let (chunk, tail) = tail.split_at_mut(e.len());
+            (rest, at) = (tail, e.end);
+            Mutex::new((chunk, None))
+        })
+        .collect();
+    crate::pool::run(ranges.len(), &|ci| {
+        let (lo, hi) = ranges[ci];
+        let _t = span.map(|name| trace::span(name, (hi - lo) as u64));
+        let mut cell = cells[ci]
+            .lock()
+            .expect("chunk panics are caught inside the lock");
+        let (chunk, result) = &mut *cell;
+        let snapshot = chunk.to_vec();
+        match catch_unwind(AssertUnwindSafe(|| task(ci, (lo, hi), chunk))) {
+            Ok(r) => *result = Some(r),
+            Err(_) => chunk.copy_from_slice(&snapshot),
         }
     });
-    let mut failed = failed.into_inner().unwrap_or_else(|e| e.into_inner());
-    // The pool's cursor hands chunks out in arbitrary thread order; sort
-    // so the degrade path reruns (and reduces) in deterministic chunk
-    // order.
-    failed.sort_unstable();
-    failed
-}
-
-/// Run a mutating kernel over `out` under panic isolation: on panic the
-/// chunk is restored from a pre-kernel snapshot (a panicking kernel may
-/// have partially written it) so the dispatcher can deterministically rerun
-/// the serial kernel over the same data. Returns `true` on success.
-fn isolated<S: Scalar>(out: &mut [S], f: impl FnOnce(&mut [S])) -> bool {
-    let snapshot = out.to_vec();
-    match catch_unwind(AssertUnwindSafe(|| f(out))) {
-        Ok(()) => true,
-        Err(_) => {
-            out.copy_from_slice(&snapshot);
-            false
-        }
+    let slots: Vec<Option<R>> = (cells.into_iter())
+        .map(|c| {
+            c.into_inner()
+                .expect("chunk panics are caught inside the lock")
+                .1
+        })
+        .collect();
+    let degraded = slots.iter().filter(|s| s.is_none()).count();
+    if mf_telemetry::ENABLED && degraded > 0 {
+        PAR_DEGRADED_DISPATCHES.incr();
+        PAR_DEGRADED_CHUNKS.add(degraded as u64);
     }
+    let results = (slots.into_iter().zip(ranges).enumerate())
+        .map(|(ci, (slot, &r))| {
+            slot.unwrap_or_else(|| degraded_rerun(kernel, r, || task(ci, r, &mut out[elems(r)])))
+        })
+        .collect();
+    (results, degraded)
 }
 
 /// Serial retry of a degraded chunk. A second (deterministic) panic
 /// propagates with the kernel name and chunk range attached.
-pub(crate) fn degraded_rerun(kernel: &str, lo: usize, hi: usize, f: impl FnOnce()) {
+fn degraded_rerun<R>(kernel: &str, (lo, hi): (usize, usize), f: impl FnOnce() -> R) -> R {
     // On the timeline a degrade shows as a serial span on the dispatching
     // thread *after* the worker spans — the visual signature of a panic
     // falling back to the serial kernel.
     let _sp = trace::span("par.degraded.rerun", (hi - lo) as u64);
-    if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
         panic!(
             "mf-blas {kernel}: worker and serial retry both panicked on chunk {lo}..{hi}: {}",
             describe_panic(p.as_ref())
-        );
-    }
+        )
+    })
 }
 
 /// Parallel `y <- alpha*x + y`.
@@ -206,26 +198,17 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S], threads: usize) {
     if threads <= 1 {
         return kernels::axpy(alpha, x, y);
     }
-    let ranges = chunk_ranges(y.len(), threads);
-    record_dispatch(&ranges);
+    let ranges = dispatch_ranges(y.len(), threads);
     let _sp = trace::span("par.axpy", y.len() as u64);
-    let failed = {
-        let out = ChunkedMut::new(y);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.axpy.chunk", (hi - lo) as u64);
-            // SAFETY: chunk ranges are disjoint and each index runs once.
-            let head = unsafe { out.slice(lo, hi) };
-            isolated(head, |out| kernels::axpy(alpha, &x[lo..hi], out))
-        })
-    };
-    record_degraded(failed.len());
-    for ci in failed {
-        let (lo, hi) = ranges[ci];
-        degraded_rerun("axpy", lo, hi, || {
-            kernels::axpy(alpha, &x[lo..hi], &mut y[lo..hi])
-        });
-    }
+    run_chunks(
+        "axpy",
+        Some("par.axpy.chunk"),
+        threads,
+        &ranges,
+        y,
+        1,
+        |_, (lo, hi), y| kernels::axpy(alpha, &x[lo..hi], y),
+    );
 }
 
 /// Parallel dot product (per-chunk partials, then a serial reduce in chunk
@@ -235,42 +218,20 @@ pub fn dot<S: Scalar>(x: &[S], y: &[S], threads: usize) -> S {
     if threads <= 1 {
         return kernels::dot(x, y);
     }
-    let ranges = chunk_ranges(x.len(), threads);
-    record_dispatch(&ranges);
+    let ranges = dispatch_ranges(x.len(), threads);
     let _sp = trace::span("par.dot", x.len() as u64);
-    let mut partials = vec![S::s_zero(); ranges.len()];
-    let failed = {
-        let slots = ChunkedMut::new(&mut partials);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.dot.chunk", (hi - lo) as u64);
-            match catch_unwind(AssertUnwindSafe(|| kernels::dot(&x[lo..hi], &y[lo..hi]))) {
-                Ok(v) => {
-                    // SAFETY: slot ci is written only by the single
-                    // executor of chunk ci.
-                    let slot = unsafe { slots.slice(ci, ci + 1) };
-                    slot[0] = v;
-                    true
-                }
-                Err(_) => false,
-            }
-        })
-    };
-    record_degraded(failed.len());
-    let mut acc = S::s_zero();
-    for (ci, &(lo, hi)) in ranges.iter().enumerate() {
-        let term = if failed.binary_search(&ci).is_ok() {
-            let mut out = S::s_zero();
-            degraded_rerun("dot", lo, hi, || out = kernels::dot(&x[lo..hi], &y[lo..hi]));
-            out
-        } else {
-            partials[ci]
-        };
-        acc = acc.s_add(term);
-    }
+    let (partials, _) = run_chunks(
+        "dot",
+        Some("par.dot.chunk"),
+        threads,
+        &ranges,
+        &mut [(); 0],
+        0,
+        |_, (lo, hi), _| kernels::dot(&x[lo..hi], &y[lo..hi]),
+    );
     // The chunks' own work was counted by `kernels::dot`; add the reduce.
     S::s_record_ops(ranges.len(), 0);
-    acc
+    partials.into_iter().fold(S::s_zero(), S::s_add)
 }
 
 /// Parallel GEMV: rows are divided among threads.
@@ -294,65 +255,20 @@ pub fn gemv<S: Scalar>(alpha: S, a: &Matrix<S>, x: &[S], beta: S, y: &mut [S], t
     if threads <= 1 {
         return kernels::gemv(alpha, a, x, beta, y);
     }
-    let ranges = chunk_ranges(a.rows, threads);
-    record_dispatch(&ranges);
+    let ranges = dispatch_ranges(a.rows, threads);
     // The chunks' row blocks report nothing; count the whole GEMV once.
     let (adds, muls) = kernels::gemv_ops(a.rows, a.cols, beta.s_is_zero());
     S::s_record_ops(adds, muls);
     let _sp = trace::span("par.gemv", a.rows as u64);
-    let failed = {
-        let out = ChunkedMut::new(y);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.gemv.chunk", (hi - lo) as u64);
-            // SAFETY: chunk ranges are disjoint and each index runs once.
-            let head = unsafe { out.slice(lo, hi) };
-            isolated(head, |out| kernels::gemv_rows(alpha, a, x, beta, out, lo))
-        })
-    };
-    record_degraded(failed.len());
-    for ci in failed {
-        let (lo, hi) = ranges[ci];
-        degraded_rerun("gemv", lo, hi, || {
-            kernels::gemv_rows(alpha, a, x, beta, &mut y[lo..hi], lo)
-        });
-    }
-}
-
-/// GEMM output row block `lo..hi` into `head` (shared by workers and the
-/// serial degrade path).
-fn gemm_rows<S: Scalar>(
-    alpha: S,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    beta: S,
-    head: &mut [S],
-    lo: usize,
-    hi: usize,
-) {
-    let n = b.cols;
-    let kdim = a.cols;
-    // Same per-call beta == 0 overwrite as the serial kernel (bitwise
-    // identical parallel path, no NaN propagation from garbage C).
-    if beta.s_is_zero() {
-        for v in head.iter_mut() {
-            *v = S::s_zero();
-        }
-    } else {
-        for v in head.iter_mut() {
-            *v = beta.s_mul(*v);
-        }
-    }
-    for (bi, i) in (lo..hi).enumerate() {
-        for k in 0..kdim {
-            let aik = alpha.s_mul(a.at(i, k));
-            let brow = &b.data[k * n..(k + 1) * n];
-            let crow = &mut head[bi * n..(bi + 1) * n];
-            for j in 0..n {
-                crow[j] = crow[j].s_mul_acc(aik, brow[j]);
-            }
-        }
-    }
+    run_chunks(
+        "gemv",
+        Some("par.gemv.chunk"),
+        threads,
+        &ranges,
+        y,
+        1,
+        |_, (lo, _), y| kernels::gemv_rows(alpha, a, x, beta, y, lo),
+    );
 }
 
 /// Parallel GEMM: output row blocks are divided among threads.
@@ -385,30 +301,20 @@ pub fn gemm<S: Scalar>(
     if threads <= 1 {
         return kernels::gemm(alpha, a, b, beta, c);
     }
-    let n = b.cols;
-    let (adds, muls) = kernels::gemm_ops(a.rows, a.cols, n, beta.s_is_zero());
+    let (adds, muls) = kernels::gemm_ops(a.rows, a.cols, b.cols, beta.s_is_zero());
     S::s_record_ops(adds, muls);
-    let ranges = chunk_ranges(a.rows, threads);
-    record_dispatch(&ranges);
+    let ranges = dispatch_ranges(a.rows, threads);
     let _sp = trace::span("par.gemm", a.rows as u64);
-    let failed = {
-        let out = ChunkedMut::new(&mut c.data);
-        dispatch_chunks(ranges.len(), &|ci| {
-            let (lo, hi) = ranges[ci];
-            let _t = trace::span("par.gemm.chunk", (hi - lo) as u64);
-            // SAFETY: row ranges are disjoint, so the element ranges
-            // lo*n..hi*n are too; each index runs once.
-            let head = unsafe { out.slice(lo * n, hi * n) };
-            isolated(head, |out| gemm_rows(alpha, a, b, beta, out, lo, hi))
-        })
-    };
-    record_degraded(failed.len());
-    for ci in failed {
-        let (lo, hi) = ranges[ci];
-        degraded_rerun("gemm", lo, hi, || {
-            gemm_rows(alpha, a, b, beta, &mut c.data[lo * n..hi * n], lo, hi)
-        });
-    }
+    let c = &mut c.data;
+    run_chunks(
+        "gemm",
+        Some("par.gemm.chunk"),
+        threads,
+        &ranges,
+        c,
+        b.cols,
+        |_, (lo, _), c| kernels::gemm_rows(alpha, a, b, beta, c, lo),
+    );
 }
 
 #[cfg(test)]
@@ -417,7 +323,7 @@ mod tests {
     use mf_core::F64x2;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
     #[test]
     fn parallel_matches_serial() {
@@ -727,17 +633,80 @@ mod tests {
         assert_eq!(chunk_begins, 4, "expected one chunk span per chunk");
     }
 
+    /// A stride-3 task over 7 rows whose chunk 1, with `fuse` lit, writes
+    /// its slice and then panics once: `(output, results, degraded)`.
+    fn stride3_run(threads: usize, fuse: bool) -> (Vec<u64>, Vec<usize>, usize) {
+        let (fuse, mut out) = (AtomicBool::new(fuse), (0..21).collect::<Vec<u64>>());
+        let (r, degraded) = run_chunks(
+            "probe",
+            None,
+            threads,
+            &chunk_ranges(7, 3),
+            &mut out,
+            3,
+            |ci, _, out| {
+                out.iter_mut().for_each(|v| *v = *v * 10 + ci as u64);
+                if ci == 1 && fuse.swap(false, Ordering::SeqCst) {
+                    panic!("injected chunk panic");
+                }
+                ci
+            },
+        );
+        (out, r, degraded)
+    }
+
     #[test]
-    fn isolated_restores_partial_writes() {
-        let mut out = [1.0f64, 2.0, 3.0];
-        let ok = isolated(&mut out, |o| {
-            o[0] = 99.0;
-            panic!("boom");
+    fn run_chunks_restores_and_reruns_a_panicking_chunk() {
+        let (clean, r, _) = stride3_run(1, false);
+        assert_eq!(r, vec![0, 1, 2]);
+        // The partial write is rolled back before the rerun.
+        assert_eq!(stride3_run(2, true), (clean, r, 1));
+    }
+
+    #[test]
+    fn run_chunks_degrades_a_reduction() {
+        let ranges = chunk_ranges(10, 4);
+        let fuse = AtomicBool::new(false);
+        let task = |ci, (lo, hi): (usize, usize), _: &mut [()]| {
+            if ci == 2 && fuse.swap(false, Ordering::SeqCst) {
+                panic!("injected chunk panic");
+            }
+            (lo..hi).map(|i| i * i).sum::<usize>()
+        };
+        let (clean, _) = run_chunks("probe", None, 1, &ranges, &mut [(); 0], 0, task);
+        fuse.store(true, Ordering::SeqCst);
+        let (r, degraded) = run_chunks("probe", None, 3, &ranges, &mut [(); 0], 0, task);
+        assert_eq!(degraded, 1);
+        assert_eq!(r, clean);
+        assert_eq!(r.iter().sum::<usize>(), (0..10).map(|i| i * i).sum());
+    }
+
+    #[test]
+    fn run_chunks_returns_results_in_chunk_order() {
+        let ranges = chunk_ranges(23, 9);
+        let mut out = vec![0usize; 23];
+        let (r, degraded) = run_chunks("probe", None, 4, &ranges, &mut out, 1, |ci, r, out| {
+            out.fill(ci);
+            r
         });
-        assert!(!ok);
-        assert_eq!(out, [1.0, 2.0, 3.0], "partial write must be rolled back");
-        let ok = isolated(&mut out, |o| o[1] = 42.0);
-        assert!(ok);
-        assert_eq!(out, [1.0, 42.0, 3.0]);
+        assert_eq!((r, degraded), (ranges.clone(), 0));
+        for (ci, &(lo, hi)) in ranges.iter().enumerate() {
+            assert!(out[lo..hi].iter().all(|&v| v == ci), "chunk {ci}");
+        }
+    }
+
+    #[test]
+    fn run_chunks_persistent_panic_names_kernel_and_range() {
+        let ranges = chunk_ranges(7, 3);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            run_chunks("probe", None, 2, &ranges, &mut [(); 0], 0, |ci, _, _| {
+                assert_ne!(ci, 1, "deterministic chunk fault");
+            })
+        }))
+        .unwrap_err();
+        let msg = describe_panic(err.as_ref());
+        assert!(msg.contains("mf-blas probe"), "got: {msg}");
+        assert!(msg.contains("chunk 3..5"), "got: {msg}");
+        assert!(msg.contains("deterministic chunk fault"), "got: {msg}");
     }
 }

@@ -23,10 +23,11 @@
 //!   zero free workers, so *nested* parallel calls (a kernel dispatched
 //!   from inside another kernel's chunk) oversubscribe gracefully instead
 //!   of deadlocking.
-//! * **Panic containment** — chunk closures from `parallel.rs` catch their
-//!   own panics (that layer's degrade-to-serial semantics); the pool
-//!   additionally wraps every chunk in a defensive `catch_unwind` so a
-//!   contract violation can never take a worker down or wedge a job.
+//! * **Panic containment** — the chunk executor in `parallel.rs`
+//!   (`run_chunks`) catches every chunk's panic itself (its
+//!   degrade-to-serial semantics); the pool additionally wraps every chunk
+//!   in a defensive `catch_unwind` so a contract violation can never take a
+//!   worker down or wedge a job.
 //! * **Shutdown ordering** — [`shutdown`] marks the pool, wakes every
 //!   worker, and blocks until each has decremented the live-worker count
 //!   and exited. Workers exit at their next scheduling point (in-flight
@@ -95,7 +96,7 @@ impl Job {
                 let ns = self.enqueued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 POOL_QUEUE_WAIT.add_ns(ns);
             }
-            // Defensive: parallel.rs chunk closures catch their own panics
+            // Defensive: the chunk executor catches its chunks' panics
             // (degrade-to-serial); a violation of that contract must not
             // kill a pool worker or leave `remaining` stuck above zero.
             if catch_unwind(AssertUnwindSafe(|| (self.task)(i))).is_err() {
@@ -231,7 +232,7 @@ fn worker_loop() {
 /// chunks alongside the workers, so the call completes (and nested calls
 /// cannot deadlock) even when every worker is busy or the pool is sized
 /// to zero. `task` must not unwind — chunk-level panic handling belongs
-/// to the caller (see `parallel.rs`); a panic that leaks through is
+/// to the caller (`parallel::run_chunks`); a panic that leaks through is
 /// swallowed defensively and counted in `pool.task_panics`.
 pub(crate) fn run(nchunks: usize, task: &(dyn Fn(usize) + Sync)) {
     assert!(nchunks > 0, "pool::run needs at least one chunk");

@@ -23,25 +23,24 @@
 //! [`crate::soa::gemm`] and [`crate::kernels::gemm`], which the
 //! conformance harness asserts.
 //!
-//! **Parallelism & degrade:** one pool job per C-tile via
-//! [`crate::parallel::dispatch_chunks`], like every other dispatch. Each
-//! tile task computes into a thread-local
-//! packed C buffer — the shared matrix is only touched in the final
-//! write-back — and runs under `catch_unwind` with a pre-task snapshot of
-//! its tile region, so a panicking scalar degrades that tile to a serial
-//! rerun on the calling thread (`blas.parallel.degraded_*` telemetry, same
-//! contract as `parallel.rs`; a second panic propagates with the kernel
-//! name and tile range). Telemetry: `blas.tile.dispatches`/`blas.tile.tiles`
+//! **Parallelism & degrade:** one pool job per C-tile through the crate's
+//! one chunk executor ([`crate::parallel::run_chunks`]), like every other
+//! dispatch. Each tile task computes into a thread-local packed C buffer
+//! and touches the shared matrix only in its final write-back, which no
+//! panic can interrupt. A panicking scalar therefore leaves its tile of
+//! `C` untouched, and the executor degrades that tile to a rerun on the
+//! calling thread (`blas.parallel.degraded_*` telemetry, same contract as
+//! `parallel.rs`; a second panic propagates with the kernel name and tile
+//! row range). Telemetry: `blas.tile.dispatches`/`blas.tile.tiles`
 //! counters, one `par.gemm.tile` span per tile (arg = tile element count)
 //! under a `par.gemm.tiled` dispatch span, and the `blas.tile.queue_wait`
 //! section sketching dispatch-to-tile-start latency.
 
-use crate::parallel::{self, dispatch_chunks};
+use crate::parallel::run_chunks;
 use crate::soa::SoaMatrix;
 use crate::{kernels, simd, Scalar};
 use mf_core::{renorm_probes, FloatBase, MultiFloat};
 use mf_telemetry::{trace, Counter, Section};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 static TILE_DISPATCHES: Counter = Counter::new("blas.tile.dispatches");
@@ -64,8 +63,7 @@ const JB: usize = 8;
 /// Per-component raw view of a SoA matrix's storage, allowing concurrent
 /// disjoint-tile mutation from pool threads. The pool hands out tile
 /// *indices*; distinct tile indices map to disjoint row/col rectangles
-/// of `C`, so no two concurrently live accesses alias (same argument as
-/// `parallel::ChunkedMut`, lifted to N component arrays).
+/// of `C`, so no two concurrently live accesses alias.
 struct SoaTiles<'a, T> {
     comps: Vec<*mut T>,
     cols: usize,
@@ -254,7 +252,10 @@ fn compute_tile_body<T: FloatBase, const N: usize>(
         k0 = k1;
     }
 
-    // Write the finished tile back (the only shared-matrix mutation).
+    // Write the finished tile back: the only shared-matrix mutation. It
+    // runs after every scalar op and does no fallible indexing, so a panic
+    // in this tile's computation leaves its rectangle of C untouched and
+    // the executor's rerun needs nothing restored.
     for r in 0..ih {
         // SAFETY: this tile's rectangle; disjoint from other tiles.
         let rows: [&mut [T]; N] =
@@ -310,58 +311,26 @@ pub fn gemm_tiled<T: FloatBase, const N: usize>(
     }
     let _sp = trace::span("par.gemm.tiled", (c.rows * c.cols) as u64);
     let shared = SoaTiles::new(c);
-
-    if threads <= 1 || tiles.len() == 1 {
-        // Serial tiled path: same per-tile computation, no dispatch.
-        for &t in &tiles {
-            let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
-            compute_tile(alpha, a, b, beta, &shared, t);
-        }
-        return;
-    }
-
+    // One tile runs serially, with no dispatch.
+    let threads = if tiles.len() == 1 { 1 } else { threads };
     let dispatched = Instant::now();
-    let failed = dispatch_chunks(tiles.len(), &|ti| {
-        let t = tiles[ti];
-        TILE_QUEUE_WAIT.add_ns(dispatched.elapsed().as_nanos() as u64);
-        let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
-        // Snapshot the tile rectangle so a panicking scalar can't leave a
-        // torn write-back; compute itself only touches thread-local
-        // buffers.
-        let snapshot: Vec<Vec<T>> = (0..N)
-            .map(|q| {
-                let mut s = Vec::with_capacity((t.i1 - t.i0) * (t.j1 - t.j0));
-                for r in t.i0..t.i1 {
-                    // SAFETY: this tile's rectangle; disjoint from others.
-                    s.extend_from_slice(unsafe { shared.row_mut(q, r, t.j0, t.j1) });
-                }
-                s
-            })
-            .collect();
-        match catch_unwind(AssertUnwindSafe(|| {
-            compute_tile(alpha, a, b, beta, &shared, t)
-        })) {
-            Ok(()) => true,
-            Err(_) => {
-                let jw = t.j1 - t.j0;
-                for (q, snap) in snapshot.iter().enumerate() {
-                    for (ri, r) in (t.i0..t.i1).enumerate() {
-                        // SAFETY: this tile's rectangle; disjoint from others.
-                        let dst = unsafe { shared.row_mut(q, r, t.j0, t.j1) };
-                        dst.copy_from_slice(&snap[ri * jw..(ri + 1) * jw]);
-                    }
-                }
-                false
+    let ranges: Vec<_> = tiles.iter().map(|t| (t.i0, t.i1)).collect();
+    run_chunks(
+        "gemm_tiled",
+        None,
+        threads,
+        &ranges,
+        &mut [(); 0],
+        0,
+        |ti, _, _| {
+            let t = tiles[ti];
+            if threads > 1 {
+                TILE_QUEUE_WAIT.add_ns(dispatched.elapsed().as_nanos() as u64);
             }
-        }
-    });
-    parallel::record_degraded(failed.len());
-    for ti in failed {
-        let t = tiles[ti];
-        parallel::degraded_rerun("gemm_tiled", t.i0, t.i1, || {
+            let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
             compute_tile(alpha, a, b, beta, &shared, t)
-        });
-    }
+        },
+    );
 }
 
 #[cfg(test)]
