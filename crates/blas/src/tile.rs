@@ -26,8 +26,8 @@
 //! **Parallelism & degrade:** one pool job per C-tile through the crate's
 //! one chunk executor ([`crate::parallel::run_chunks`]), like every other
 //! dispatch. Each tile task computes into a thread-local packed C buffer
-//! and touches the shared matrix only in its final write-back, which no
-//! panic can interrupt. A panicking scalar therefore leaves its tile of
+//! and touches the shared matrix only in its final write-back, after all
+//! of its arithmetic. A panicking scalar therefore leaves its tile of
 //! `C` untouched, and the executor degrades that tile to a rerun on the
 //! calling thread (`blas.parallel.degraded_*` telemetry, same contract as
 //! `parallel.rs`; a second panic propagates with the kernel name and tile
@@ -253,9 +253,9 @@ fn compute_tile_body<T: FloatBase, const N: usize>(
     }
 
     // Write the finished tile back: the only shared-matrix mutation. It
-    // runs after every scalar op and does no fallible indexing, so a panic
-    // in this tile's computation leaves its rectangle of C untouched and
-    // the executor's rerun needs nothing restored.
+    // runs after every scalar op, so a panic in this tile's arithmetic
+    // leaves its rectangle of C untouched and the executor's rerun needs
+    // nothing restored.
     for r in 0..ih {
         // SAFETY: this tile's rectangle; disjoint from other tiles.
         let rows: [&mut [T]; N] =
