@@ -30,7 +30,7 @@
 //!   They, the cache-blocked [`tile`] GEMM and the [`adaptive`]
 //!   precision-escalating entry points run their chunks through one
 //!   executor on the persistent worker [`pool`]. The paper runs
-//!   thread-per-core; the reproduction container has 2 vCPUs, so the
+//!   thread-per-core; this reproduction is measured on 2 vCPUs, so the
 //!   harness reports the max over serial/parallel (DESIGN.md T7).
 
 pub mod adaptive;

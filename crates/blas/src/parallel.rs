@@ -2,9 +2,10 @@
 //!
 //! The paper runs every kernel in thread-per-physical-core and
 //! thread-per-logical-core configurations and reports the max. These
-//! wrappers provide the same knob. On the 2-vCPU reproduction container
-//! they mostly measure dispatch overhead (EXPERIMENTS.md, substitution
-//! T7); the implementations are real and scale on multi-core hosts.
+//! wrappers provide the same knob. On the 2-vCPU hosts this reproduction
+//! is measured on they mostly measure dispatch overhead (EXPERIMENTS.md,
+//! substitution T7); the implementations are real and scale on
+//! multi-core hosts.
 //!
 //! # Executor
 //!
