@@ -22,9 +22,11 @@
 //! `f32` SoA dot/axpy; adaptive dot/axpy over one clean and one escalating
 //! chunk; the pooled `parallel` kernels at 2 and 3 threads, two-tile
 //! `gemm_tiled` and adaptive dot/axpy/gemv at 2 threads) and writes the
-//! result bits as hex lines. The forced-ISA CI matrix `cmp`s dumps across
-//! `MF_SIMD` values: any realization-dependent bit is a hard diff, with
-//! the file as artifact.
+//! result bits as hex lines. Each adaptive call also writes its full
+//! `AdaptiveReport` (chunks, escalated, n3, n4, oracle, degraded), so the
+//! dump pins the rung every hostile chunk settled on. The forced-ISA CI
+//! matrix `cmp`s dumps across `MF_SIMD` values: any realization-dependent
+//! bit is a hard diff, with the file as artifact.
 //!
 //! Usage:
 //!   cargo run --release -p mf-bench --bin simd -- \
@@ -34,7 +36,9 @@
 use mf_bench::history::{self, HistoryRecord, KernelEntry};
 use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
-use mf_blas::adaptive::{axpy_adaptive, dot_adaptive, gemv_adaptive, ADAPTIVE_CHUNK};
+use mf_blas::adaptive::{
+    axpy_adaptive, dot_adaptive, gemv_adaptive, AdaptiveReport, ADAPTIVE_CHUNK,
+};
 use mf_blas::simd::{self, Isa};
 use mf_blas::soa::{self, SoaMatrix, SoaVec};
 use mf_blas::{kernels, parallel, tile, Matrix};
@@ -105,6 +109,17 @@ fn dump_mf32<const N: usize>(out: &mut String, name: &str, v: MultiFloat<f32, N>
         write!(out, " {:08x}", c.to_bits()).unwrap();
     }
     out.push('\n');
+}
+
+/// Append an adaptive call's full escalation tally as a `name = ...` line,
+/// so the dump pins which rung every chunk settled on, not only the bits.
+fn dump_report(out: &mut String, name: &str, r: &AdaptiveReport) {
+    writeln!(
+        out,
+        "{name} = chunks {} escalated {} n3 {} n4 {} oracle {} degraded {}",
+        r.chunks, r.escalated, r.n3, r.n4, r.oracle, r.degraded
+    )
+    .unwrap();
 }
 
 /// Deterministic bit-dump of every dispatched kernel shape under the
@@ -294,13 +309,13 @@ fn dump_bits(path: &str) {
     }
     let (d, rep) = dot_adaptive(&hx, &hy, &policy, 1);
     dump_mf(&mut out, "dot-adaptive", d);
-    writeln!(out, "dot-adaptive/escalated = {}", rep.escalated).unwrap();
+    dump_report(&mut out, "dot-adaptive/report", &rep);
     let mut hy = ay.clone();
     hy[h] = F64x2::from(-(2.0f64.powi(1023)));
     let mut hx = ax.clone();
     hx[h] = F64x2::from(big);
     let rep = axpy_adaptive(F64x2::from(big), &hx, &mut hy, &policy, 1);
-    writeln!(out, "axpy-adaptive/escalated = {}", rep.escalated).unwrap();
+    dump_report(&mut out, "axpy-adaptive/report", &rep);
     for i in [0usize, 1, h - 1, h, h + 1, n - 1] {
         dump_mf(&mut out, &format!("axpy-adaptive/{i}"), hy[i]);
     }
@@ -314,10 +329,10 @@ fn dump_bits(path: &str) {
     }
     let (d, rep) = dot_adaptive(&hx, &hy, &policy, 2);
     dump_mf(&mut out, "dot-adaptive-par2", d);
-    writeln!(out, "dot-adaptive-par2/escalated = {}", rep.escalated).unwrap();
+    dump_report(&mut out, "dot-adaptive-par2/report", &rep);
     let ga = Matrix::from_fn(5, n, |i, j| if i == 1 { hx[j] } else { ax[j] });
     let (gy, rep) = gemv_adaptive(&ga, &hy, &policy, 2);
-    writeln!(out, "gemv-adaptive-par2/escalated = {}", rep.escalated).unwrap();
+    dump_report(&mut out, "gemv-adaptive-par2/report", &rep);
     for (i, &v) in gy.iter().enumerate() {
         dump_mf(&mut out, &format!("gemv-adaptive-par2/{i}"), v);
     }
@@ -326,7 +341,7 @@ fn dump_bits(path: &str) {
     let mut hx = ax.clone();
     hx[h] = F64x2::from(big);
     let rep = axpy_adaptive(F64x2::from(big), &hx, &mut hy, &policy, 2);
-    writeln!(out, "axpy-adaptive-par2/escalated = {}", rep.escalated).unwrap();
+    dump_report(&mut out, "axpy-adaptive-par2/report", &rep);
     for i in [0usize, 1, h - 1, h, h + 1, n - 1] {
         dump_mf(&mut out, &format!("axpy-adaptive-par2/{i}"), hy[i]);
     }
