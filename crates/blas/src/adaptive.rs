@@ -7,11 +7,18 @@
 //! escalation unit: each chunk runs the plain branch-free `N=2` kernel
 //! first, is judged by the guard layer's slice detectors
 //! ([`mf_core::guard::escalated_nonfinite`] / `noncanonical` plus a chunk
-//! head-consistency bound), and is recomputed at `N=3 → N=4 → MpFloat
-//! exact` only when the judgment fails. Clean workloads therefore run at
-//! full kernel speed with one naive `f64` pass of overhead per chunk, and
-//! a single hostile chunk pays for precision without slowing its
-//! neighbours.
+//! head-consistency bound), and is recomputed at `N=3 → N=4 → exact` only
+//! when the judgment fails. Clean workloads therefore run at full kernel
+//! speed with one naive `f64` pass of overhead per chunk, and a single
+//! hostile chunk pays for precision without slowing its neighbours.
+//!
+//! The exact rung sums the chunk's `f64` cross products in an
+//! [`mf_mpsoft::LongAccumulator`], a fixed-point register spanning every
+//! `f64·f64` product exponent: each product is one 128-bit multiply and a
+//! three-limb add, with no rounding and no allocation, and the sum is
+//! rounded once to `F64x2` by `from_mp`. It gives the bits
+//! `MpFloat::exact_dot` gave (the test oracle) at a fraction of its cost
+//! (EXPERIMENTS.md ablation 19).
 //!
 //! Chunk boundaries are fixed by element index — **not** by thread count —
 //! so results are bitwise identical across `threads` settings; the
@@ -27,7 +34,7 @@
 use mf_core::adaptive::{EscalationPolicy, Rung};
 use mf_core::guard::{escalated_nonfinite, noncanonical};
 use mf_core::{renorm_probes, F64x2, MultiFloat};
-use mf_mpsoft::MpFloat;
+use mf_mpsoft::LongAccumulator;
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::{trace, Counter};
 
@@ -59,7 +66,7 @@ pub struct AdaptiveReport {
     pub n3: u64,
     /// Units settled at `N=4`.
     pub n4: u64,
-    /// Units that fell through to the `MpFloat` exact evaluation.
+    /// Units that fell through to the exact evaluation.
     pub oracle: u64,
     /// Units rerun serially after a worker panic (the parallel degrade
     /// contract; the rerun is still adaptive, so results are unchanged).
@@ -189,7 +196,10 @@ fn value_bad(inputs_finite: bool, v: &F64x2) -> bool {
 // DOT
 // ---------------------------------------------------------------------------
 
-/// One dot chunk at one rung; `None` selects the MpFloat exact evaluation.
+/// One dot chunk at one rung. `Rung::Oracle` (no term count) selects the
+/// exact evaluation: the `4·len` cross products summed in a
+/// [`LongAccumulator`] and rounded once, with no per-product allocation and
+/// no buffer of products.
 fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
     match rung.terms() {
         Some(2) => kernels::dot(x, y),
@@ -206,17 +216,19 @@ fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
             narrow(kernels::dot(&wx, &wy))
         }
         _ => {
-            // Exact: expand every F64x2·F64x2 product into its four f64
-            // cross products and sum them all without rounding.
-            let mut xs = Vec::with_capacity(4 * x.len());
-            let mut ys = Vec::with_capacity(4 * x.len());
+            // Exact: every F64x2·F64x2 product is four f64 cross products;
+            // the long accumulator sums them all without rounding, and
+            // `from_mp` rounds the total once.
+            let mut acc = LongAccumulator::new();
             for (xi, yi) in x.iter().zip(y) {
                 let [x0, x1] = xi.components();
                 let [y0, y1] = yi.components();
-                xs.extend_from_slice(&[x0, x0, x1, x1]);
-                ys.extend_from_slice(&[y0, y1, y0, y1]);
+                acc.add_product(x0, y0);
+                acc.add_product(x0, y1);
+                acc.add_product(x1, y0);
+                acc.add_product(x1, y1);
             }
-            F64x2::from_mp(&MpFloat::exact_dot(&xs, &ys))
+            F64x2::from_mp(&acc.to_mp())
         }
     }
 }
@@ -352,15 +364,22 @@ fn axpy_wide<const N: usize>(alpha: F64x2, x: &[F64x2], snap: &[F64x2], y: &mut 
     }
 }
 
-/// Exact per-element `alpha·x + y` through `MpFloat`.
+/// Exact per-element `alpha·x + y`: the four cross products of
+/// `alpha·x` and both components of `y` summed in a [`LongAccumulator`],
+/// rounded once by `from_mp`.
 fn axpy_exact(alpha: F64x2, x: &[F64x2], snap: &[F64x2], y: &mut [F64x2]) {
     let [a0, a1] = alpha.components();
     for ((out, xi), yi) in y.iter_mut().zip(x).zip(snap) {
         let [x0, x1] = xi.components();
         let [y0, y1] = yi.components();
-        let xs = [a0, a0, a1, a1, y0, y1];
-        let ys = [x0, x1, x0, x1, 1.0, 1.0];
-        *out = F64x2::from_mp(&MpFloat::exact_dot(&xs, &ys));
+        let mut acc = LongAccumulator::new();
+        acc.add_product(a0, x0);
+        acc.add_product(a0, x1);
+        acc.add_product(a1, x0);
+        acc.add_product(a1, x1);
+        acc.add_product(y0, 1.0);
+        acc.add_product(y1, 1.0);
+        *out = F64x2::from_mp(&acc.to_mp());
     }
 }
 

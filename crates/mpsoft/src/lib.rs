@@ -2,7 +2,7 @@
 //! a limb-based big integer, in the style of GMP/MPFR (paper §2.2, "Software
 //! FPU emulation").
 //!
-//! This crate plays two roles in the workspace:
+//! This crate plays three roles in the workspace:
 //!
 //! 1. **Baseline.** The paper compares its branch-free FPAN algorithms
 //!    against GMP, MPFR, FLINT, and Boost.Multiprecision — all libraries
@@ -17,6 +17,13 @@
 //!    with enough precision computes sums and products of machine floats
 //!    *exactly*. The whole workspace's accuracy test suites measure errors
 //!    against this crate.
+//!
+//! 3. **Exact accumulator.** [`LongAccumulator`] sums `f64·f64` products
+//!    into a fixed-point register that spans every product exponent, with
+//!    no rounding, alignment or allocation per product, and builds one
+//!    [`MpFloat`] at the end. It is the production exact rung of mf-blas's
+//!    adaptive DOT/GEMV/AXPY and of mf-solve's exact residual;
+//!    [`MpFloat::exact_dot`] stays as the oracle it is tested against.
 //!
 //! # Example
 //!
@@ -35,8 +42,10 @@
 pub mod float;
 pub mod functions;
 pub mod limb;
+pub mod long_acc;
 
 pub use float::{MpFloat, Sign};
+pub use long_acc::LongAccumulator;
 
 #[cfg(test)]
 mod tests;

@@ -16,7 +16,7 @@ use crate::{norm_inf, MatrixF64, SolveError};
 use mf_blas::simd;
 use mf_core::adaptive::EscalationPolicy;
 use mf_core::{MultiFloat, Rung};
-use mf_mpsoft::MpFloat;
+use mf_mpsoft::LongAccumulator;
 use mf_telemetry::{trace, Counter, Gauge};
 
 /// Iteration count of the most recent refinement (live-view gauge).
@@ -163,8 +163,8 @@ where
 
 /// Residual-precision rungs for [`refine_adaptive`]. The refinement ladder
 /// has one rung below the scalar engine's (`f64` — the classical
-/// fixed-precision residual) and tops out at the exact `MpFloat` residual
-/// instead of a rounded oracle evaluation.
+/// fixed-precision residual) and tops out at the exact residual instead of
+/// a rounded oracle evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResidualRung {
     /// Plain `f64` residual (no extended precision).
@@ -176,8 +176,11 @@ pub enum ResidualRung {
     X3,
     /// `MultiFloat<f64, 4>` residual (~215-bit).
     X4,
-    /// Exact residual through [`MpFloat::exact_dot`] (one rounding to
-    /// `f64` per entry).
+    /// Exact residual: each row's products summed without rounding in an
+    /// [`mf_mpsoft::LongAccumulator`] (a fixed-point register, no
+    /// allocation per product), then one rounding to `f64` per entry. At
+    /// n = 256 it costs about as much as the `X4` residual (EXPERIMENTS.md
+    /// ablation 19).
     Exact,
 }
 
@@ -239,16 +242,17 @@ impl AdaptiveRefinement {
     }
 }
 
-/// Exact residual `r = b − A·x`, each entry one `MpFloat::exact_dot` with a
-/// single rounding to `f64`.
+/// Exact residual `r = b − A·x`: each row's products and `b_i` summed in
+/// a [`LongAccumulator`] with no rounding, then rounded once to `f64`.
 fn residual_exact(a: &MatrixF64, b: &[f64], x: &[f64]) -> Vec<f64> {
-    let mut ys: Vec<f64> = x.iter().map(|&v| -v).collect();
-    ys.push(1.0);
     (0..b.len())
         .map(|i| {
-            let mut xs = a.row(i).to_vec();
-            xs.push(b[i]);
-            MpFloat::exact_dot(&xs, &ys).to_f64()
+            let mut acc = LongAccumulator::new();
+            for (&aij, &xj) in a.row(i).iter().zip(x) {
+                acc.add_product(aij, -xj);
+            }
+            acc.add_product(b[i], 1.0);
+            acc.to_mp().to_f64()
         })
         .collect()
 }
@@ -760,6 +764,95 @@ mod tests {
             ),
             Err(SolveError::Shape(_))
         ));
+    }
+
+    /// `residual_exact` row by row against the `exact_dot` reference,
+    /// bitwise.
+    fn residual_exact_matches_exact_dot(a: &MatrixF64, b: &[f64], x: &[f64], what: &str) {
+        let got = residual_exact(a, b, x);
+        for i in 0..a.rows {
+            let mut xs = a.row(i).to_vec();
+            xs.push(b[i]);
+            let mut ys: Vec<f64> = x.iter().map(|&v| -v).collect();
+            ys.push(1.0);
+            let want = MpFloat::exact_dot(&xs, &ys).to_f64();
+            assert_eq!(
+                got[i].to_bits(),
+                want.to_bits(),
+                "{what} row {i}: {:e} vs {want:e}",
+                got[i]
+            );
+        }
+    }
+
+    /// The exact rung's accumulator gives the oracle's bits on a Hilbert
+    /// iterate, a random system, a row that cancels exactly to zero and
+    /// rows whose entries sit near `2^±1000` (products past the `f64`
+    /// range and in the subnormal range).
+    #[test]
+    fn residual_exact_bit_identical_to_exact_dot() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let h = hilbert(12);
+        let b = hilbert_rhs_ones(&h);
+        let x = lu_factor(&h).unwrap().solve(&b);
+        residual_exact_matches_exact_dot(&h, &b, &x, "hilbert 12");
+
+        let mut rng = SmallRng::seed_from_u64(0xE8AC7);
+        let n = 23;
+        let a = MatrixF64::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+        let br: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let xr: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        residual_exact_matches_exact_dot(&a, &br, &xr, "random");
+
+        let (big, small) = (2.0f64.powi(1000), 2.0f64.powi(-1000));
+        let a = MatrixF64::from_fn(4, 3, |i, j| match (i, j) {
+            (0, _) => 1.0,
+            (1, 0) | (1, 1) => big,
+            (1, 2) => -big,
+            (2, _) => small * (1.0 + j as f64 * 0.375),
+            _ => (j as f64 - 1.0) * big,
+        });
+        let x = [0.5, 0.25, 0.125];
+        // Row 0: 1·(0.5 + 0.25 + 0.125) cancels b_0 exactly.
+        // Row 1: products near 2^1000 cancel against a 2^1000 b_1.
+        // Row 2: products near 2^-1000 against a tiny b_2.
+        // Row 3: products near 2^1000 with a b_3 far below them.
+        let b = [0.875, 0.625 * big, 3.0 * small, 1e-300];
+        residual_exact_matches_exact_dot(&a, &b, &x, "cancel and extremes");
+        assert_eq!(residual_exact(&a, &b, &x)[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    /// With `max_rung: Oracle`, a system beyond the `f64` factorization's
+    /// reach (Hilbert n = 13, cond ~1e18) stalls on every fixed rung and
+    /// settles on the exact residual; the last reported norm is the exact
+    /// residual of the returned `x`, bit for bit.
+    #[test]
+    fn adaptive_reaches_the_exact_rung() {
+        let h = hilbert(13);
+        let b = hilbert_rhs_ones(&h);
+        let policy = EscalationPolicy {
+            max_rung: mf_core::Rung::Oracle,
+            ..EscalationPolicy::default()
+        };
+        let opts = RefineOptions {
+            max_iters: 12,
+            ..RefineOptions::default()
+        };
+        let out = refine_adaptive(&h, &b, opts, &policy).unwrap();
+        assert_eq!(
+            out.final_rung(),
+            ResidualRung::Exact,
+            "history: {:?}",
+            out.rung_history
+        );
+        assert_eq!(out.escalations, 4, "history: {:?}", out.rung_history);
+        assert!(out.rung_history.windows(2).all(|w| w[0] <= w[1]));
+        let last = *out.residual_norms.last().unwrap();
+        assert_eq!(
+            last.to_bits(),
+            exact_residual_norm(&h, &b, &out.x).to_bits()
+        );
     }
 
     #[test]
