@@ -7,9 +7,12 @@
 //!   the per-chunk adaptive BLAS (`dot_adaptive`) vs their raw counterparts
 //!   on well-scaled inputs that never trip a detector. The ladder's promise
 //!   is that this is just the detector cost (target: within 5%).
-//! * **Escalation cost** — the same kernels on hostile inputs (transient
+//! * **Escalation cost** — DOT and AXPY on hostile inputs (transient
 //!   overflow seeded into one chunk) where the ladder must climb to the
-//!   oracle, with the observed per-run escalation rate.
+//!   exact rung, with the observed per-run escalation rate
+//!   (`ADAPT/DOT/{n}/hostile`, `ADAPT/AXPY/{n}/hostile`). The AXPY series
+//!   prices the per-element exact path; each of its iterations also
+//!   restores `y` (one copy of `n` elements).
 //!
 //! Gop/s series are recorded into the bench history as `ADAPT/*` kernels so
 //! the `trend` gate tracks regressions; escalation rates land in the run
@@ -21,7 +24,7 @@
 
 use mf_bench::workloads::rand_f64s;
 use mf_bench::{cli, history, measure_gops_detailed, sink, RunManifest};
-use mf_blas::adaptive::dot_adaptive;
+use mf_blas::adaptive::{axpy_adaptive, dot_adaptive};
 use mf_blas::kernels;
 use mf_core::{Adaptive, EscalationPolicy, F64x2, GuardPolicy};
 use mf_telemetry::json::Json;
@@ -167,6 +170,38 @@ fn main() {
         );
         escalation.push((
             format!("dot_hostile_{n}"),
+            Json::Obj(vec![("rate".to_string(), Json::Num(last_rate))]),
+        ));
+    }
+
+    // ---- BLAS axpy: hostile inputs (one element of transient overflow) --
+    for &n in &SIZES {
+        let mut x = mf_vec(5, n);
+        let mut y0 = mf_vec(6, n);
+        // alpha·x[5] = 2^1024 overflows before y[5] = -2^1023 brings it
+        // back to 2^1023, so that chunk climbs to the exact rung; every
+        // element of it is then recomputed exactly.
+        let huge = f64::powi(2.0, 512);
+        let alpha = F64x2::from(huge);
+        x[5] = F64x2::from(huge);
+        y0[5] = F64x2::from(-f64::powi(2.0, 1023));
+        let mut y = y0.clone();
+        let rep = axpy_adaptive(alpha, &x, &mut y, &policy, 1);
+        assert_eq!(rep.oracle, 1, "hostile AXPY must reach the exact rung");
+        let mut last_rate = 0.0;
+        let adp = measure_gops_detailed(n as f64, min_secs, || {
+            y.copy_from_slice(&y0);
+            let rep = axpy_adaptive(alpha, &x, &mut y, &policy, 1);
+            last_rate = rep.escalation_rate();
+            sink(y[5]);
+        });
+        history::record_measurement(&format!("ADAPT/AXPY/{n}/hostile"), &adp);
+        eprintln!(
+            "AXPY n={n:>5} hostile  {:>9.4} Gop/s  (escalation rate {:.4})",
+            adp.gops, last_rate
+        );
+        escalation.push((
+            format!("axpy_hostile_{n}"),
             Json::Obj(vec![("rate".to_string(), Json::Num(last_rate))]),
         ));
     }
