@@ -431,8 +431,8 @@ impl MpFloat {
     // ------------------------------------------------------------------
 
     /// Round to the nearest `f64` (ties to even). Values beyond the f64
-    /// range saturate to ±MAX / ±0 respectively; results that land in the
-    /// subnormal range may be double-rounded in the last bit.
+    /// range saturate to ±MAX; results that land in the subnormal range
+    /// are rounded once, onto the `2^-1074` grid (down to ±0).
     pub fn to_f64(&self) -> f64 {
         if self.is_zero() {
             return 0.0;
