@@ -19,18 +19,25 @@
 //! manifest under `escalation`.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin adaptive -- \
-//!       [--manifest <json>] [--trace <json>]
+//!       [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 
 use mf_bench::workloads::rand_f64s;
-use mf_bench::{cli, history, measure_gops_detailed, sink, RunManifest};
+use mf_bench::{cli, history, measure_kernel, sink};
 use mf_blas::adaptive::{axpy_adaptive, dot_adaptive};
 use mf_blas::kernels;
 use mf_core::{Adaptive, EscalationPolicy, F64x2, GuardPolicy};
 use mf_telemetry::json::Json;
-use std::time::Instant;
 
-const USAGE: &str = "[--manifest <json>] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "adaptive",
+    flags: &[],
+    positional: None,
+    manifest: Some("results/manifest_adaptive.json"),
+    history: true,
+};
 const SIZES: [usize; 2] = [1024, 16384];
 
 fn mf_vec(seed: u64, n: usize) -> Vec<F64x2> {
@@ -38,29 +45,8 @@ fn mf_vec(seed: u64, n: usize) -> Vec<F64x2> {
 }
 
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
-    let mut manifest_path = String::from("results/manifest_adaptive.json");
-    let mut trace_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "adaptive", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "adaptive", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("adaptive", USAGE, &format!("unknown argument '{other}'")),
-        }
-    }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    cli::metrics_init();
-
-    let min_secs = if mf_bench::quick_mode() { 0.02 } else { 0.2 };
+    let (run, _) = cli::Run::start(&TOOL);
+    let min_secs = mf_bench::min_secs();
     let policy = EscalationPolicy::default();
     let mut escalation: Vec<(String, Json)> = Vec::new();
 
@@ -71,25 +57,23 @@ fn main() {
 
     // Accumulate every result head so no iteration is dead code the
     // optimizer can drop from either loop.
-    let raw = measure_gops_detailed(n as f64, min_secs, || {
+    let raw = measure_kernel("ADAPT/MUL/raw", n as f64, min_secs, || {
         let mut acc = 0.0f64;
         for k in 0..n {
             acc += a[k].checked_mul(b[k], GuardPolicy::FastOnly).value.hi();
         }
         sink(acc);
     });
-    history::record_measurement("ADAPT/MUL/raw", &raw);
     eprintln!("MUL  n={n:>5} raw      {:>9.4} Gop/s", raw.gops);
 
     let engine = Adaptive::<f64>::new(policy);
-    let adp = measure_gops_detailed(n as f64, min_secs, || {
+    let adp = measure_kernel("ADAPT/MUL/ladder", n as f64, min_secs, || {
         let mut acc = 0.0f64;
         for k in 0..n {
             acc += engine.checked_mul(a[k], b[k]).value.hi();
         }
         sink(acc);
     });
-    history::record_measurement("ADAPT/MUL/ladder", &adp);
     let overhead = raw.gops / adp.gops - 1.0;
     eprintln!(
         "MUL  n={n:>5} ladder   {:>9.4} Gop/s  (overhead {:+.2}%)",
@@ -112,19 +96,17 @@ fn main() {
         let x = mf_vec(1, n);
         let y = mf_vec(2, n);
 
-        let raw = measure_gops_detailed(n as f64, min_secs, || {
+        let raw = measure_kernel(&format!("ADAPT/DOT/{n}/raw"), n as f64, min_secs, || {
             sink(kernels::dot(&x, &y));
         });
-        history::record_measurement(&format!("ADAPT/DOT/{n}/raw"), &raw);
         eprintln!("DOT  n={n:>5} raw      {:>9.4} Gop/s", raw.gops);
 
         let mut last_rate = 0.0;
-        let adp = measure_gops_detailed(n as f64, min_secs, || {
+        let adp = measure_kernel(&format!("ADAPT/DOT/{n}/ladder"), n as f64, min_secs, || {
             let (v, rep) = dot_adaptive(&x, &y, &policy, 1);
             last_rate = rep.escalation_rate();
             sink(v);
         });
-        history::record_measurement(&format!("ADAPT/DOT/{n}/ladder"), &adp);
         let overhead = raw.gops / adp.gops - 1.0;
         eprintln!(
             "DOT  n={n:>5} ladder   {:>9.4} Gop/s  (overhead {:+.2}%, escalation rate {:.4})",
@@ -158,12 +140,16 @@ fn main() {
         x[7] = F64x2::from(huge);
         y[7] = F64x2::from(-1.5 * big);
         let mut last_rate = 0.0;
-        let adp = measure_gops_detailed(n as f64, min_secs, || {
-            let (v, rep) = dot_adaptive(&x, &y, &policy, 1);
-            last_rate = rep.escalation_rate();
-            sink(v);
-        });
-        history::record_measurement(&format!("ADAPT/DOT/{n}/hostile"), &adp);
+        let adp = measure_kernel(
+            &format!("ADAPT/DOT/{n}/hostile"),
+            n as f64,
+            min_secs,
+            || {
+                let (v, rep) = dot_adaptive(&x, &y, &policy, 1);
+                last_rate = rep.escalation_rate();
+                sink(v);
+            },
+        );
         eprintln!(
             "DOT  n={n:>5} hostile  {:>9.4} Gop/s  (escalation rate {:.4})",
             adp.gops, last_rate
@@ -189,13 +175,17 @@ fn main() {
         let rep = axpy_adaptive(alpha, &x, &mut y, &policy, 1);
         assert_eq!(rep.oracle, 1, "hostile AXPY must reach the exact rung");
         let mut last_rate = 0.0;
-        let adp = measure_gops_detailed(n as f64, min_secs, || {
-            y.copy_from_slice(&y0);
-            let rep = axpy_adaptive(alpha, &x, &mut y, &policy, 1);
-            last_rate = rep.escalation_rate();
-            sink(y[5]);
-        });
-        history::record_measurement(&format!("ADAPT/AXPY/{n}/hostile"), &adp);
+        let adp = measure_kernel(
+            &format!("ADAPT/AXPY/{n}/hostile"),
+            n as f64,
+            min_secs,
+            || {
+                y.copy_from_slice(&y0);
+                let rep = axpy_adaptive(alpha, &x, &mut y, &policy, 1);
+                last_rate = rep.escalation_rate();
+                sink(y[5]);
+            },
+        );
         eprintln!(
             "AXPY n={n:>5} hostile  {:>9.4} Gop/s  (escalation rate {:.4})",
             adp.gops, last_rate
@@ -206,11 +196,9 @@ fn main() {
         ));
     }
 
-    let manifest = RunManifest::collect("adaptive", "default", 0, started)
+    let manifest = run
+        .manifest("default", 0)
         .with_extra("escalation", Json::Obj(escalation))
         .with_extra("registry", mf_telemetry::registry::snapshot_json());
-    cli::write_manifest(&manifest, &manifest_path);
-    history::record_wall_ms("adaptive", started.elapsed().as_secs_f64() * 1e3);
-    history::append_run("adaptive", &history::platform_label());
-    cli::trace_finish(&trace);
+    run.finish(Some(manifest), &history::platform_label());
 }

@@ -12,22 +12,37 @@
 //! ladder engine, whose escalated results must match the MpFloat oracle.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin conformance -- \
 //!       [--ops arith,cmp,convert,io,blas,soft] [--cases N] [--seed S] \
-//!       [--guarded] [--adaptive] [--corpus <dir>] [--manifest <json>]
+//!       [--guarded] [--adaptive] [--corpus <dir>] [--manifest <json>] \
+//!       [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::{cli, history, RunManifest};
+use mf_bench::cli::{self, Flag};
+use mf_bench::history;
 use mf_conformance::{corpus, run_adaptive, run_class, run_guarded, OpClass};
 use mf_core::GuardPolicy;
 use mf_telemetry::json::Json;
 use std::time::Instant;
 
-const USAGE: &str = "[--ops <class,..>] [--cases N] [--seed S] [--guarded] [--adaptive] \
-                     [--corpus <dir>] [--manifest <json>] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "conformance",
+    flags: &[
+        Flag::value("--ops", "<class,..>"),
+        Flag::value("--cases", "N"),
+        Flag::value("--seed", "S"),
+        Flag::switch("--guarded"),
+        Flag::switch("--adaptive"),
+        Flag::value("--corpus", "<dir>"),
+    ],
+    positional: None,
+    manifest: Some("results/manifest_conformance.json"),
+    history: true,
+};
 
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
+    let (run, args) = cli::Run::start(&TOOL);
     let mut classes: Vec<OpClass> = OpClass::ALL.to_vec();
     let mut cases: usize = if mf_bench::quick_mode() {
         2_000
@@ -38,81 +53,29 @@ fn main() {
     let mut guarded = false;
     let mut adaptive = false;
     let mut corpus_dir = String::from("results/conformance");
-    let mut manifest_path = String::from("results/manifest_conformance.json");
-    let mut trace_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    for a in args {
+        match a.flag {
             "--ops" => {
-                let v = cli::flag_value(&args, i, "conformance", USAGE);
-                classes = v
+                classes = a
+                    .value
                     .split(',')
                     .map(|s| {
                         OpClass::parse(s.trim()).unwrap_or_else(|| {
-                            cli::usage_error(
-                                "conformance",
-                                USAGE,
-                                &format!("unknown op class '{s}' (expected one of arith, cmp, convert, io, blas, soft)"),
-                            )
+                            run.usage_error(&format!(
+                                "unknown op class '{s}' (expected one of arith, cmp, convert, io, blas, soft)"
+                            ))
                         })
                     })
                     .collect();
-                i += 2;
             }
-            "--cases" => {
-                let v = cli::flag_value(&args, i, "conformance", USAGE);
-                cases = v.parse().unwrap_or_else(|_| {
-                    cli::usage_error(
-                        "conformance",
-                        USAGE,
-                        &format!("--cases expects a positive integer, got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--seed" => {
-                let v = cli::flag_value(&args, i, "conformance", USAGE);
-                // Accept both decimal and the 0x-prefixed hex form the
-                // sweep itself prints, so seeds can be pasted back in.
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16).ok(),
-                    None => v.parse().ok(),
-                };
-                seed = parsed.unwrap_or_else(|| {
-                    cli::usage_error(
-                        "conformance",
-                        USAGE,
-                        &format!("--seed expects an integer (decimal or 0x hex), got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--guarded" => {
-                guarded = true;
-                i += 1;
-            }
-            "--adaptive" => {
-                adaptive = true;
-                i += 1;
-            }
-            "--corpus" => {
-                corpus_dir = cli::flag_value(&args, i, "conformance", USAGE).to_string();
-                i += 2;
-            }
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "conformance", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "conformance", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("conformance", USAGE, &format!("unknown argument '{other}'")),
+            "--cases" => cases = run.count(&a),
+            "--seed" => seed = run.seed(&a),
+            "--guarded" => guarded = true,
+            "--adaptive" => adaptive = true,
+            "--corpus" => corpus_dir = a.value,
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    cli::metrics_init();
 
     println!("Differential conformance sweep: {cases} cases/class, seed {seed:#x}");
     println!(
@@ -233,7 +196,8 @@ fn main() {
     // sample, then score the run against the alert rules.
     let _ = mf_telemetry::audit::flush(std::time::Duration::from_secs(5));
     let health = mf_telemetry::alert::verdict_json(&mf_telemetry::alert::evaluate());
-    let mut manifest = RunManifest::collect("conformance", config, 0, started)
+    let mut manifest = run
+        .manifest(config, 0)
         .with_extra("cases_per_class", Json::u64(cases as u64))
         .with_extra("seed", Json::u64(seed))
         .with_extra("divergences", Json::Obj(counts))
@@ -242,10 +206,7 @@ fn main() {
     if let Some(extra) = adaptive_extra {
         manifest = manifest.with_extra("adaptive", extra);
     }
-    cli::write_manifest(&manifest, &manifest_path);
-    history::record_wall_ms("conformance", started.elapsed().as_secs_f64() * 1e3);
-    history::append_run("conformance", &history::platform_label());
-    cli::trace_finish(&trace);
+    run.finish(Some(manifest), &history::platform_label());
 
     if !all.is_empty() {
         std::process::exit(1);

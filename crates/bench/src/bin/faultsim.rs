@@ -23,11 +23,15 @@
 //! from a clean input.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin faultsim -- \
 //!       [--adaptive] [--nets add2,add3,add4,mul2,mul3,mul4] [--cases N] \
-//!       [--flips N] [--seed S] [--tol BITS] [--manifest <json>]
+//!       [--flips N] [--seed S] [--tol BITS] [--manifest <json>] \
+//!       [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::{cli, history, sink, RunManifest};
+use mf_bench::cli::{self, Flag};
+use mf_bench::{history, sink};
 use mf_core::nets::{self, NetSpec};
 use mf_core::{GuardPolicy, MultiFloat};
 use mf_fpan::fault::{self, AdaptiveFaultStats, FaultStats};
@@ -38,8 +42,20 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-const USAGE: &str =
-    "[--adaptive] [--nets <net,..>] [--cases N] [--flips N] [--seed S] [--tol BITS] [--manifest <json>] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "faultsim",
+    flags: &[
+        Flag::switch("--adaptive"),
+        Flag::value("--nets", "<net,..>"),
+        Flag::value("--cases", "N"),
+        Flag::value("--flips", "N"),
+        Flag::value("--seed", "S"),
+        Flag::value("--tol", "BITS"),
+    ],
+    positional: None,
+    manifest: Some("results/manifest_faultsim.json"),
+    history: true,
+};
 
 /// One campaign target: a network, its verified error bound, and the spec
 /// whose `inputs` list generates valid (in-contract) input vectors.
@@ -103,16 +119,14 @@ fn adaptive_stats_json(st: &AdaptiveFaultStats) -> Json {
 /// The closed-loop campaign: detect → escalate → recover → verify, per
 /// network; fails the run if the combined detect-and-recover rate over
 /// effective faults drops below 99% or anything escalates on a clean run.
-#[allow(clippy::too_many_arguments)]
 fn run_adaptive(
+    run: cli::Run,
     nets: &[String],
     cases: usize,
     flips: usize,
     seed: u64,
     tol_bits: u32,
-    manifest_path: &str,
     quick: bool,
-    started: Instant,
 ) {
     println!(
         "Adaptive fault campaign (detect-escalate-recover): {cases} cases/net, {flips} bit \
@@ -160,22 +174,16 @@ fn run_adaptive(
         100.0 * total.recovery_rate(),
     );
 
-    let manifest = RunManifest::collect(
-        "faultsim-adaptive",
-        if quick { "quick" } else { "full" },
-        0,
-        started,
-    )
-    .with_extra("cases_per_net", Json::u64(cases as u64))
-    .with_extra("bit_flips_per_net", Json::u64(flips as u64))
-    .with_extra("seed", Json::u64(seed))
-    .with_extra("tol_bits", Json::u64(tol_bits as u64))
-    .with_extra("per_net", Json::Obj(per_net))
-    .with_extra("total", adaptive_stats_json(&total))
-    .with_extra("registry", mf_telemetry::registry::snapshot_json());
-    cli::write_manifest(&manifest, manifest_path);
-    history::record_wall_ms("faultsim-adaptive", started.elapsed().as_secs_f64() * 1e3);
-    history::append_run("faultsim-adaptive", &history::platform_label());
+    let manifest = run
+        .manifest(if quick { "quick" } else { "full" }, 0)
+        .with_extra("cases_per_net", Json::u64(cases as u64))
+        .with_extra("bit_flips_per_net", Json::u64(flips as u64))
+        .with_extra("seed", Json::u64(seed))
+        .with_extra("tol_bits", Json::u64(tol_bits as u64))
+        .with_extra("per_net", Json::Obj(per_net))
+        .with_extra("total", adaptive_stats_json(&total))
+        .with_extra("registry", mf_telemetry::registry::snapshot_json());
+    run.finish(Some(manifest), &history::platform_label());
 
     let mut failed = false;
     if total.recovery_rate() < 0.99 {
@@ -326,8 +334,7 @@ fn overhead_for_format<const N: usize>(seed: u64, sweeps: usize) -> Vec<(String,
 }
 
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
+    let (mut run, args) = cli::Run::start(&TOOL);
     let quick = mf_bench::quick_mode();
     let all_nets = TARGETS.map(|t| t.0);
     let mut nets: Vec<String> = all_nets.iter().map(|s| s.to_string()).collect();
@@ -335,115 +342,40 @@ fn main() {
     let mut flips: usize = if quick { 128 } else { 1_500 };
     let mut seed: u64 = 0xFA07_5EED;
     let mut tol_bits: u32 = 40;
-    let mut manifest_path = String::from("results/manifest_faultsim.json");
-    let mut trace_flag: Option<String> = None;
     let mut adaptive = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--adaptive" => {
-                adaptive = true;
-                i += 1;
-            }
+    for a in args {
+        match a.flag {
+            "--adaptive" => adaptive = true,
             "--nets" => {
-                let v = cli::flag_value(&args, i, "faultsim", USAGE);
-                nets = v
+                nets = a
+                    .value
                     .split(',')
                     .map(|s| {
                         let s = s.trim();
                         if !all_nets.contains(&s) {
-                            cli::usage_error(
-                                "faultsim",
-                                USAGE,
-                                &format!(
-                                    "unknown network '{s}' (expected one of {})",
-                                    all_nets.join(", ")
-                                ),
-                            )
+                            run.usage_error(&format!(
+                                "unknown network '{s}' (expected one of {})",
+                                all_nets.join(", ")
+                            ))
                         }
                         s.to_string()
                     })
                     .collect();
-                i += 2;
             }
-            "--cases" => {
-                let v = cli::flag_value(&args, i, "faultsim", USAGE);
-                cases = v.parse().unwrap_or_else(|_| {
-                    cli::usage_error(
-                        "faultsim",
-                        USAGE,
-                        &format!("--cases expects a positive integer, got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--flips" => {
-                let v = cli::flag_value(&args, i, "faultsim", USAGE);
-                flips = v.parse().unwrap_or_else(|_| {
-                    cli::usage_error(
-                        "faultsim",
-                        USAGE,
-                        &format!("--flips expects a non-negative integer, got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--seed" => {
-                let v = cli::flag_value(&args, i, "faultsim", USAGE);
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16).ok(),
-                    None => v.parse().ok(),
-                };
-                seed = parsed.unwrap_or_else(|| {
-                    cli::usage_error(
-                        "faultsim",
-                        USAGE,
-                        &format!("--seed expects an integer (decimal or 0x hex), got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--tol" => {
-                let v = cli::flag_value(&args, i, "faultsim", USAGE);
-                tol_bits = v.parse().unwrap_or_else(|_| {
-                    cli::usage_error(
-                        "faultsim",
-                        USAGE,
-                        &format!("--tol expects a bit count, got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "faultsim", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "faultsim", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("faultsim", USAGE, &format!("unknown argument '{other}'")),
+            "--cases" => cases = run.count(&a),
+            "--flips" => flips = run.value(&a, "a non-negative integer"),
+            "--seed" => seed = run.seed(&a),
+            "--tol" => tol_bits = run.value(&a, "a bit count"),
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    cli::metrics_init();
 
     if adaptive {
-        if manifest_path == "results/manifest_faultsim.json" {
-            manifest_path = String::from("results/manifest_faultsim_adaptive.json");
-        }
-        run_adaptive(
-            &nets,
-            cases,
-            flips,
-            seed,
-            tol_bits,
-            &manifest_path,
-            quick,
-            started,
+        run.rename(
+            "faultsim-adaptive",
+            "results/manifest_faultsim_adaptive.json",
         );
-        cli::trace_finish(&trace);
+        run_adaptive(run, &nets, cases, flips, seed, tol_bits, quick);
         return;
     }
 
@@ -509,20 +441,17 @@ fn main() {
     overheads.extend(overhead_for_format::<3>(seed, sweeps));
     overheads.extend(overhead_for_format::<4>(seed, sweeps));
 
-    let manifest =
-        RunManifest::collect("faultsim", if quick { "quick" } else { "full" }, 0, started)
-            .with_extra("cases_per_net", Json::u64(cases as u64))
-            .with_extra("bit_flips_per_net", Json::u64(flips as u64))
-            .with_extra("seed", Json::u64(seed))
-            .with_extra("tol_bits", Json::u64(tol_bits as u64))
-            .with_extra("per_net", Json::Obj(per_net))
-            .with_extra("total", stats_json(&total))
-            .with_extra("guard_overhead", Json::Obj(overheads))
-            .with_extra("registry", mf_telemetry::registry::snapshot_json());
-    cli::write_manifest(&manifest, &manifest_path);
-    history::record_wall_ms("faultsim", started.elapsed().as_secs_f64() * 1e3);
-    history::append_run("faultsim", &history::platform_label());
-    cli::trace_finish(&trace);
+    let manifest = run
+        .manifest(if quick { "quick" } else { "full" }, 0)
+        .with_extra("cases_per_net", Json::u64(cases as u64))
+        .with_extra("bit_flips_per_net", Json::u64(flips as u64))
+        .with_extra("seed", Json::u64(seed))
+        .with_extra("tol_bits", Json::u64(tol_bits as u64))
+        .with_extra("per_net", Json::Obj(per_net))
+        .with_extra("total", stats_json(&total))
+        .with_extra("guard_overhead", Json::Obj(overheads))
+        .with_extra("registry", mf_telemetry::registry::snapshot_json());
+    run.finish(Some(manifest), &history::platform_label());
 
     let mut failed = false;
     if total.detection_rate() < 0.99 {

@@ -11,20 +11,25 @@
 //! each kernel.
 //!
 //! Usage:
-//!   cargo run --release -p mf-bench --bin gpu_sim -- [--out <json>] [--manifest <json>]
+//! ```text
+//!   cargo run --release -p mf-bench --bin gpu_sim -- \
+//!       [--out <json>] [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::workloads::{rand_f64s, Sizes};
-use mf_bench::{cli, history, measure_kernel, sink, Cell, RunManifest, TableRun};
-use mf_blas::kernels;
-use mf_blas::soa::{self, SoaMatrix, SoaVec};
-use mf_blas::Matrix;
+use mf_bench::cli::{self, Flag};
+use mf_bench::sweep::{bench_aos, bench_soa, max4, KERNELS};
+use mf_bench::workloads::Sizes;
+use mf_bench::{Cell, TableRun};
 use mf_core::MultiFloat;
 use mf_telemetry::Section;
-use std::time::Instant;
 
-const KERNELS: [&str; 4] = ["AXPY", "DOT", "GEMV", "GEMM"];
-
-const USAGE: &str = "[--out <json>] [--manifest <json>] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "gpu_sim",
+    flags: &[Flag::value("--out", "<json>")],
+    positional: None,
+    manifest: Some("results/manifest_gpu_sim.json"),
+    history: true,
+};
 
 static SEC_TERMS: [Section; 4] = [
     Section::new("gpu_sim.terms_1"),
@@ -33,185 +38,33 @@ static SEC_TERMS: [Section; 4] = [
     Section::new("gpu_sim.terms_4"),
 ];
 
-fn bench_f32<const N: usize>(sizes: &Sizes, tag: &str) -> [f64; 4] {
-    let to_mf = |v: f64| MultiFloat::<f32, N>::from(v);
-    let n = sizes.vec_len;
-    // SoA (lane-parallel, the GPU-like layout).
-    let xs = SoaVec::from_slice(&rand_f64s(1, n).into_iter().map(to_mf).collect::<Vec<_>>());
-    let mut ys = SoaVec::from_slice(&rand_f64s(2, n).into_iter().map(to_mf).collect::<Vec<_>>());
-    let alpha = to_mf(1.000000321);
-    let beta = to_mf(0.999999712);
-
-    let axpy = measure_kernel(
-        &format!("AXPY/{tag}/soa"),
-        sizes.ops("AXPY"),
-        sizes.min_secs,
-        || {
-            soa::axpy(alpha, &xs, &mut ys);
-            sink(ys.comps[0][0]);
-        },
-    );
-    let dot = measure_kernel(
-        &format!("DOT/{tag}/soa"),
-        sizes.ops("DOT"),
-        sizes.min_secs,
-        || {
-            sink(soa::dot(&xs, &ys));
-        },
-    );
-
-    let gn = sizes.gemv_n;
-    let vals = rand_f64s(3, gn * gn);
-    let a = SoaMatrix::from_fn(gn, gn, |i, j| to_mf(vals[i * gn + j]));
-    let xv = SoaVec::from_slice(&rand_f64s(4, gn).into_iter().map(to_mf).collect::<Vec<_>>());
-    let mut yv = SoaVec::from_slice(&rand_f64s(5, gn).into_iter().map(to_mf).collect::<Vec<_>>());
-    let gemv = measure_kernel(
-        &format!("GEMV/{tag}/soa"),
-        sizes.ops("GEMV"),
-        sizes.min_secs,
-        || {
-            soa::gemv(alpha, &a, &xv, beta, &mut yv);
-            sink(yv.comps[0][0]);
-        },
-    );
-
-    let mn = sizes.gemm_n;
-    let va = rand_f64s(6, mn * mn);
-    let vb = rand_f64s(7, mn * mn);
-    let am = SoaMatrix::from_fn(mn, mn, |i, j| to_mf(va[i * mn + j]));
-    let bm = SoaMatrix::from_fn(mn, mn, |i, j| to_mf(vb[i * mn + j]));
-    let mut cm = SoaMatrix::<f32, N>::zeros(mn, mn);
-    let gemm = measure_kernel(
-        &format!("GEMM/{tag}/soa"),
-        sizes.ops("GEMM"),
-        sizes.min_secs,
-        || {
-            soa::gemm(alpha, &am, &bm, beta, &mut cm);
-            sink(cm.comps[0][0]);
-        },
-    );
-
-    // AoS fallback can occasionally win on tiny sizes; report the max like
-    // the CPU tables do.
-    let aos = bench_f32_aos::<N>(sizes, tag);
-    [
-        axpy.max(aos[0]),
-        dot.max(aos[1]),
-        gemv.max(aos[2]),
-        gemm.max(aos[3]),
-    ]
-}
-
-fn bench_f32_aos<const N: usize>(sizes: &Sizes, tag: &str) -> [f64; 4] {
-    let to_mf = |v: f64| MultiFloat::<f32, N>::from(v);
-    let n = sizes.vec_len;
-    let xs: Vec<_> = rand_f64s(1, n).into_iter().map(to_mf).collect();
-    let mut ys: Vec<_> = rand_f64s(2, n).into_iter().map(to_mf).collect();
-    let alpha = to_mf(1.000000321);
-    let beta = to_mf(0.999999712);
-    let axpy = measure_kernel(
-        &format!("AXPY/{tag}/aos"),
-        sizes.ops("AXPY"),
-        sizes.min_secs,
-        || {
-            kernels::axpy(alpha, &xs, &mut ys);
-            sink(ys[0]);
-        },
-    );
-    let dot = measure_kernel(
-        &format!("DOT/{tag}/aos"),
-        sizes.ops("DOT"),
-        sizes.min_secs,
-        || {
-            sink(kernels::dot(&xs, &ys));
-        },
-    );
-    let gn = sizes.gemv_n;
-    let a = {
-        let vals = rand_f64s(3, gn * gn);
-        Matrix {
-            rows: gn,
-            cols: gn,
-            data: vals.into_iter().map(to_mf).collect(),
-        }
-    };
-    let xv: Vec<_> = rand_f64s(4, gn).into_iter().map(to_mf).collect();
-    let mut yv: Vec<_> = rand_f64s(5, gn).into_iter().map(to_mf).collect();
-    let gemv = measure_kernel(
-        &format!("GEMV/{tag}/aos"),
-        sizes.ops("GEMV"),
-        sizes.min_secs,
-        || {
-            kernels::gemv(alpha, &a, &xv, beta, &mut yv);
-            sink(yv[0]);
-        },
-    );
-    let mn = sizes.gemm_n;
-    let am = {
-        let vals = rand_f64s(6, mn * mn);
-        Matrix {
-            rows: mn,
-            cols: mn,
-            data: vals.into_iter().map(to_mf).collect(),
-        }
-    };
-    let bm = {
-        let vals = rand_f64s(7, mn * mn);
-        Matrix {
-            rows: mn,
-            cols: mn,
-            data: vals.into_iter().map(to_mf).collect(),
-        }
-    };
-    let mut cm = Matrix::zeros(mn, mn);
-    let gemm = measure_kernel(
-        &format!("GEMM/{tag}/aos"),
-        sizes.ops("GEMM"),
-        sizes.min_secs,
-        || {
-            kernels::gemm(alpha, &am, &bm, beta, &mut cm);
-            sink(cm.at(0, 0));
-        },
-    );
-    [axpy, dot, gemv, gemm]
+/// The four kernels over `MultiFloat<f32, N>`: SoA (lane-parallel, the
+/// GPU-like layout) and AoS, reporting the faster layout per kernel like
+/// the CPU tables do (AoS can win on tiny sizes).
+fn bench_f32_terms<const N: usize>(sizes: &Sizes, tag: &str) -> [f64; 4] {
+    max4(
+        bench_soa::<f32, N>(sizes, &format!("{tag}/soa")),
+        bench_aos::<MultiFloat<f32, N>>(sizes, 1, &format!("{tag}/aos")),
+    )
 }
 
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
+    let (run, args) = cli::Run::start(&TOOL);
     let mut out_path: Option<String> = None;
-    let mut manifest_path = String::from("results/manifest_gpu_sim.json");
-    let mut trace_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = Some(cli::flag_value(&args, i, "gpu_sim", USAGE).to_string());
-                i += 2;
-            }
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "gpu_sim", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "gpu_sim", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("gpu_sim", USAGE, &format!("unknown argument '{other}'")),
+    for a in args {
+        match a.flag {
+            "--out" => out_path = Some(a.value),
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    cli::metrics_init();
 
     let sizes = Sizes::from_env();
     let mut cells = Vec::new();
     let results = [
-        SEC_TERMS[0].time(|| bench_f32::<1>(&sizes, "24/f32x1")),
-        SEC_TERMS[1].time(|| bench_f32::<2>(&sizes, "48/f32x2")),
-        SEC_TERMS[2].time(|| bench_f32::<3>(&sizes, "72/f32x3")),
-        SEC_TERMS[3].time(|| bench_f32::<4>(&sizes, "96/f32x4")),
+        SEC_TERMS[0].time(|| bench_f32_terms::<1>(&sizes, "24/f32x1")),
+        SEC_TERMS[1].time(|| bench_f32_terms::<2>(&sizes, "48/f32x2")),
+        SEC_TERMS[2].time(|| bench_f32_terms::<3>(&sizes, "72/f32x3")),
+        SEC_TERMS[3].time(|| bench_f32_terms::<4>(&sizes, "96/f32x4")),
     ];
     for (t, vals) in results.iter().enumerate() {
         for (k, &g) in KERNELS.iter().zip(vals) {
@@ -240,19 +93,18 @@ fn main() {
         println!();
     }
 
-    let run = TableRun {
+    let table = TableRun {
         platform: "f32 SIMD lanes (GPU substitution)".into(),
         cells,
     };
     if let Some(p) = out_path {
-        std::fs::write(&p, run.to_json().render_pretty())
+        std::fs::write(&p, table.to_json().render_pretty())
             .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
         eprintln!("wrote {p}");
     }
 
-    let manifest =
-        RunManifest::collect("gpu_sim", "f32-soa", 1, started).with_extra("table", run.to_json());
-    cli::write_manifest(&manifest, &manifest_path);
-    history::append_run("gpu_sim", &run.platform);
-    cli::trace_finish(&trace);
+    let manifest = run
+        .manifest("f32-soa", 1)
+        .with_extra("table", table.to_json());
+    run.finish(Some(manifest), &table.platform);
 }

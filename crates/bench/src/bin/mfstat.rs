@@ -6,7 +6,9 @@
 //! per-section latency quantiles, refreshing in place.
 //!
 //! Usage:
+//! ```text
 //!   mfstat <host:port> [--period <secs>] [--once] [--raw] [--retries N]
+//! ```
 //!
 //! `--period` defaults to the `MF_METRICS_PERIOD` environment variable,
 //! then to 2 seconds. `--once` prints a single snapshot and exits (useful

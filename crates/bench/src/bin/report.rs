@@ -1,19 +1,33 @@
 //! Merge the telemetry run manifests under `results/` into a single
 //! human-readable digest (and optionally a merged JSON document).
 //!
-//! Every bench binary (`tables`, `gpu_sim`, `verify_networks`) drops a
-//! `results/manifest_<tool>.json` on exit; after an experiment sweep this
-//! tool answers "what ran, where, how long, and what did the probes see"
-//! in one place.
+//! Every manifest-writing bench binary (`tables`, `gpu_sim`, `solve`, ...)
+//! drops a `results/manifest_<tool>.json` on exit; after an experiment
+//! sweep this tool answers "what ran, where, how long, and what did the
+//! probes see" in one place. It writes no manifest of its own into the
+//! directory it digests, and no history record.
 //!
 //! Usage:
-//!   cargo run --release -p mf-bench --bin report -- [--dir <results>] [--out <json>]
+//! ```text
+//!   cargo run --release -p mf-bench --bin report -- \
+//!       [--dir <results>] [--out <json>] [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::{cli, RunManifest};
+use mf_bench::cli::{self, Flag};
+use mf_bench::RunManifest;
 use mf_telemetry::json::Json;
 use std::path::PathBuf;
 
-const USAGE: &str = "[--dir <results>] [--out <json>] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "report",
+    flags: &[
+        Flag::value("--dir", "<results>"),
+        Flag::value("--out", "<json>"),
+    ],
+    positional: None,
+    manifest: None,
+    history: false,
+};
 
 /// Display a histogram quantile upper bound (a saturating `2^k - 1` style
 /// value) as `<=2^k`. The buckets are log2-spaced, so the exponent is the
@@ -71,38 +85,20 @@ fn health_columns(m: &RunManifest) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let (run, args) = cli::Run::start(&TOOL);
     let mut dir = String::from("results");
     let mut out_path: Option<String> = None;
-    let mut trace_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                dir = cli::flag_value(&args, i, "report", USAGE).to_string();
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(cli::flag_value(&args, i, "report", USAGE).to_string());
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "report", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("report", USAGE, &format!("unknown argument '{other}'")),
+    for a in args {
+        match a.flag {
+            "--dir" => dir = a.value,
+            "--out" => out_path = Some(a.value),
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
 
     let entries = match std::fs::read_dir(&dir) {
         Ok(e) => e,
-        Err(e) => cli::usage_error(
-            "report",
-            USAGE,
-            &format!("cannot read directory {dir}: {e}"),
-        ),
+        Err(e) => run.usage_error(&format!("cannot read directory {dir}: {e}")),
     };
     let mut paths: Vec<PathBuf> = entries
         .filter_map(|e| e.ok())
@@ -125,11 +121,9 @@ fn main() {
         }
     }
     if manifests.is_empty() {
-        cli::usage_error(
-            "report",
-            USAGE,
-            &format!("no manifest_*.json files found under {dir}/ — run a bench binary first"),
-        );
+        run.usage_error(&format!(
+            "no manifest_*.json files found under {dir}/ — run a bench binary first"
+        ));
     }
 
     println!("Run digest: {} manifest(s) under {dir}/", manifests.len());
@@ -310,5 +304,5 @@ fn main() {
         }
     }
 
-    cli::trace_finish(&trace);
+    run.finish(None, "");
 }

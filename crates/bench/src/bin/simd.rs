@@ -29,13 +29,14 @@
 //! bit is a hard diff, with the file as artifact.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin simd -- \
-//!       [--manifest <json>] [--trace <json>] [--profile <folded>] \
-//!       [--dump <path>]
+//!       [--dump <path>] [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::history::{self, HistoryRecord, KernelEntry};
+use mf_bench::cli::{self, Flag};
 use mf_bench::workloads::rand_f64s;
-use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
+use mf_bench::{history, measure_kernel, sink, trend};
 use mf_blas::adaptive::{
     axpy_adaptive, dot_adaptive, gemv_adaptive, AdaptiveReport, ADAPTIVE_CHUNK,
 };
@@ -47,43 +48,15 @@ use mf_core::{F64x2, MultiFloat};
 use mf_solve::refine::residual_extended;
 use mf_solve::MatrixF64;
 use std::fmt::Write as _;
-use std::time::Instant;
 
-const USAGE: &str = "[--manifest <json>] [--trace <json>] [--profile <folded>] [--dump <path>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "simd",
+    flags: &[Flag::value("--dump", "<path>")],
+    positional: None,
+    manifest: Some("results/manifest_simd.json"),
+    history: true,
+};
 const SIZES: [usize; 2] = [1024, 16384];
-
-fn gops_samples(m: &GopsMeasurement) -> Vec<f64> {
-    m.iter_ns
-        .iter()
-        .filter(|&&ns| ns > 0.0)
-        .map(|&ns| m.ops_per_iter / ns)
-        .collect()
-}
-
-fn entry(name: &str, samples: Vec<f64>, repeats: u64) -> KernelEntry {
-    KernelEntry {
-        name: name.into(),
-        unit: "gops".into(),
-        median: history::median(&samples),
-        p50_ns: 0,
-        p90_ns: 0,
-        p99_ns: 0,
-        repeats,
-        samples,
-    }
-}
-
-fn wrap(rev: &str, kernels: Vec<KernelEntry>) -> Vec<HistoryRecord> {
-    vec![HistoryRecord {
-        tool: "simd".into(),
-        git_rev: rev.into(),
-        platform: "in-process".into(),
-        features: history::active_features(),
-        quick: mf_bench::quick_mode(),
-        unix_secs: 0,
-        kernels,
-    }]
-}
 
 fn soa_from_seed<const N: usize>(seed: u64, n: usize) -> SoaVec<f64, N> {
     let vals: Vec<MultiFloat<f64, N>> = rand_f64s(seed, n)
@@ -378,51 +351,19 @@ fn dump_bits(path: &str) {
 }
 
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
-    let mut manifest_path = String::from("results/manifest_simd.json");
-    let mut trace_flag: Option<String> = None;
-    let mut profile_flag: Option<String> = None;
-    let mut dump_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "simd", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "simd", USAGE).to_string());
-                i += 2;
-            }
-            "--profile" => {
-                profile_flag = Some(cli::flag_value(&args, i, "simd", USAGE).to_string());
-                i += 2;
-            }
-            "--dump" => {
-                dump_flag = Some(cli::flag_value(&args, i, "simd", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("simd", USAGE, &format!("unknown argument '{other}'")),
-        }
+    let (run, args) = cli::Run::start(&TOOL);
+    // `--dump` (the only own flag; the last one wins) measures nothing and
+    // writes no manifest or history: CI compares its output across
+    // `MF_SIMD` values.
+    if let Some(dump) = args.last() {
+        return dump_bits(&dump.value);
     }
 
-    if let Some(path) = dump_flag {
-        dump_bits(&path);
-        return;
-    }
-
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    let profile = cli::profile_path(profile_flag);
-    cli::profile_arm(&profile);
-    cli::metrics_init();
-
-    let min_secs = if mf_bench::quick_mode() { 0.02 } else { 0.2 };
+    let min_secs = mf_bench::min_secs();
     let isas: Vec<Isa> = Isa::ALL.iter().copied().filter(|i| i.supported()).collect();
 
-    let mut scalar_entries: Vec<KernelEntry> = Vec::new();
-    let mut avx2_entries: Vec<KernelEntry> = Vec::new();
+    let mut scalar = Vec::new();
+    let mut avx2 = Vec::new();
 
     for &n in &SIZES {
         let x = soa_from_seed::<2>(1, n);
@@ -431,26 +372,19 @@ fn main() {
         for &isa in &isas {
             simd::force(isa);
             let mode = format!("simd-{isa}");
-            let m = measure_gops_detailed(n as f64, min_secs, || {
+            let m = measure_kernel(&format!("DOT/{n}/mf/{mode}"), n as f64, min_secs, || {
                 sink(soa::dot(&x, &y0));
             });
-            history::record_measurement(&format!("DOT/{n}/mf/{mode}"), &m);
             eprintln!("DOT  n={n:>5} {mode:<12} {:>9.4} Gop/s", m.gops);
-            let e = entry(&format!("DOT/{n}"), gops_samples(&m), m.iters);
             match isa {
-                Isa::Scalar => scalar_entries.push(e),
-                Isa::Avx2 => avx2_entries.push(e),
+                Isa::Scalar => scalar.push((format!("DOT/{n}"), m)),
+                Isa::Avx2 => avx2.push((format!("DOT/{n}"), m)),
                 _ => {}
             }
         }
     }
-    if !avx2_entries.is_empty() {
-        let cfg = trend::TrendConfig::default();
-        let trends = trend::analyze(
-            &wrap("simd-scalar", scalar_entries),
-            &wrap("simd-avx2", avx2_entries),
-            &cfg,
-        );
+    if !avx2.is_empty() {
+        let trends = trend::compare(("simd-scalar", &scalar), ("simd-avx2", &avx2));
         println!("\nExplicit AVX2 vs scalar lockstep (positive change = avx2 faster)");
         print!("{}", trend::render_table(&trends));
     } else {
@@ -465,9 +399,6 @@ fn main() {
             label
         }
     };
-    let manifest = RunManifest::collect("simd", "default", 1, started);
-    cli::write_manifest(&manifest, &manifest_path);
-    history::append_run("simd", &platform);
-    cli::trace_finish(&trace);
-    cli::profile_finish(&profile);
+    let manifest = run.manifest("default", 1);
+    run.finish(Some(manifest), &platform);
 }

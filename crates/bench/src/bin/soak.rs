@@ -26,22 +26,39 @@
 //! a non-telemetry build matrix entry.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --features telemetry --bin soak -- \
 //!       [--mode clean|hostile] [--seconds N] [--threads N] \
 //!       [--audit-rate R] [--health-out <json>] [--registry-out <prom>] \
-//!       [--manifest <json>]
+//!       [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 //!
 //! `MF_BENCH_QUICK=1` shrinks the default duration to 2 s (CI smoke).
 //! `MF_ALERT_RULES` tunes the rule set as everywhere else; the audit rate
 //! is *elevated* to `--audit-rate` (default 0.05) for the soak so short
 //! runs still accumulate a meaningful sample population.
 
-use mf_bench::{cli, quick_mode, sink, workloads, RunManifest};
+use mf_bench::cli::{self, Flag};
+use mf_bench::{quick_mode, sink, workloads};
 use mf_core::{EscalationPolicy, F64x2, FloatBase, GuardPolicy};
 use mf_telemetry::json::Json;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "[--mode clean|hostile] [--seconds N] [--threads N] [--audit-rate R] [--health-out <json>] [--registry-out <prom>] [--manifest <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "soak",
+    flags: &[
+        Flag::value("--mode", "clean|hostile"),
+        Flag::value("--seconds", "N"),
+        Flag::value("--threads", "N"),
+        Flag::value("--audit-rate", "R"),
+        Flag::value("--health-out", "<json>"),
+        Flag::value("--registry-out", "<prom>"),
+    ],
+    positional: None,
+    manifest: Some("results/manifest_soak.json"),
+    // The soak's verdict is its exit code and artifacts, not a trend.
+    history: false,
+};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -65,11 +82,9 @@ struct Args {
     audit_rate: f64,
     health_out: String,
     registry_out: String,
-    manifest: String,
 }
 
-fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(run: &cli::Run, args: Vec<cli::Arg>) -> Args {
     let mut out = Args {
         mode: Mode::Clean,
         seconds: if quick_mode() { 2.0 } else { 10.0 },
@@ -77,65 +92,37 @@ fn parse_args() -> Args {
         audit_rate: 0.05,
         health_out: String::from("results/soak_health.json"),
         registry_out: String::from("results/soak_registry.prom"),
-        manifest: String::from("results/manifest_soak.json"),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for a in args {
+        let bad = || run.usage_error(&format!("bad {} {:?}", a.flag, a.value));
+        match a.flag {
             "--mode" => {
-                out.mode = match cli::flag_value(&args, i, "soak", USAGE) {
+                out.mode = match a.value.as_str() {
                     "clean" => Mode::Clean,
                     "hostile" => Mode::Hostile,
-                    other => cli::usage_error("soak", USAGE, &format!("unknown mode {other:?}")),
-                };
-                i += 2;
+                    other => run.usage_error(&format!("unknown mode {other:?}")),
+                }
             }
             "--seconds" => {
-                let v = cli::flag_value(&args, i, "soak", USAGE);
-                out.seconds = v
+                out.seconds = a
+                    .value
                     .parse::<f64>()
                     .ok()
                     .filter(|s| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| {
-                        cli::usage_error("soak", USAGE, &format!("bad --seconds {v:?}"))
-                    });
-                i += 2;
+                    .unwrap_or_else(bad)
             }
-            "--threads" => {
-                let v = cli::flag_value(&args, i, "soak", USAGE);
-                out.threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|t| *t >= 1)
-                    .unwrap_or_else(|| {
-                        cli::usage_error("soak", USAGE, &format!("bad --threads {v:?}"))
-                    });
-                i += 2;
-            }
+            "--threads" => out.threads = run.count(&a),
             "--audit-rate" => {
-                let v = cli::flag_value(&args, i, "soak", USAGE);
-                out.audit_rate = v
+                out.audit_rate = a
+                    .value
                     .parse::<f64>()
                     .ok()
                     .filter(|r| r.is_finite() && *r >= 0.0 && *r <= 1.0)
-                    .unwrap_or_else(|| {
-                        cli::usage_error("soak", USAGE, &format!("bad --audit-rate {v:?}"))
-                    });
-                i += 2;
+                    .unwrap_or_else(bad)
             }
-            "--health-out" => {
-                out.health_out = cli::flag_value(&args, i, "soak", USAGE).to_string();
-                i += 2;
-            }
-            "--registry-out" => {
-                out.registry_out = cli::flag_value(&args, i, "soak", USAGE).to_string();
-                i += 2;
-            }
-            "--manifest" => {
-                out.manifest = cli::flag_value(&args, i, "soak", USAGE).to_string();
-                i += 2;
-            }
-            other => cli::usage_error("soak", USAGE, &format!("unknown flag {other:?}")),
+            "--health-out" => out.health_out = a.value,
+            "--registry-out" => out.registry_out = a.value,
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
     out
@@ -201,7 +188,8 @@ fn write_artifact(path: &str, contents: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let (run, args) = cli::Run::start(&TOOL);
+    let args = parse_args(&run, args);
     if !mf_telemetry::ENABLED {
         eprintln!(
             "soak: built without --features telemetry; nothing to observe (exit 0 by contract)"
@@ -321,9 +309,10 @@ fn main() {
     write_artifact(&args.health_out, &report.render_pretty());
     write_artifact(&args.registry_out, &mf_telemetry::expose::render(&snap));
 
-    let manifest = RunManifest::collect("soak", args.mode.name(), args.threads, started)
+    let manifest = run
+        .manifest(args.mode.name(), args.threads)
         .with_extra("soak", report.clone());
-    cli::write_manifest(&manifest, &args.manifest);
+    run.finish(Some(manifest), "");
 
     let healthy = health
         .get("healthy")

@@ -17,114 +17,49 @@
 //!    accelerate, so its cost per step is what the history tracks.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin solve -- \
-//!       [--threads <n>] [--manifest <json>] [--trace <json>]
+//!       [--threads <n>] [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::history::{self, HistoryRecord, KernelEntry};
+use mf_bench::cli::{self, Flag};
 use mf_bench::workloads::rand_f64s;
-use mf_bench::{cli, measure_gops_detailed, sink, trend, GopsMeasurement, RunManifest};
+use mf_bench::{history, measure_kernel, sink, trend};
 use mf_blas::soa::SoaMatrix;
 use mf_blas::{parallel, tile, Matrix};
 use mf_core::F64x2;
 use mf_solve::{hilbert, lu_factor, refine::refine_with_factors, RefineOptions};
-use std::time::Instant;
 
-const USAGE: &str = "[--threads <n>] [--manifest <json>] [--trace <json>] [--profile <folded>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "solve",
+    flags: &[Flag::value("--threads", "<n>")],
+    positional: None,
+    manifest: Some("results/manifest_solve.json"),
+    history: true,
+};
 const GEMM_SIZES: [usize; 2] = [64, 256];
 const IR_N: usize = 64;
 /// Fixed refinement steps per timed call (tol 0 disables the convergence
 /// early-out so every iteration does identical work).
 const IR_STEPS: usize = 2;
 
-/// Gop/s samples (ops per ns), the same conversion
-/// `history::record_measurement` applies.
-fn gops_samples(m: &GopsMeasurement) -> Vec<f64> {
-    m.iter_ns
-        .iter()
-        .filter(|&&ns| ns > 0.0)
-        .map(|&ns| m.ops_per_iter / ns)
-        .collect()
-}
-
-/// A comparison-side kernel entry (no sketch quantiles — only the sample
-/// pool feeds the bootstrap).
-fn entry(name: &str, samples: Vec<f64>, repeats: u64) -> KernelEntry {
-    KernelEntry {
-        name: name.into(),
-        unit: "gops".into(),
-        median: history::median(&samples),
-        p50_ns: 0,
-        p90_ns: 0,
-        p99_ns: 0,
-        repeats,
-        samples,
-    }
-}
-
-/// Wrap per-variant entries in a synthetic single-record history so
-/// [`trend::analyze`] can bootstrap CIs on the tile/flat delta.
-fn wrap(rev: &str, kernels: Vec<KernelEntry>) -> Vec<HistoryRecord> {
-    vec![HistoryRecord {
-        tool: "solve".into(),
-        git_rev: rev.into(),
-        platform: "in-process".into(),
-        features: history::active_features(),
-        quick: mf_bench::quick_mode(),
-        unix_secs: 0,
-        kernels,
-    }]
-}
-
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
+    let (run, args) = cli::Run::start(&TOOL);
     let mut threads = parallel::default_threads().max(2);
-    let mut manifest_path = String::from("results/manifest_solve.json");
-    let mut trace_flag: Option<String> = None;
-    let mut profile_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                let v = cli::flag_value(&args, i, "solve", USAGE);
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => threads = n,
-                    _ => cli::usage_error(
-                        "solve",
-                        USAGE,
-                        &format!("--threads must be a positive integer, got '{v}'"),
-                    ),
-                }
-                i += 2;
-            }
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "solve", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "solve", USAGE).to_string());
-                i += 2;
-            }
-            "--profile" => {
-                profile_flag = Some(cli::flag_value(&args, i, "solve", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("solve", USAGE, &format!("unknown argument '{other}'")),
+    for a in args {
+        match a.flag {
+            "--threads" => threads = run.count(&a),
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    let profile = cli::profile_path(profile_flag);
-    cli::profile_arm(&profile);
-    cli::metrics_init();
 
     if std::env::var("MF_BLAS_THREADS").is_err() {
         std::env::set_var("MF_BLAS_THREADS", threads.to_string());
     }
-    let min_secs = if mf_bench::quick_mode() { 0.02 } else { 0.2 };
+    let min_secs = mf_bench::min_secs();
 
-    let mut flat_entries: Vec<KernelEntry> = Vec::new();
-    let mut tile_entries: Vec<KernelEntry> = Vec::new();
+    let mut flat = Vec::new();
+    let mut tiled = Vec::new();
 
     for &n in &GEMM_SIZES {
         let ops = (n * n * n) as f64; // paper convention: one mf-op per MAC
@@ -149,25 +84,23 @@ fn main() {
             cols: n,
             data: vec![F64x2::ZERO; n * n],
         };
-        let m = measure_gops_detailed(ops, min_secs, || {
+        let m = measure_kernel(&format!("GEMM/{n}/mf/flat"), ops, min_secs, || {
             parallel::gemm(alpha, &a, &b, beta, &mut c, threads);
             sink(c.data[0]);
         });
-        history::record_measurement(&format!("GEMM/{n}/mf/flat"), &m);
         eprintln!("GEMM n={n:>4} flat {:>9.4} Gop/s", m.gops);
-        flat_entries.push(entry(&format!("GEMM/{n}"), gops_samples(&m), m.iters));
+        flat.push((format!("GEMM/{n}"), m));
 
         // Tiled: cache-blocked SoA GEMM.
         let sa = SoaMatrix::<f64, 2>::from_fn(n, n, |i, j| F64x2::from(va[i * n + j]));
         let sb = SoaMatrix::<f64, 2>::from_fn(n, n, |i, j| F64x2::from(vb[i * n + j]));
         let mut sc = SoaMatrix::<f64, 2>::zeros(n, n);
-        let m = measure_gops_detailed(ops, min_secs, || {
+        let m = measure_kernel(&format!("GEMM/{n}/mf/tile"), ops, min_secs, || {
             tile::gemm_tiled(alpha, &sa, &sb, beta, &mut sc, threads);
             sink(sc.comps[0][0]);
         });
-        history::record_measurement(&format!("GEMM/{n}/mf/tile"), &m);
         eprintln!("GEMM n={n:>4} tile {:>9.4} Gop/s", m.gops);
-        tile_entries.push(entry(&format!("GEMM/{n}"), gops_samples(&m), m.iters));
+        tiled.push((format!("GEMM/{n}"), m));
     }
 
     // Mixed-precision refinement: factor once, time the fixed-step
@@ -182,7 +115,8 @@ fn main() {
     };
     let ir_ops = ((IR_STEPS + 1) * IR_N * IR_N) as f64;
     for (label, nn) in [("x2", 2usize), ("x4", 4)] {
-        let m = measure_gops_detailed(ir_ops, min_secs, || {
+        let name = format!("IR/hilbert{IR_N}/{label}");
+        let m = measure_kernel(&name, ir_ops, min_secs, || {
             let x0 = match nn {
                 2 => {
                     refine_with_factors::<2>(&h, &factors, &bvec, opts)
@@ -197,18 +131,12 @@ fn main() {
             };
             sink(x0);
         });
-        history::record_measurement(&format!("IR/hilbert{IR_N}/{label}"), &m);
         eprintln!("IR   n={IR_N:>4} {label:<4} {:>9.4} Gop/s", m.gops);
     }
 
     // In-process ablation verdicts: flat is the baseline, tile the current
     // side, so `improvement` == tiling confidently faster.
-    let cfg = trend::TrendConfig::default();
-    let trends = trend::analyze(
-        &wrap("flat", flat_entries),
-        &wrap("tile", tile_entries),
-        &cfg,
-    );
+    let trends = trend::compare(("flat", &flat), ("tile", &tiled));
     println!("\nTiled vs flat GEMM ({threads} threads; positive change = tiled faster)");
     print!("{}", trend::render_table(&trends));
 
@@ -220,9 +148,6 @@ fn main() {
             format!("{label} ({threads} threads)")
         }
     };
-    let manifest = RunManifest::collect("solve", "default", threads, started);
-    cli::write_manifest(&manifest, &manifest_path);
-    history::append_run("solve", &platform);
-    cli::trace_finish(&trace);
-    cli::profile_finish(&profile);
+    let manifest = run.manifest("default", threads);
+    run.finish(Some(manifest), &platform);
 }

@@ -3,52 +3,43 @@
 //! kernel, and precision.
 //!
 //! Usage:
-//!   cargo run --release -p mf-bench --bin summary -- results_wide.json [results_narrow.json ...]
+//! ```text
+//!   cargo run --release -p mf-bench --bin summary -- \
+//!       results_wide.json [results_narrow.json ...] [--trace <json>] [--profile <folded>]
+//! ```
 //!
 //! Each input is a JSON file produced by the `tables` binary. The paper's
 //! claim is that every ratio exceeds 1 (MultiFloats is always fastest).
 
+use mf_bench::sweep::KERNELS;
 use mf_bench::{cli, history, TableRun};
 use mf_telemetry::json::Json;
 
-const KERNELS: [&str; 4] = ["AXPY", "DOT", "GEMV", "GEMM"];
 const BITS: [u32; 4] = [53, 103, 156, 208];
 const OURS: &str = "MultiFloats (ours)";
-const USAGE: &str = "<tables.json> [...] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "summary",
+    flags: &[],
+    positional: Some("<tables.json> [...]"),
+    manifest: None,
+    history: true,
+};
 
 fn main() {
-    let started = std::time::Instant::now();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<String> = Vec::new();
-    let mut trace_flag: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--trace" {
-            trace_flag = Some(cli::flag_value(&args, i, "summary", USAGE).to_string());
-            i += 2;
-        } else {
-            paths.push(args[i].clone());
-            i += 1;
-        }
-    }
+    let (run, _) = cli::Run::start(&TOOL);
+    let paths = run.positional().to_vec();
     if paths.is_empty() {
-        cli::usage_error("summary", USAGE, "expected at least one tables.json path");
+        run.usage_error("expected at least one tables.json path");
     }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
     for path in paths {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            cli::usage_error("summary", USAGE, &format!("cannot read {path}: {e}"))
-        });
-        let json = Json::parse(&text).unwrap_or_else(|e| {
-            cli::usage_error("summary", USAGE, &format!("{path} is not valid JSON: {e}"))
-        });
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| run.usage_error(&format!("cannot read {path}: {e}")));
+        let json = Json::parse(&text)
+            .unwrap_or_else(|e| run.usage_error(&format!("{path} is not valid JSON: {e}")));
         let run = TableRun::from_json(&json).unwrap_or_else(|| {
-            cli::usage_error(
-                "summary",
-                USAGE,
-                &format!("{path} is not a tables.json produced by the tables binary"),
-            )
+            run.usage_error(&format!(
+                "{path} is not a tables.json produced by the tables binary"
+            ))
         });
         println!("\nPlatform: {} ({path})", run.platform);
         println!("Ratio of MultiFloats peak over next-best library (paper Figure 8):");
@@ -92,7 +83,5 @@ fn main() {
         );
     }
 
-    history::record_wall_ms("summary", started.elapsed().as_secs_f64() * 1e3);
-    history::append_run("summary", &history::platform_label());
-    cli::trace_finish(&trace);
+    run.finish(None, &history::platform_label());
 }

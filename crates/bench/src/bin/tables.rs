@@ -3,8 +3,11 @@
 //! GEMM at 53/103/156/208-bit precision across libraries.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin tables -- \
-//!       [--config wide|narrow] [--label <text>] [--out <json>] [--manifest <json>]
+//!       [--config wide|narrow] [--label <text>] [--out <json>] \
+//!       [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 //!
 //! `--config` names the experiment configuration in the run manifest and
 //! the default platform label: `wide` (E1, native SIMD — the default) or
@@ -23,197 +26,46 @@
 use mf_baselines::campary::Expansion;
 use mf_baselines::dd::DoubleDouble;
 use mf_baselines::qd::QuadDouble;
+use mf_bench::cli::{self, Flag};
+use mf_bench::sweep::{bench_aos, bench_soa, max4, KERNELS};
 use mf_bench::workloads::{rand_f64s, Sizes};
-use mf_bench::{cli, history, measure_kernel, render_table, sink, Cell, RunManifest, TableRun};
-use mf_blas::soa::{self, SoaMatrix, SoaVec};
-use mf_blas::{kernels, mp, parallel, Matrix, Scalar};
+use mf_bench::{measure_kernel, render_table, sink, Cell, TableRun};
+use mf_blas::{mp, parallel};
 use mf_core::MultiFloat;
 use mf_mpsoft::MpFloat;
 use mf_telemetry::Section;
-use std::time::Instant;
 
-const KERNELS: [&str; 4] = ["AXPY", "DOT", "GEMV", "GEMM"];
 const BITS: [u32; 4] = [53, 103, 156, 208];
+const OURS: &str = "MultiFloats (ours)";
 
-const USAGE: &str =
-    "[--config wide|narrow] [--label <text>] [--out <json>] [--manifest <json>] [--trace <json>] [--profile <folded>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "tables",
+    flags: &[
+        Flag::value("--config", "wide|narrow"),
+        Flag::value("--label", "<text>"),
+        Flag::value("--out", "<json>"),
+    ],
+    positional: None,
+    manifest: Some("results/manifest_tables.json"),
+    history: true,
+};
 
 static SEC_MULTIFLOATS: Section = Section::new("tables.multifloats");
 static SEC_MPSOFT: Section = Section::new("tables.mpsoft");
 static SEC_QD: Section = Section::new("tables.qd");
 static SEC_CAMPARY: Section = Section::new("tables.campary");
 
-/// Measure all four kernels for one `Scalar` type (AoS layout).
-/// `tag` keys the history entries (e.g. `103/mf/aos`).
-fn bench_aos<S: Scalar>(sizes: &Sizes, threads: usize, tag: &str) -> [f64; 4] {
-    let n = sizes.vec_len;
-    let xs: Vec<S> = rand_f64s(1, n).into_iter().map(S::s_from_f64).collect();
-    let mut ys: Vec<S> = rand_f64s(2, n).into_iter().map(S::s_from_f64).collect();
-    let alpha = S::s_from_f64(1.000000321);
-
-    let axpy = measure_kernel(
-        &format!("AXPY/{tag}"),
-        sizes.ops("AXPY"),
-        sizes.min_secs,
-        || {
-            if threads > 1 {
-                parallel::axpy(alpha, &xs, &mut ys, threads);
-            } else {
-                kernels::axpy(alpha, &xs, &mut ys);
-            }
-            sink(ys[0]);
-        },
-    );
-
-    let dot = measure_kernel(
-        &format!("DOT/{tag}"),
-        sizes.ops("DOT"),
-        sizes.min_secs,
-        || {
-            let d = if threads > 1 {
-                parallel::dot(&xs, &ys, threads)
-            } else {
-                kernels::dot(&xs, &ys)
-            };
-            sink(d);
-        },
-    );
-
-    let gn = sizes.gemv_n;
-    let a = {
-        let vals = rand_f64s(3, gn * gn);
-        Matrix {
-            rows: gn,
-            cols: gn,
-            data: vals.into_iter().map(S::s_from_f64).collect(),
-        }
-    };
-    let xv: Vec<S> = rand_f64s(4, gn).into_iter().map(S::s_from_f64).collect();
-    let mut yv: Vec<S> = rand_f64s(5, gn).into_iter().map(S::s_from_f64).collect();
-    let beta = S::s_from_f64(0.999999712);
-    let gemv = measure_kernel(
-        &format!("GEMV/{tag}"),
-        sizes.ops("GEMV"),
-        sizes.min_secs,
-        || {
-            if threads > 1 {
-                parallel::gemv(alpha, &a, &xv, beta, &mut yv, threads);
-            } else {
-                kernels::gemv(alpha, &a, &xv, beta, &mut yv);
-            }
-            sink(yv[0]);
-        },
-    );
-
-    let mn = sizes.gemm_n;
-    let am = {
-        let vals = rand_f64s(6, mn * mn);
-        Matrix {
-            rows: mn,
-            cols: mn,
-            data: vals.into_iter().map(S::s_from_f64).collect(),
-        }
-    };
-    let bm = {
-        let vals = rand_f64s(7, mn * mn);
-        Matrix {
-            rows: mn,
-            cols: mn,
-            data: vals.into_iter().map(S::s_from_f64).collect(),
-        }
-    };
-    let mut cm = Matrix::<S>::zeros(mn, mn);
-    let gemm = measure_kernel(
-        &format!("GEMM/{tag}"),
-        sizes.ops("GEMM"),
-        sizes.min_secs,
-        || {
-            if threads > 1 {
-                parallel::gemm(alpha, &am, &bm, beta, &mut cm, threads);
-            } else {
-                kernels::gemm(alpha, &am, &bm, beta, &mut cm);
-            }
-            sink(cm.at(0, 0));
-        },
-    );
-
-    [axpy, dot, gemv, gemm]
-}
-
-/// Measure all four kernels for MultiFloat in SoA layout.
-fn bench_soa<const N: usize>(sizes: &Sizes, tag: &str) -> [f64; 4] {
-    type T = f64;
-    let n = sizes.vec_len;
-    let to_mf = |v: f64| MultiFloat::<T, N>::from(v);
-    let xs = SoaVec::from_slice(&rand_f64s(1, n).into_iter().map(to_mf).collect::<Vec<_>>());
-    let mut ys = SoaVec::from_slice(&rand_f64s(2, n).into_iter().map(to_mf).collect::<Vec<_>>());
-    let alpha = to_mf(1.000000321);
-    let beta = to_mf(0.999999712);
-
-    let axpy = measure_kernel(
-        &format!("AXPY/{tag}"),
-        sizes.ops("AXPY"),
-        sizes.min_secs,
-        || {
-            soa::axpy(alpha, &xs, &mut ys);
-            sink(ys.comps[0][0]);
-        },
-    );
-
-    let dot = measure_kernel(
-        &format!("DOT/{tag}"),
-        sizes.ops("DOT"),
-        sizes.min_secs,
-        || {
-            sink(soa::dot(&xs, &ys));
-        },
-    );
-
-    let gn = sizes.gemv_n;
-    let vals = rand_f64s(3, gn * gn);
-    let a = SoaMatrix::from_fn(gn, gn, |i, j| to_mf(vals[i * gn + j]));
-    let xv = SoaVec::from_slice(&rand_f64s(4, gn).into_iter().map(to_mf).collect::<Vec<_>>());
-    let mut yv = SoaVec::from_slice(&rand_f64s(5, gn).into_iter().map(to_mf).collect::<Vec<_>>());
-    let gemv = measure_kernel(
-        &format!("GEMV/{tag}"),
-        sizes.ops("GEMV"),
-        sizes.min_secs,
-        || {
-            soa::gemv(alpha, &a, &xv, beta, &mut yv);
-            sink(yv.comps[0][0]);
-        },
-    );
-
-    let mn = sizes.gemm_n;
-    let va = rand_f64s(6, mn * mn);
-    let vb = rand_f64s(7, mn * mn);
-    let am = SoaMatrix::from_fn(mn, mn, |i, j| to_mf(va[i * mn + j]));
-    let bm = SoaMatrix::from_fn(mn, mn, |i, j| to_mf(vb[i * mn + j]));
-    let mut cm = SoaMatrix::<T, N>::zeros(mn, mn);
-    let gemm = measure_kernel(
-        &format!("GEMM/{tag}"),
-        sizes.ops("GEMM"),
-        sizes.min_secs,
-        || {
-            soa::gemm(alpha, &am, &bm, beta, &mut cm);
-            sink(cm.comps[0][0]);
-        },
-    );
-
-    [axpy, dot, gemv, gemm]
-}
-
 /// Measure the limb-based MpFloat kernels at `prec` bits.
 fn bench_mp(sizes: &Sizes, prec: u32, tag: &str) -> [f64; 4] {
+    let mp = |seed: u64, n: usize| -> Vec<MpFloat> {
+        rand_f64s(seed, n)
+            .iter()
+            .map(|&v| MpFloat::from_f64(v, prec))
+            .collect()
+    };
     let n = sizes.vec_len.min(2048); // MpFloat is slow; cap sizes
-    let x: Vec<MpFloat> = rand_f64s(1, n)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
-    let mut y: Vec<MpFloat> = rand_f64s(2, n)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
+    let x = mp(1, n);
+    let mut y = mp(2, n);
     let alpha = MpFloat::from_f64(1.000000321, prec);
     let beta = MpFloat::from_f64(0.999999712, prec);
 
@@ -226,18 +78,9 @@ fn bench_mp(sizes: &Sizes, prec: u32, tag: &str) -> [f64; 4] {
     });
 
     let gn = sizes.gemv_n.min(96);
-    let a: Vec<MpFloat> = rand_f64s(3, gn * gn)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
-    let xv: Vec<MpFloat> = rand_f64s(4, gn)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
-    let mut yv: Vec<MpFloat> = rand_f64s(5, gn)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
+    let a = mp(3, gn * gn);
+    let xv = mp(4, gn);
+    let mut yv = mp(5, gn);
     let gemv = measure_kernel(
         &format!("GEMV/{tag}"),
         (gn * gn) as f64,
@@ -249,14 +92,8 @@ fn bench_mp(sizes: &Sizes, prec: u32, tag: &str) -> [f64; 4] {
     );
 
     let mn = sizes.gemm_n.min(32);
-    let am: Vec<MpFloat> = rand_f64s(6, mn * mn)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
-    let bm: Vec<MpFloat> = rand_f64s(7, mn * mn)
-        .iter()
-        .map(|&v| MpFloat::from_f64(v, prec))
-        .collect();
+    let am = mp(6, mn * mn);
+    let bm = mp(7, mn * mn);
     let mut cmv: Vec<MpFloat> = (0..mn * mn).map(|_| MpFloat::zero(prec)).collect();
     let gemm = measure_kernel(
         &format!("GEMM/{tag}"),
@@ -268,10 +105,21 @@ fn bench_mp(sizes: &Sizes, prec: u32, tag: &str) -> [f64; 4] {
         },
     );
 
-    [axpy, dot, gemv, gemm]
+    [axpy.gops, dot.gops, gemv.gops, gemm.gops]
 }
 
-fn push(cells: &mut Vec<Cell>, lib: &str, bits: u32, vals: [f64; 4]) {
+/// MultiFloats at `N` terms over f64: the better of AoS and SoA per kernel.
+fn bench_mf<const N: usize>(sizes: &Sizes, bits: u32) -> [f64; 4] {
+    max4(
+        bench_aos::<MultiFloat<f64, N>>(sizes, 1, &format!("{bits}/mf/aos")),
+        bench_soa::<f64, N>(sizes, &format!("{bits}/mf/soa")),
+    )
+}
+
+/// Add one library's sweep at `bits` to the table and log it (`note`
+/// qualifies the precision, e.g. ` (dd)`).
+fn push(cells: &mut Vec<Cell>, lib: &str, bits: u32, note: &str, vals: [f64; 4]) {
+    eprintln!("  {bits}-bit{note}: {vals:.3?}");
     for (k, &g) in KERNELS.iter().zip(&vals) {
         cells.push(Cell {
             kernel: (*k).into(),
@@ -282,61 +130,27 @@ fn push(cells: &mut Vec<Cell>, lib: &str, bits: u32, vals: [f64; 4]) {
     }
 }
 
-fn max4(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
-    core::array::from_fn(|i| a[i].max(b[i]))
-}
-
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
+    let (run, args) = cli::Run::start(&TOOL);
     let mut config = String::from("wide");
     let mut label: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut manifest_path = String::from("results/manifest_tables.json");
-    let mut trace_flag: Option<String> = None;
-    let mut profile_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    for a in args {
+        match a.flag {
             "--config" => {
-                config = cli::flag_value(&args, i, "tables", USAGE).to_string();
-                if config != "wide" && config != "narrow" {
-                    cli::usage_error(
-                        "tables",
-                        USAGE,
-                        &format!("--config must be 'wide' or 'narrow', got '{config}'"),
-                    );
+                if a.value != "wide" && a.value != "narrow" {
+                    run.usage_error(&format!(
+                        "--config must be 'wide' or 'narrow', got '{}'",
+                        a.value
+                    ));
                 }
-                i += 2;
+                config = a.value;
             }
-            "--label" => {
-                label = Some(cli::flag_value(&args, i, "tables", USAGE).to_string());
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(cli::flag_value(&args, i, "tables", USAGE).to_string());
-                i += 2;
-            }
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "tables", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "tables", USAGE).to_string());
-                i += 2;
-            }
-            "--profile" => {
-                profile_flag = Some(cli::flag_value(&args, i, "tables", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error("tables", USAGE, &format!("unknown argument '{other}'")),
+            "--label" => label = Some(a.value),
+            "--out" => out_path = Some(a.value),
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    let profile = cli::profile_path(profile_flag);
-    cli::profile_arm(&profile);
-    cli::metrics_init();
     let label = label.unwrap_or_else(|| {
         format!(
             "{} ({}, {} threads)",
@@ -357,39 +171,15 @@ fn main() {
     {
         let _g = SEC_MULTIFLOATS.start();
         // 53-bit: N = 1 (plain base type through the same kernels).
-        let mf1 = max4(
-            bench_aos::<MultiFloat<f64, 1>>(&sizes, 1, "53/mf/aos"),
-            bench_soa::<1>(&sizes, "53/mf/soa"),
-        );
-        let mf1 = if threads > 1 {
-            max4(
-                mf1,
-                bench_aos::<MultiFloat<f64, 1>>(&sizes, threads, "53/mf/aos-mt"),
-            )
-        } else {
-            mf1
-        };
-        push(&mut cells, "MultiFloats (ours)", 53, mf1);
-        eprintln!("  53-bit: {mf1:.3?}");
-
-        let mf2 = max4(
-            bench_aos::<MultiFloat<f64, 2>>(&sizes, 1, "103/mf/aos"),
-            bench_soa::<2>(&sizes, "103/mf/soa"),
-        );
-        push(&mut cells, "MultiFloats (ours)", 103, mf2);
-        eprintln!("  103-bit: {mf2:.3?}");
-        let mf3 = max4(
-            bench_aos::<MultiFloat<f64, 3>>(&sizes, 1, "156/mf/aos"),
-            bench_soa::<3>(&sizes, "156/mf/soa"),
-        );
-        push(&mut cells, "MultiFloats (ours)", 156, mf3);
-        eprintln!("  156-bit: {mf3:.3?}");
-        let mf4 = max4(
-            bench_aos::<MultiFloat<f64, 4>>(&sizes, 1, "208/mf/aos"),
-            bench_soa::<4>(&sizes, "208/mf/soa"),
-        );
-        push(&mut cells, "MultiFloats (ours)", 208, mf4);
-        eprintln!("  208-bit: {mf4:.3?}");
+        let mut mf1 = bench_mf::<1>(&sizes, 53);
+        if threads > 1 {
+            let mt = bench_aos::<MultiFloat<f64, 1>>(&sizes, threads, "53/mf/aos-mt");
+            mf1 = max4(mf1, mt);
+        }
+        push(&mut cells, OURS, 53, "", mf1);
+        push(&mut cells, OURS, 103, "", bench_mf::<2>(&sizes, 103));
+        push(&mut cells, OURS, 156, "", bench_mf::<3>(&sizes, 156));
+        push(&mut cells, OURS, 208, "", bench_mf::<4>(&sizes, 208));
     }
 
     eprintln!("== GMP/MPFR-class (mf-mpsoft) ==");
@@ -397,8 +187,7 @@ fn main() {
         let _g = SEC_MPSOFT.start();
         for &bits in &BITS {
             let v = bench_mp(&sizes, bits, &format!("{bits}/mpsoft"));
-            push(&mut cells, "GMP/MPFR-class", bits, v);
-            eprintln!("  {bits}-bit: {v:.3?}");
+            push(&mut cells, "GMP/MPFR-class", bits, "", v);
         }
     }
 
@@ -406,52 +195,44 @@ fn main() {
     {
         let _g = SEC_QD.start();
         let qd2 = bench_aos::<DoubleDouble>(&sizes, 1, "103/qd");
-        push(&mut cells, "QD", 103, qd2);
-        eprintln!("  103-bit (dd): {qd2:.3?}");
+        push(&mut cells, "QD", 103, " (dd)", qd2);
         let qd4 = bench_aos::<QuadDouble>(&sizes, 1, "208/qd");
-        push(&mut cells, "QD", 208, qd4);
-        eprintln!("  208-bit (qd): {qd4:.3?}");
+        push(&mut cells, "QD", 208, " (qd)", qd4);
     }
 
     eprintln!("== CAMPARY (certified) ==");
     {
         let _g = SEC_CAMPARY.start();
         let c1 = bench_aos::<Expansion<1>>(&sizes, 1, "53/campary");
-        push(&mut cells, "CAMPARY", 53, c1);
-        eprintln!("  53-bit: {c1:.3?}");
+        push(&mut cells, "CAMPARY", 53, "", c1);
         let c2 = bench_aos::<Expansion<2>>(&sizes, 1, "103/campary");
-        push(&mut cells, "CAMPARY", 103, c2);
-        eprintln!("  103-bit: {c2:.3?}");
+        push(&mut cells, "CAMPARY", 103, "", c2);
         let c3 = bench_aos::<Expansion<3>>(&sizes, 1, "156/campary");
-        push(&mut cells, "CAMPARY", 156, c3);
-        eprintln!("  156-bit: {c3:.3?}");
+        push(&mut cells, "CAMPARY", 156, "", c3);
         let c4 = bench_aos::<Expansion<4>>(&sizes, 1, "208/campary");
-        push(&mut cells, "CAMPARY", 208, c4);
-        eprintln!("  208-bit: {c4:.3?}");
+        push(&mut cells, "CAMPARY", 208, "", c4);
     }
 
-    let run = TableRun {
+    let table = TableRun {
         platform: label,
         cells,
     };
 
-    println!("\nPlatform: {}", run.platform);
+    println!("\nPlatform: {}", table.platform);
     for k in KERNELS {
         println!("\n{k} Performance (Gop/s)");
-        print!("{}", render_table(&run, k, &BITS));
+        print!("{}", render_table(&table, k, &BITS));
     }
     println!("\n(libquadmath: N/A — no __float128 in stable Rust; see DESIGN.md T6)");
 
     if let Some(p) = out_path {
-        std::fs::write(&p, run.to_json().render_pretty())
+        std::fs::write(&p, table.to_json().render_pretty())
             .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
         eprintln!("wrote {p}");
     }
 
-    let manifest = RunManifest::collect("tables", &config, threads, started)
-        .with_extra("table", run.to_json());
-    cli::write_manifest(&manifest, &manifest_path);
-    history::append_run("tables", &run.platform);
-    cli::trace_finish(&trace);
-    cli::profile_finish(&profile);
+    let manifest = run
+        .manifest(&config, threads)
+        .with_extra("table", table.to_json());
+    run.finish(Some(manifest), &table.platform);
 }

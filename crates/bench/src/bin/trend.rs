@@ -2,9 +2,11 @@
 //! committed baseline and exits nonzero on a confident regression.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin trend -- \
 //!       [--history <jsonl>] [--baseline <jsonl>] [--parity] \
 //!       [--threshold <frac>] [--min-samples <n>]
+//! ```
 //!
 //! Kernels are identified by name and build (feature set); default and
 //! telemetry records never pool. `--parity` ignores the baseline and

@@ -7,64 +7,42 @@
 //! p = 12 with an exact integer reference.
 //!
 //! Usage:
+//! ```text
 //!   cargo run --release -p mf-bench --bin verify_networks -- \
-//!       [--trials N] [--manifest <json>]
+//!       [--trials N] [--manifest <json>] [--trace <json>] [--profile <folded>]
+//! ```
 
-use mf_bench::{cli, history, RunManifest};
+use mf_bench::cli::{self, Flag};
+use mf_bench::history;
 use mf_fpan::networks;
 use mf_fpan::verify::{self, Config};
 use mf_telemetry::Section;
-use std::time::Instant;
 
-const USAGE: &str = "[--trials N] [--manifest <json>] [--trace <json>]";
+const TOOL: cli::Tool = cli::Tool {
+    name: "verify_networks",
+    flags: &[Flag::value("--trials", "N")],
+    positional: None,
+    manifest: Some("results/manifest_verify_networks.json"),
+    history: true,
+};
 
 static SEC_F64: Section = Section::new("verify_networks.f64_suites");
 static SEC_SOFT: Section = Section::new("verify_networks.soft_sweep");
 static SEC_EXHAUSTIVE: Section = Section::new("verify_networks.exhaustive");
 
 fn main() {
-    let started = Instant::now();
-    let args: Vec<String> = std::env::args().collect();
+    let (run, args) = cli::Run::start(&TOOL);
     let mut trials = if mf_bench::quick_mode() {
         2_000
     } else {
         50_000
     };
-    let mut manifest_path = String::from("results/manifest_verify_networks.json");
-    let mut trace_flag: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trials" => {
-                let v = cli::flag_value(&args, i, "verify_networks", USAGE);
-                trials = v.parse().unwrap_or_else(|_| {
-                    cli::usage_error(
-                        "verify_networks",
-                        USAGE,
-                        &format!("--trials expects a positive integer, got '{v}'"),
-                    )
-                });
-                i += 2;
-            }
-            "--manifest" => {
-                manifest_path = cli::flag_value(&args, i, "verify_networks", USAGE).to_string();
-                i += 2;
-            }
-            "--trace" => {
-                trace_flag = Some(cli::flag_value(&args, i, "verify_networks", USAGE).to_string());
-                i += 2;
-            }
-            other => cli::usage_error(
-                "verify_networks",
-                USAGE,
-                &format!("unknown argument '{other}'"),
-            ),
+    for a in args {
+        match a.flag {
+            "--trials" => trials = run.count(&a),
+            _ => unreachable!("flag not declared in TOOL"),
         }
     }
-
-    let trace = cli::trace_path(trace_flag);
-    cli::trace_arm(&trace);
-    cli::metrics_init();
 
     println!("Empirical FPAN verification ({trials} adversarial trials per network)");
     println!(
@@ -185,12 +163,10 @@ fn main() {
         networks::mul_4().depth(),
     );
 
-    let manifest = RunManifest::collect("verify_networks", &format!("trials={trials}"), 1, started)
+    let manifest = run
+        .manifest(&format!("trials={trials}"), 1)
         .with_extra("failures", mf_telemetry::json::Json::u64(failures));
-    cli::write_manifest(&manifest, &manifest_path);
-    history::record_wall_ms("verify_networks", started.elapsed().as_secs_f64() * 1e3);
-    history::append_run("verify_networks", &history::platform_label());
-    cli::trace_finish(&trace);
+    run.finish(Some(manifest), &history::platform_label());
     if failures > 0 {
         std::process::exit(1);
     }

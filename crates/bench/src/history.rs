@@ -84,9 +84,10 @@ pub fn record(entry: KernelEntry) {
         .push(entry);
 }
 
-/// Record a throughput measurement under `name` (called by
-/// [`crate::measure_kernel`]).
-pub fn record_measurement(name: &str, m: &GopsMeasurement) {
+/// The history entry for a throughput measurement under `name`: one
+/// Gop/s sample per timed iteration, downsampled to
+/// [`MAX_HISTORY_SAMPLES`], with the latency-sketch quantiles.
+pub fn measurement_entry(name: &str, m: &GopsMeasurement) -> KernelEntry {
     let samples: Vec<f64> = m
         .iter_ns
         .iter()
@@ -94,7 +95,7 @@ pub fn record_measurement(name: &str, m: &GopsMeasurement) {
         .map(|&ns| m.ops_per_iter / ns) // ops per ns == Gop/s
         .collect();
     let sketch = SketchSnapshot::from_samples(m.iter_ns.iter().map(|&ns| ns as u64));
-    record(KernelEntry {
+    KernelEntry {
         name: name.to_string(),
         unit: "gops".into(),
         median: median(&samples),
@@ -102,13 +103,23 @@ pub fn record_measurement(name: &str, m: &GopsMeasurement) {
         p90_ns: sketch.p90(),
         p99_ns: sketch.p99(),
         repeats: m.iters,
-        samples: if samples.len() > MAX_HISTORY_SAMPLES {
-            let stride = samples.len().div_ceil(MAX_HISTORY_SAMPLES);
-            samples.into_iter().step_by(stride).collect()
-        } else {
-            samples
-        },
-    });
+        samples: crate::downsample(&samples, MAX_HISTORY_SAMPLES),
+    }
+}
+
+/// Record a throughput measurement under `name` (called by
+/// [`crate::measure_kernel`]).
+pub fn record_measurement(name: &str, m: &GopsMeasurement) {
+    record(measurement_entry(name, m));
+}
+
+/// Whether this run has recorded a throughput (`gops`) entry so far.
+pub fn measured_throughput() -> bool {
+    COLLECTOR
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .iter()
+        .any(|e| e.unit == "gops")
 }
 
 /// Record a wall-clock entry (`<tool>/wall_ms`) for binaries that do not

@@ -14,12 +14,28 @@
 //!   expansions, SoA lanes) standing in for the RDNA3 GPU (T3).
 //! * `verify_networks` — Figures 2–7 captions: empirical error bounds and
 //!   nonoverlap verification for the shipped networks (E5/E6).
+//! * `simd` — per-ISA DOT throughput of the SoA lock-step kernels, and
+//!   (`--dump`) the forced-ISA bit dump CI compares across `MF_SIMD`.
+//! * `solve` — flat vs tiled GEMM and mixed-precision iterative refinement.
+//! * `adaptive` — clean-input overhead and escalation cost of the adaptive
+//!   ladder.
+//! * `conformance` — the differential conformance sweep against the
+//!   `MpFloat` oracle and the baselines.
+//! * `faultsim` — fault injection into the FPAN executors and the guard
+//!   overhead ablation (`--adaptive`: the detect-escalate-recover loop).
+//! * `soak` — numerical-health soak under shadow audit and alert rules.
 //! * `report` — merge the telemetry run manifests under `results/` into a
 //!   single digest (see `mf_telemetry::manifest`).
+//! * `trend` — the regression and telemetry-parity gate over the bench
+//!   history ([`trend`]).
+//! * `mfstat` — a `top`-style live view of a process's metrics endpoint.
 //!
-//! Every binary writes a `mf-telemetry` run manifest
-//! (`results/manifest_<tool>.json` by default, `--manifest <path>` to
-//! override): platform and RUSTFLAGS, wall time, per-section timings, and —
+//! The first eleven share one run harness ([`cli::Run`]): one flag parser
+//! with `--trace <json>` and `--profile <folded>` (and `MF_TRACE` /
+//! `MF_PROFILE`) everywhere, and one finish. Those that write a
+//! `mf-telemetry` run manifest (all but `summary` and `report`) write it
+//! to `results/manifest_<tool>.json` by default, `--manifest <path>` to
+//! override: platform and RUSTFLAGS, wall time, per-section timings, and —
 //! when built with `--features telemetry` — the full counter/histogram
 //! snapshot from the instrumented crates.
 //!
@@ -31,9 +47,11 @@ use mf_telemetry::json::Json;
 use std::hint::black_box;
 use std::time::Instant;
 
+pub mod cli;
 pub mod digest;
 pub mod history;
 pub mod promtext;
+pub mod sweep;
 pub mod trend;
 pub mod workloads;
 
@@ -119,7 +137,7 @@ impl TableRun {
 }
 
 /// Full statistics from one throughput measurement (see
-/// [`measure_gops_detailed`]).
+/// [`measure_kernel`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GopsMeasurement {
     /// Billions of extended operations per second.
@@ -149,7 +167,7 @@ pub struct GopsMeasurement {
 pub const MAX_ITER_SAMPLES: usize = 512;
 
 /// Evenly strided downsample to at most `cap` entries.
-fn downsample(samples: &[f64], cap: usize) -> Vec<f64> {
+pub(crate) fn downsample(samples: &[f64], cap: usize) -> Vec<f64> {
     if samples.len() <= cap {
         return samples.to_vec();
     }
@@ -162,7 +180,7 @@ fn downsample(samples: &[f64], cap: usize) -> Vec<f64> {
 /// `min_secs` and at least 3 iterations after one warmup call. Emits a
 /// `bench.measure` telemetry event with the iteration count and noise
 /// figure (no-op unless the `telemetry` feature is on).
-pub fn measure_gops_detailed<F: FnMut()>(
+fn measure_gops_detailed<F: FnMut()>(
     ops_per_iter: f64,
     min_secs: f64,
     mut f: F,
@@ -211,19 +229,30 @@ pub fn measure_gops_detailed<F: FnMut()>(
     }
 }
 
-/// Measure *and record*: like [`measure_gops`], but also appends a
-/// per-kernel entry named `name` to the in-process history collector that
+/// Measure *and record*: the throughput of `f` (see
+/// `measure_gops_detailed`), plus a per-kernel entry named `name` in the
+/// in-process history collector that
 /// [`history::append_run`] flushes to `results/history/bench_history.jsonl`
 /// at the end of the run.
-pub fn measure_kernel<F: FnMut()>(name: &str, ops_per_iter: f64, min_secs: f64, f: F) -> f64 {
+pub fn measure_kernel<F: FnMut()>(
+    name: &str,
+    ops_per_iter: f64,
+    min_secs: f64,
+    f: F,
+) -> GopsMeasurement {
     let m = measure_gops_detailed(ops_per_iter, min_secs, f);
     history::record_measurement(name, &m);
-    m.gops
+    m
 }
 
-/// Throughput-only form of [`measure_gops_detailed`].
-pub fn measure_gops<F: FnMut()>(ops_per_iter: f64, min_secs: f64, f: F) -> f64 {
-    measure_gops_detailed(ops_per_iter, min_secs, f).gops
+/// Minimum measuring time per kernel for the binaries that do not size
+/// their workloads by [`workloads::Sizes`] (`adaptive`, `simd`, `solve`).
+pub fn min_secs() -> f64 {
+    if quick_mode() {
+        0.02
+    } else {
+        0.2
+    }
 }
 
 /// Prevent the optimizer from discarding a computed value.
@@ -262,134 +291,6 @@ pub fn quick_mode() -> bool {
     std::env::var("MF_BENCH_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Shared command-line plumbing for the bench binaries: flag typos and
-/// missing values are *user errors* and exit with a usage message and
-/// status 2 — never a panic/backtrace.
-pub mod cli {
-    /// Print `msg` plus the usage line to stderr and exit with status 2.
-    pub fn usage_error(tool: &str, usage: &str, msg: &str) -> ! {
-        eprintln!("{tool}: error: {msg}");
-        eprintln!("usage: {tool} {usage}");
-        std::process::exit(2);
-    }
-
-    /// The value following `args[i]` (a `--flag`), or a usage error if the
-    /// flag is the last argument.
-    pub fn flag_value<'a>(args: &'a [String], i: usize, tool: &str, usage: &str) -> &'a str {
-        match args.get(i + 1) {
-            Some(v) => v,
-            None => usage_error(tool, usage, &format!("{} requires a value", args[i])),
-        }
-    }
-
-    /// Write `manifest` to `path`, warning (not failing) on I/O errors —
-    /// a read-only results directory must not kill a finished benchmark.
-    pub fn write_manifest(manifest: &crate::RunManifest, path: &str) {
-        match manifest.write(std::path::Path::new(path)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("warning: could not write manifest {path}: {e}"),
-        }
-    }
-
-    /// Resolve the trace output path: an explicit `--trace` value wins,
-    /// otherwise the `MF_TRACE` environment variable (empty = unset).
-    pub fn trace_path(flag: Option<String>) -> Option<String> {
-        flag.or_else(|| std::env::var("MF_TRACE").ok().filter(|s| !s.is_empty()))
-    }
-
-    /// Arm span collection when tracing was requested. Warns (once, up
-    /// front) when the binary was built without the `telemetry` feature —
-    /// the run still completes, it just cannot produce a trace.
-    pub fn trace_arm(path: &Option<String>) {
-        if path.is_none() {
-            return;
-        }
-        if !mf_telemetry::ENABLED {
-            eprintln!("warning: tracing requested but this binary was built without --features telemetry; no trace will be written");
-            return;
-        }
-        mf_telemetry::trace::arm();
-    }
-
-    /// Start the live metrics endpoint when `MF_METRICS_ADDR` is set (see
-    /// `mf_telemetry::expose`). Call once, early, from every bench binary:
-    /// a no-op without the env var or without the `telemetry` feature
-    /// (with a one-line warning for the latter so a silent scrape failure
-    /// is explainable).
-    pub fn metrics_init() {
-        let requested = std::env::var("MF_METRICS_ADDR")
-            .map(|v| !v.is_empty())
-            .unwrap_or(false);
-        if requested && !mf_telemetry::ENABLED {
-            eprintln!("warning: MF_METRICS_ADDR set but this binary was built without --features telemetry; no metrics endpoint will be served");
-            return;
-        }
-        mf_telemetry::expose::serve_from_env();
-    }
-
-    /// Resolve the self-profile output path: an explicit `--profile` value
-    /// wins, otherwise the `MF_PROFILE` environment variable.
-    pub fn profile_path(flag: Option<String>) -> Option<String> {
-        flag.or_else(|| std::env::var("MF_PROFILE").ok().filter(|s| !s.is_empty()))
-    }
-
-    /// Arm span collection when a self-profile was requested (the profiler
-    /// folds the same ring buffers tracing fills).
-    pub fn profile_arm(path: &Option<String>) {
-        if path.is_none() {
-            return;
-        }
-        if !mf_telemetry::ENABLED {
-            eprintln!("warning: profiling requested but this binary was built without --features telemetry; no profile will be written");
-            return;
-        }
-        mf_telemetry::trace::arm();
-    }
-
-    /// Export the span-derived self-profile as flamegraph folded stacks
-    /// (`path;to;span <self_ns>` per line — feed to flamegraph.pl /
-    /// inferno-flamegraph / speedscope).
-    pub fn profile_finish(path: &Option<String>) {
-        let Some(p) = path else { return };
-        if !mf_telemetry::ENABLED {
-            return; // profile_arm already warned
-        }
-        match mf_telemetry::profile::export_folded(std::path::Path::new(p)) {
-            Ok(()) => eprintln!(
-                "wrote {p} ({} span paths)",
-                mf_telemetry::profile::aggregate().len()
-            ),
-            Err(e) => eprintln!("warning: could not write profile {p}: {e}"),
-        }
-    }
-
-    /// Export the collected spans as Chrome `trace_event` JSON (load in
-    /// Perfetto / `chrome://tracing`), reporting buffer overflow drops.
-    pub fn trace_finish(path: &Option<String>) {
-        let Some(p) = path else { return };
-        if !mf_telemetry::ENABLED {
-            return; // trace_arm already warned
-        }
-        match mf_telemetry::trace::export_chrome(std::path::Path::new(p)) {
-            Ok(()) => {
-                let dropped = mf_telemetry::trace::dropped_spans();
-                if dropped > 0 {
-                    eprintln!(
-                        "wrote {p} ({} events, {dropped} spans dropped on full buffers)",
-                        mf_telemetry::trace::recorded_events()
-                    );
-                } else {
-                    eprintln!(
-                        "wrote {p} ({} events)",
-                        mf_telemetry::trace::recorded_events()
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: could not write trace {p}: {e}"),
-        }
-    }
 }
 
 #[cfg(test)]

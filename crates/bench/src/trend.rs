@@ -24,6 +24,7 @@
 //! probes' cost shows up as a trend verdict at every N.
 
 use crate::history::{self, HistoryRecord};
+use crate::GopsMeasurement;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -231,6 +232,32 @@ pub fn analyze(
             judge(name, build, unit, &base, &cur, noise, cfg)
         })
         .collect()
+}
+
+/// In-process A/B verdicts between two labelled sets of measurements in
+/// one build, each keyed by kernel name (such as `simd`'s scalar vs AVX2
+/// DOT, `solve`'s flat vs tiled GEMM): `base` is the baseline side, so an
+/// [`Verdict::Improvement`] means `current` is confidently faster. The
+/// samples are those [`history::record_measurement`] records.
+pub fn compare(
+    base: (&str, &[(String, GopsMeasurement)]),
+    current: (&str, &[(String, GopsMeasurement)]),
+) -> Vec<KernelTrend> {
+    let side = |(label, ms): (&str, &[(String, GopsMeasurement)])| {
+        vec![HistoryRecord {
+            tool: "in-process".into(),
+            git_rev: label.into(),
+            platform: "in-process".into(),
+            features: history::active_features(),
+            quick: crate::quick_mode(),
+            unix_secs: 0,
+            kernels: ms
+                .iter()
+                .map(|(name, m)| history::measurement_entry(name, m))
+                .collect(),
+        }]
+    };
+    analyze(&side(base), &side(current), &TrendConfig::default())
 }
 
 /// The kernels [`parity`] judges: those whose name contains this. Only the
