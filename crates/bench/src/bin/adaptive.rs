@@ -8,8 +8,9 @@
 //!   on well-scaled inputs that never trip a detector. The ladder's promise
 //!   is that this is just the detector cost (target: within 5%).
 //! * **Escalation cost** — DOT and AXPY on hostile inputs (transient
-//!   overflow seeded into one chunk) where the ladder must climb to the
-//!   exact rung, with the observed per-run escalation rate
+//!   overflow seeded into one chunk) where the ladder must escalate from
+//!   the `N=2` base pass straight to the exact rung (the ladder has no
+//!   middle rungs), with the observed per-run escalation rate
 //!   (`ADAPT/DOT/{n}/hostile`, `ADAPT/AXPY/{n}/hostile`). The AXPY series
 //!   prices the per-element exact path; each of its iterations also
 //!   restores `y` (one copy of `n` elements).
@@ -129,8 +130,8 @@ fn main() {
         let mut y = mf_vec(4, n);
         // Seed a transient overflow into one chunk: partial products
         // [2^1023, 2^1023, -1.5·2^1023] push the running sum to +inf before
-        // it cancels back to 2^1022, so the chunk must climb to the oracle
-        // to recover the finite value.
+        // it cancels back to 2^1022, so the chunk must escalate to the
+        // exact rung to recover the finite value.
         let big = f64::powi(2.0, 511);
         let huge = f64::powi(2.0, 512);
         x[5] = F64x2::from(big);
@@ -165,7 +166,7 @@ fn main() {
         let mut x = mf_vec(5, n);
         let mut y0 = mf_vec(6, n);
         // alpha·x[5] = 2^1024 overflows before y[5] = -2^1023 brings it
-        // back to 2^1023, so that chunk climbs to the exact rung; every
+        // back to 2^1023, so that chunk escalates to the exact rung; every
         // element of it is then recomputed exactly.
         let huge = f64::powi(2.0, 512);
         let alpha = F64x2::from(huge);

@@ -49,7 +49,7 @@ fn bench_f32_terms<const N: usize>(sizes: &Sizes, tag: &str) -> [f64; 4] {
 }
 
 fn main() {
-    let (run, args) = cli::Run::start(&TOOL);
+    let (mut run, args) = cli::Run::start(&TOOL);
     let mut out_path: Option<String> = None;
     for a in args {
         match a.flag {
@@ -98,9 +98,7 @@ fn main() {
         cells,
     };
     if let Some(p) = out_path {
-        std::fs::write(&p, table.to_json().render_pretty())
-            .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
-        eprintln!("wrote {p}");
+        run.write(&p, &table.to_json().render_pretty());
     }
 
     let manifest = run

@@ -222,7 +222,7 @@ fn main() {
     }
 
     // Escalation view: any manifest whose counters carry the adaptive
-    // engines' tallies gets a rate row (ladder climbs per op / per chunk).
+    // engines' tallies gets a rate row (escalations per op / per chunk).
     let mut adaptive_rows: Vec<(String, &str, u64, u64, u64)> = Vec::new();
     for (_, m) in &manifests {
         let get = |name: &str| {

@@ -131,7 +131,7 @@ fn push(cells: &mut Vec<Cell>, lib: &str, bits: u32, note: &str, vals: [f64; 4])
 }
 
 fn main() {
-    let (run, args) = cli::Run::start(&TOOL);
+    let (mut run, args) = cli::Run::start(&TOOL);
     let mut config = String::from("wide");
     let mut label: Option<String> = None;
     let mut out_path: Option<String> = None;
@@ -226,9 +226,7 @@ fn main() {
     println!("\n(libquadmath: N/A — no __float128 in stable Rust; see DESIGN.md T6)");
 
     if let Some(p) = out_path {
-        std::fs::write(&p, table.to_json().render_pretty())
-            .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
-        eprintln!("wrote {p}");
+        run.write(&p, &table.to_json().render_pretty());
     }
 
     let manifest = run

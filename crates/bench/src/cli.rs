@@ -175,6 +175,8 @@ pub struct Run {
     /// The parsed command line, its own flags handed out by [`Run::start`].
     cmd: Parsed,
     started: Instant,
+    /// Result files [`Run::write`] could not write, as error messages.
+    failed_writes: Vec<String>,
 }
 
 impl Run {
@@ -199,6 +201,7 @@ impl Run {
             history: tool.history,
             cmd,
             started,
+            failed_writes: Vec::new(),
         };
         (run, own)
     }
@@ -247,6 +250,15 @@ impl Run {
         self.default_manifest = Some(default_manifest);
     }
 
+    /// Write a result file (see [`write_output`]). A failed write does not
+    /// stop the run: [`Run::finish`] still writes the manifest and the
+    /// history record, then reports the error and exits with status 1.
+    pub fn write(&mut self, path: &str, contents: &str) {
+        if let Err(msg) = write_output(path, contents) {
+            self.failed_writes.push(msg);
+        }
+    }
+
     /// This run's manifest for `config` and `threads`, stamped now.
     pub fn manifest(&self, config: &str, threads: usize) -> RunManifest {
         RunManifest::collect(self.name, config, threads, self.started)
@@ -255,7 +267,8 @@ impl Run {
     /// Finish the run: write `manifest` (for a tool that writes one), append
     /// the history record under `platform` — with a `{tool}/wall_ms` entry
     /// when the run measured no throughput kernel — and export the trace
-    /// and the profile.
+    /// and the profile. If a [`Run::write`] failed, print its error and
+    /// exit with status 1 after all that.
     pub fn finish(self, manifest: Option<RunManifest>, platform: &str) {
         let path = self
             .cmd
@@ -291,7 +304,29 @@ impl Run {
                 format!("{} span paths", mf_telemetry::profile::aggregate().len())
             });
         }
+        if !self.failed_writes.is_empty() {
+            for msg in &self.failed_writes {
+                eprintln!("{}: error: {msg}", self.name);
+            }
+            std::process::exit(1);
+        }
     }
+}
+
+/// Write `contents` to the result file `path`, creating missing parent
+/// directories as the manifest writer does, and note the write on stderr.
+/// The error message names the path.
+pub fn write_output(path: &str, contents: &str) -> Result<(), String> {
+    let p = std::path::Path::new(path);
+    let write = || {
+        if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(p, contents)
+    };
+    write().map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
 }
 
 /// Arm span collection for a requested trace or profile (the profiler

@@ -114,6 +114,29 @@ fn counts_are_positive_and_seeds_take_hex() {
     assert_eq!(cli::parse_seed("0xzz"), None);
 }
 
+#[test]
+fn output_writes_create_missing_directories_and_name_the_path_on_error() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("mf_bench_cli_write_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let nested = dir.join("a/b/out.json");
+    let nested = nested.to_str().unwrap();
+    assert_eq!(cli::write_output(nested, "{}"), Ok(()));
+    assert_eq!(std::fs::read_to_string(nested).unwrap(), "{}");
+
+    // A regular file where a parent directory must go cannot be fixed.
+    let under_file = dir.join("a/b/out.json/x.json");
+    let under_file = under_file.to_str().unwrap();
+    let err = cli::write_output(under_file, "{}").unwrap_err();
+    assert!(
+        err.starts_with(&format!("cannot write {under_file}: ")),
+        "{err}"
+    );
+    assert!(!std::path::Path::new(under_file).exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Run a bench binary in a fresh directory and return its exit code,
 /// stderr, and whether it wrote anything there.
 fn run_bin(bin: &str, exe: &str, case: &str, a: &[&str]) -> (Option<i32>, String, bool) {

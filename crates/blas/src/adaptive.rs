@@ -7,10 +7,16 @@
 //! escalation unit: each chunk runs the plain branch-free `N=2` kernel
 //! first, is judged by the guard layer's slice detectors
 //! ([`mf_core::guard::escalated_nonfinite`] / `noncanonical` plus a chunk
-//! head-consistency bound), and is recomputed at `N=3 → N=4 → exact` only
-//! when the judgment fails. Clean workloads therefore run at full kernel
-//! speed with one naive `f64` pass of overhead per chunk, and a single
-//! hostile chunk pays for precision without slowing its neighbours.
+//! head-consistency bound), and is recomputed exactly only when the
+//! judgment fails. Clean workloads therefore run at full kernel speed with
+//! one naive `f64` pass of overhead per chunk, and a single hostile chunk
+//! pays for precision without slowing its neighbours.
+//!
+//! The ladder has two rungs, `N=2 → exact`, like the scalar engine's. The
+//! chunks that trip are range collapses (transient overflow, flushed
+//! tails), and a `MultiFloat` has only its base type's exponent range
+//! (paper §4.4): rerunning such a chunk at `N=3` or `N=4` trips again, so
+//! wider middle rungs would only add their cost to the exact one.
 //!
 //! The exact rung sums the chunk's `f64` cross products in an
 //! [`mf_mpsoft::LongAccumulator`], a fixed-point register spanning every
@@ -29,17 +35,19 @@
 //! Only the `max_rung` and `tol_bits` knobs of
 //! [`EscalationPolicy`] apply here: residency (`sticky`/`decay`) and the
 //! escalation budget are properties of the scalar engine's per-value
-//! ladder, while a chunk's rung is decided fresh on every call.
+//! ladder, while a chunk's rung is decided fresh on every call. A
+//! `max_rung` below [`Rung::Oracle`] switches escalation off: every chunk
+//! keeps its base result, tripped or not.
 
 use mf_core::adaptive::{EscalationPolicy, Rung};
 use mf_core::guard::{escalated_nonfinite, noncanonical};
-use mf_core::{renorm_probes, F64x2, MultiFloat};
+use mf_core::F64x2;
 use mf_mpsoft::LongAccumulator;
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::{trace, Counter};
 
 use crate::parallel::{chunk_ranges, run_chunks};
-use crate::{kernels, simd, Matrix, Scalar};
+use crate::{simd, Matrix, Scalar};
 
 static ADAPT_CHUNKS: Counter = Counter::new("blas.adaptive.chunks");
 static ADAPT_ESCALATIONS: Counter = Counter::new("blas.adaptive.escalations");
@@ -62,11 +70,14 @@ pub struct AdaptiveReport {
     pub chunks: u64,
     /// Units that left the base rung.
     pub escalated: u64,
-    /// Units settled at `N=3`.
+    /// Units settled at `N=3`: always 0, as is `n4`. The ladder escalates
+    /// straight to the exact rung; both fields stay so that every reader
+    /// of a report (the `simd --dump` report lines, the benchmark's output
+    /// digest) keeps its shape.
     pub n3: u64,
-    /// Units settled at `N=4`.
+    /// Units settled at `N=4`: always 0 (see `n3`).
     pub n4: u64,
-    /// Units that fell through to the exact evaluation.
+    /// Units recomputed by the exact evaluation (equal to `escalated`).
     pub oracle: u64,
     /// Units rerun serially after a worker panic (the parallel degrade
     /// contract; the rerun is still adaptive, so results are unchanged).
@@ -85,28 +96,15 @@ impl AdaptiveReport {
 
     fn tally(&mut self, rung: Rung) {
         self.chunks += 1;
-        match rung {
-            Rung::N2 => {}
-            Rung::N3 => {
-                self.escalated += 1;
-                self.n3 += 1;
-            }
-            Rung::N4 => {
-                self.escalated += 1;
-                self.n4 += 1;
-            }
-            Rung::Oracle => {
-                self.escalated += 1;
-                self.oracle += 1;
-            }
+        if rung == Rung::Oracle {
+            self.escalated += 1;
+            self.oracle += 1;
         }
     }
 
     fn merge(&mut self, other: &AdaptiveReport) {
         self.chunks += other.chunks;
         self.escalated += other.escalated;
-        self.n3 += other.n3;
-        self.n4 += other.n4;
         self.oracle += other.oracle;
         self.degraded += other.degraded;
     }
@@ -131,32 +129,6 @@ fn fixed_chunks(len: usize) -> Vec<(usize, usize)> {
         .step_by(ADAPTIVE_CHUNK)
         .map(|lo| (lo, (lo + ADAPTIVE_CHUNK).min(len)))
         .collect()
-}
-
-fn widen<const N: usize>(v: F64x2) -> MultiFloat<f64, N> {
-    let c2 = v.components();
-    let mut c = [0.0f64; N];
-    c[0] = c2[0];
-    c[1] = c2[1];
-    // Renormalize defensively: fault-corrupted inputs may be noncanonical.
-    MultiFloat::from_components_renorm(c)
-}
-
-fn narrow<const N: usize>(v: MultiFloat<f64, N>) -> F64x2 {
-    let c = v.components();
-    let mut tail = 0.0f64;
-    for i in (1..N).rev() {
-        tail += c[i];
-    }
-    F64x2::from_components_renorm([c[0], tail])
-}
-
-/// Account the renormalizations of `widens` [`widen`]s to width `n` and
-/// `narrows` [`narrow`]s back, once per escalated chunk (the wide kernel
-/// call counts its own arithmetic).
-fn record_widen_narrow(n: usize, widens: usize, narrows: usize) {
-    renorm_probes::record_renorms(n, widens as u64);
-    renorm_probes::record_renorms(2, narrows as u64);
 }
 
 /// Post-condition judgment shared by every unit: escalate when a finite
@@ -196,45 +168,24 @@ fn value_bad(inputs_finite: bool, v: &F64x2) -> bool {
 // DOT
 // ---------------------------------------------------------------------------
 
-/// One dot chunk at one rung. `Rung::Oracle` (no term count) selects the
-/// exact evaluation: the `4·len` cross products summed in a
-/// [`LongAccumulator`] and rounded once, with no per-product allocation and
-/// no buffer of products.
-fn dot_at(x: &[F64x2], y: &[F64x2], rung: Rung) -> F64x2 {
-    match rung.terms() {
-        Some(2) => kernels::dot(x, y),
-        Some(3) => {
-            record_widen_narrow(3, 2 * x.len(), 1);
-            let wx: Vec<_> = x.iter().map(|&v| widen::<3>(v)).collect();
-            let wy: Vec<_> = y.iter().map(|&v| widen::<3>(v)).collect();
-            narrow(kernels::dot(&wx, &wy))
-        }
-        Some(4) => {
-            record_widen_narrow(4, 2 * x.len(), 1);
-            let wx: Vec<_> = x.iter().map(|&v| widen::<4>(v)).collect();
-            let wy: Vec<_> = y.iter().map(|&v| widen::<4>(v)).collect();
-            narrow(kernels::dot(&wx, &wy))
-        }
-        _ => {
-            // Exact: every F64x2·F64x2 product is four f64 cross products;
-            // the long accumulator sums them all without rounding, and
-            // `from_mp` rounds the total once.
-            let mut acc = LongAccumulator::new();
-            for (xi, yi) in x.iter().zip(y) {
-                let [x0, x1] = xi.components();
-                let [y0, y1] = yi.components();
-                acc.add_product(x0, y0);
-                acc.add_product(x0, y1);
-                acc.add_product(x1, y0);
-                acc.add_product(x1, y1);
-            }
-            F64x2::from_mp(&acc.to_mp())
-        }
+/// The exact rung of one dot chunk: the `4·len` cross products summed in
+/// a [`LongAccumulator`] and rounded once by `from_mp`, with no
+/// per-product allocation and no buffer of products.
+fn dot_exact(x: &[F64x2], y: &[F64x2]) -> F64x2 {
+    let mut acc = LongAccumulator::new();
+    for (xi, yi) in x.iter().zip(y) {
+        let [x0, x1] = xi.components();
+        let [y0, y1] = yi.components();
+        acc.add_product(x0, y0);
+        acc.add_product(x0, y1);
+        acc.add_product(x1, y0);
+        acc.add_product(x1, y1);
     }
+    F64x2::from_mp(&acc.to_mp())
 }
 
 /// The fused base-rung pass: the same `s_mul_acc` accumulation as
-/// [`kernels::dot`] (bitwise identical partial) with the detector inputs —
+/// [`crate::kernels::dot`] (bitwise identical partial) with the detector inputs —
 /// operand finiteness, naive `f64` head sum, magnitude — gathered in the
 /// same traversal. The independent `f64` chains ride in the execution
 /// slots the serial `F64x2` accumulation leaves idle, so the clean-input
@@ -265,8 +216,9 @@ fn dot_chunk_base_body(x: &[F64x2], y: &[F64x2]) -> (F64x2, bool, f64, f64) {
     (acc, finite, naive, mag)
 }
 
-/// Evaluate one dot chunk up the ladder. Returns the accepted partial and
-/// its rung.
+/// Evaluate one dot chunk: the base pass, then the exact rung if the base
+/// result tripped and the policy allows escalation. Returns the accepted
+/// partial and its rung.
 fn dot_chunk(x: &[F64x2], y: &[F64x2], policy: &EscalationPolicy) -> (F64x2, Rung) {
     let (v, finite, naive, mag) = dot_chunk_base(x, y);
     let trip = aggregate_trip(
@@ -277,24 +229,10 @@ fn dot_chunk(x: &[F64x2], y: &[F64x2], policy: &EscalationPolicy) -> (F64x2, Run
         v.hi(),
         policy.tol_bits,
     );
-    if !trip || Rung::N2 >= policy.max_rung {
-        return (v, Rung::N2);
-    }
-    let mut rung = Rung::N3;
-    loop {
-        let v = dot_at(x, y, rung);
-        let trip = aggregate_trip(
-            finite,
-            value_bad(finite, &v),
-            naive,
-            mag,
-            v.hi(),
-            policy.tol_bits,
-        );
-        if !trip || rung >= policy.max_rung {
-            return (v, rung);
-        }
-        rung = rung.next();
+    if trip && policy.max_rung == Rung::Oracle {
+        (dot_exact(x, y), Rung::Oracle)
+    } else {
+        (v, Rung::N2)
     }
 }
 
@@ -351,19 +289,6 @@ pub fn dot_adaptive(
 // AXPY
 // ---------------------------------------------------------------------------
 
-/// One axpy chunk at one wide rung, recomputed from the pre-kernel
-/// snapshot of `y`.
-fn axpy_wide<const N: usize>(alpha: F64x2, x: &[F64x2], snap: &[F64x2], y: &mut [F64x2]) {
-    record_widen_narrow(N, 2 * x.len() + 1, x.len());
-    let wa = widen::<N>(alpha);
-    let wx: Vec<_> = x.iter().map(|&v| widen::<N>(v)).collect();
-    let mut wy: Vec<_> = snap.iter().map(|&v| widen::<N>(v)).collect();
-    kernels::axpy(wa, &wx, &mut wy);
-    for (out, w) in y.iter_mut().zip(wy) {
-        *out = narrow(w);
-    }
-}
-
 /// Exact per-element `alpha·x + y`: the four cross products of
 /// `alpha·x` and both components of `y` summed in a [`LongAccumulator`],
 /// rounded once by `from_mp`.
@@ -408,7 +333,7 @@ fn axpy_chunk_base_body(alpha: F64x2, x: &[F64x2], y: &mut [F64x2]) -> (bool, f6
     (finite, naive, mag)
 }
 
-/// Evaluate one axpy chunk up the ladder, in place. Returns the rung.
+/// Evaluate one axpy chunk in place. Returns the rung.
 ///
 /// Shadow-oracle audit: one element per chunk may be drawn (probability
 /// `chunk_len · rate`) and its *settled* value — after any escalation —
@@ -424,33 +349,28 @@ fn axpy_chunk(alpha: F64x2, x: &[F64x2], y: &mut [F64x2], policy: &EscalationPol
     rung
 }
 
-/// The escalation ladder of [`axpy_chunk`].
+/// The two rungs of [`axpy_chunk`]: the base pass, then, if it tripped and
+/// the policy allows escalation, the exact rung over the pre-kernel
+/// snapshot of `y`.
 ///
 /// The base rung is fused: the update is the same `s_mul_acc` as
-/// [`kernels::axpy`] (bitwise identical), with the detector inputs gathered
+/// [`crate::kernels::axpy`] (bitwise identical), with the detector inputs gathered
 /// in the same traversal before each element is overwritten.
 fn axpy_chunk_run(alpha: F64x2, x: &[F64x2], y: &mut [F64x2], policy: &EscalationPolicy) -> Rung {
     let snap = y.to_vec();
     let (finite, naive, mag) = axpy_chunk_base(alpha, x, y);
-    let mut rung = Rung::N2;
-    loop {
-        let mut bad = false;
-        let mut head_sum = 0.0f64;
-        for v in y.iter() {
-            bad |= value_bad(finite, v);
-            head_sum += v.hi();
-        }
-        let trip = aggregate_trip(finite, bad, naive, mag, head_sum, policy.tol_bits);
-        if !trip || rung >= policy.max_rung {
-            return rung;
-        }
-        y.copy_from_slice(&snap);
-        rung = rung.next();
-        match rung.terms() {
-            Some(3) => axpy_wide::<3>(alpha, x, &snap, y),
-            Some(4) => axpy_wide::<4>(alpha, x, &snap, y),
-            _ => axpy_exact(alpha, x, &snap, y),
-        }
+    let mut bad = false;
+    let mut head_sum = 0.0f64;
+    for v in y.iter() {
+        bad |= value_bad(finite, v);
+        head_sum += v.hi();
+    }
+    let trip = aggregate_trip(finite, bad, naive, mag, head_sum, policy.tol_bits);
+    if trip && policy.max_rung == Rung::Oracle {
+        axpy_exact(alpha, x, &snap, y);
+        Rung::Oracle
+    } else {
+        Rung::N2
     }
 }
 
@@ -539,6 +459,8 @@ pub fn gemv_adaptive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
+    use mf_mpsoft::MpFloat;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -647,6 +569,19 @@ mod tests {
             !kernels::dot(&x, &y).is_finite(),
             "plain kernel must collapse for this test to be meaningful"
         );
+        // The hostile chunk's partial is the correctly rounded exact sum
+        // of its four cross products per element, bit for bit.
+        let (lo, hi) = (ADAPTIVE_CHUNK, 2 * ADAPTIVE_CHUNK);
+        let (v, rung) = dot_chunk(&x[lo..hi], &y[lo..hi], &policy());
+        assert_eq!(rung, Rung::Oracle);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for (xi, yi) in x[lo..hi].iter().zip(&y[lo..hi]) {
+            let ([x0, x1], [y0, y1]) = (xi.components(), yi.components());
+            xs.extend([x0, x0, x1, x1]);
+            ys.extend([y0, y1, y0, y1]);
+        }
+        let exact = F64x2::from_mp(&MpFloat::exact_dot(&xs, &ys));
+        assert_eq!(v.components(), exact.components());
         for threads in [1usize, 3] {
             let (d, rep) = dot_adaptive(&x, &y, &policy(), threads);
             assert!(d.is_finite(), "t={threads}");
@@ -654,7 +589,8 @@ mod tests {
             assert_eq!(d.hi(), 2.0f64.powi(1022), "t={threads}");
             assert_eq!(rep.chunks, 3);
             assert_eq!(rep.escalated, 1, "only the hostile chunk escalates");
-            assert_eq!(rep.oracle, 1, "overflow regimes climb to the top");
+            assert_eq!(rep.oracle, 1, "overflow regimes escalate to the exact rung");
+            assert_eq!((rep.n3, rep.n4), (0, 0), "no middle rungs");
         }
     }
 
@@ -719,12 +655,16 @@ mod tests {
         }
     }
 
+    /// Component bit patterns: compares NaNs as equal when their bits are.
+    fn bits(v: F64x2) -> [u64; 2] {
+        v.components().map(f64::to_bits)
+    }
+
+    /// A `max_rung` below the oracle switches escalation off: the tripped
+    /// chunk keeps its collapsed base result, bit for bit the plain
+    /// kernel's, and the report counts no escalation.
     #[test]
-    fn max_rung_caps_chunk_escalation() {
-        let capped = EscalationPolicy {
-            max_rung: Rung::N3,
-            ..EscalationPolicy::default()
-        };
+    fn max_rung_below_oracle_keeps_the_base_result() {
         let big = 2.0f64.powi(512);
         let x = vec![
             F64x2::from_scalar(big),
@@ -732,12 +672,32 @@ mod tests {
             F64x2::from_scalar(-1.5 * big),
         ];
         let y = vec![F64x2::from_scalar(big / 2.0); 3];
-        let (d, rep) = dot_adaptive(&x, &y, &capped, 1);
-        // N=3 still overflows transiently; the cap accepts the collapsed
-        // result and reports where it settled.
-        assert!(!d.is_finite());
-        assert_eq!(rep.n3, 1);
-        assert_eq!(rep.oracle, 0);
+        let alpha = F64x2::from_scalar(big);
+        let ya = vec![F64x2::from_scalar(-(2.0f64.powi(1023))); 3];
+        let mut ya_plain = ya.clone();
+        kernels::axpy(alpha, &x, &mut ya_plain);
+        assert!(!ya_plain[0].is_finite(), "plain axpy must collapse");
+        let base_only = AdaptiveReport {
+            chunks: 1,
+            ..AdaptiveReport::default()
+        };
+        for max_rung in [Rung::N2, Rung::N3, Rung::N4] {
+            let capped = EscalationPolicy {
+                max_rung,
+                ..EscalationPolicy::default()
+            };
+            let (d, rep) = dot_adaptive(&x, &y, &capped, 1);
+            assert!(!d.is_finite(), "cap {max_rung}");
+            assert_eq!(bits(d), bits(kernels::dot(&x, &y)), "cap {max_rung}");
+            assert_eq!(rep, base_only, "cap {max_rung}");
+
+            let mut ya_ad = ya.clone();
+            let rep = axpy_adaptive(alpha, &x, &mut ya_ad, &capped, 1);
+            for (got, want) in ya_ad.iter().zip(&ya_plain) {
+                assert_eq!(bits(*got), bits(*want), "cap {max_rung}");
+            }
+            assert_eq!(rep, base_only, "cap {max_rung}");
+        }
     }
 
     #[test]
@@ -758,12 +718,5 @@ mod tests {
         let mut y: Vec<F64x2> = Vec::new();
         let rep = axpy_adaptive(F64x2::ONE, &[], &mut y, &policy(), 4);
         assert_eq!(rep.escalated, 0);
-    }
-
-    #[test]
-    fn widen_narrow_roundtrip() {
-        let v = F64x2::from(1.0) / F64x2::from(3.0);
-        assert_eq!(narrow(widen::<3>(v)).components(), v.components());
-        assert_eq!(narrow(widen::<4>(v)).components(), v.components());
     }
 }

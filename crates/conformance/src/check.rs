@@ -379,12 +379,11 @@ fn check_arith_guarded<const N: usize>(case: &Case, policy: GuardPolicy) -> Vec<
     out
 }
 
-/// Accuracy bound for results the `Adaptive` ladder escalated: any rung
-/// above the base recomputes wide (error ≤ 2^-150) and narrows back to two
-/// components (representation error ~2^-107, plus a tail-fold rounding),
-/// and the oracle rung is correctly rounded outright — so escalated
-/// results must sit at the N = 2 representation precision with a couple of
-/// bits of slack, tighter than any base-rung operation bound.
+/// Accuracy bound for results the `Adaptive` ladder escalated: the ladder
+/// escalates straight to the oracle rung, which rounds the exact result
+/// correctly to two components (representation error ~2^-107) — so
+/// escalated results must sit at the N = 2 representation precision with a
+/// couple of bits of slack, tighter than any base-rung operation bound.
 pub const ADAPTIVE_ESCALATED_BOUND_EXP: i32 = -103;
 
 /// Lockstep entry point for the adaptive engine: the case runs through
@@ -509,7 +508,7 @@ fn check_arith_adaptive(case: &Case, engine: &Adaptive<f64>) -> Vec<Divergence> 
             case,
             name,
             format!(
-                "rel err 2^{:.1} exceeds bound 2^{bexp} at rung {} ({} climbs)",
+                "rel err 2^{:.1} exceeds bound 2^{bexp} at rung {} ({} escalations)",
                 rel.log2(),
                 ev.rung,
                 ev.escalations

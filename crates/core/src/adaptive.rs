@@ -1,24 +1,28 @@
 //! Adaptive precision escalation: the closed guard loop.
 //!
 //! The guard layer ([`crate::guard`]) *detects* collapse; this module *acts*
-//! on it. An [`Adaptive`] engine evaluates every operation on an explicit
+//! on it. An [`Adaptive`] engine evaluates every operation on a two-rung
 //! escalation ladder
 //!
 //! ```text
-//! N=2  →  N=3  →  N=4  →  MpFloat oracle
+//! N=2  →  MpFloat oracle
 //! ```
 //!
-//! starting at the cheap base rung and climbing only when a [`GuardFlags`]
+//! starting at the cheap base rung and escalating only when a [`GuardFlags`]
 //! detector trips or the head-residual bound fails. This is the
 //! cheap-common-case / precise-rare-case architecture from the FPGA
 //! literature (de Fine Licht et al.) applied to the paper's branch-free
 //! kernels: clean workloads run at full N=2 speed, and only the rare
-//! collapse-prone operation pays for more precision.
+//! collapse-prone operation pays for the exact evaluation.
+//!
+//! There is no `N=3` or `N=4` rung in between. A `MultiFloat` has only its
+//! base type's exponent range (paper §4.4), so the range collapses that
+//! trip the `N=2` kernel trip the wider kernels too: a rerun at `N=3` or
+//! `N=4` never settles what `N=2` could not, it only delays the oracle.
 //!
 //! # Escalation triggers
 //!
-//! An attempt at a finite-`N` rung is rejected (and the ladder climbs) when
-//! either
+//! A base-rung attempt is rejected (and the op escalates) when either
 //!
 //! 1. the guarded kernel reports any [`GuardFlags`] bit (pre-range operand
 //!    regime, non-finite escalation, noncanonical output), or
@@ -31,21 +35,23 @@
 //!    `tol_bits = 40`, so the check only fires on genuinely corrupted or
 //!    collapsed results.
 //!
-//! The oracle rung always accepts: it evaluates through [`MpFloat`] at the
-//! ladder-top working precision and rounds back to `N=2`.
+//! The oracle rung always accepts: it evaluates through [`MpFloat`] at
+//! `N=4`-equivalent working precision and rounds back to `N=2`.
 //!
 //! # Policy knobs
 //!
-//! [`EscalationPolicy`] controls the ladder: `max_rung` caps the climb,
-//! `sticky` chooses per-value residency (a tripped rung stays resident for
-//! subsequent ops) vs per-op escalation (every op restarts at N=2),
-//! `decay` is the hysteresis — after that many consecutive clean ops the
-//! resident rung steps back down one level, so a burst of trips does not
-//! pin the ladder at the oracle forever — and `budget` is the hard ceiling
-//! on total escalation steps: once exhausted the engine latches *degraded*
-//! and routes every remaining op through the guard layer's plain
-//! [`GuardPolicy::OracleFallback`], mirroring the worker pool's
-//! degrade-to-serial contract (predictable, safe, no further ladder cost).
+//! [`EscalationPolicy`] controls the ladder: `max_rung` below
+//! [`Rung::Oracle`] switches escalation off (a tripped base result ships
+//! with its flags), `sticky` chooses per-value residency (after an
+//! escalation the oracle stays resident for subsequent ops) vs per-op
+//! escalation (every op restarts at N=2), `decay` is the hysteresis — after
+//! that many consecutive clean ops the resident oracle steps back down to
+//! N=2, so a burst of trips does not pin the ladder at the oracle forever —
+//! and `budget` is the hard ceiling on escalated ops: once exhausted the
+//! engine latches *degraded* and routes every remaining op through the
+//! guard layer's plain [`GuardPolicy::OracleFallback`], mirroring the worker
+//! pool's degrade-to-serial contract (predictable, safe, no further ladder
+//! cost).
 //!
 //! # Special values
 //!
@@ -59,8 +65,8 @@
 //! The engine buffers its tallies in plain cells on the hot path and flushes
 //! them to the registry (`core.adaptive.{ops,escalations,oracle_falls,
 //! degraded_ops}` counters, `core.adaptive.rung` gauge) on [`Adaptive::stats`]
-//! and on drop; per-rung latency sketches (`core.adaptive.{n3,n4,oracle}`)
-//! time only the escalated attempts, so the N=2 fast path stays atomic-free.
+//! and on drop; the `core.adaptive.oracle` latency sketch times only the
+//! oracle evaluations, so the N=2 fast path stays atomic-free.
 
 use core::cell::Cell;
 use core::fmt;
@@ -77,19 +83,23 @@ static ADAPT_ESCALATIONS: Counter = Counter::new("core.adaptive.escalations");
 static ADAPT_ORACLE_FALLS: Counter = Counter::new("core.adaptive.oracle_falls");
 static ADAPT_DEGRADED_OPS: Counter = Counter::new("core.adaptive.degraded_ops");
 static ADAPT_RUNG: Gauge = Gauge::new("core.adaptive.rung");
-static RUNG_N3: Section = Section::new("core.adaptive.n3");
-static RUNG_N4: Section = Section::new("core.adaptive.n4");
 static RUNG_ORACLE: Section = Section::new("core.adaptive.oracle");
 
-/// One level of the escalation ladder, in climbing order.
+/// One precision level, in increasing order.
+///
+/// The adaptive ladders over `N=2` values ([`Adaptive`] and mf-blas's
+/// adaptive entry points) settle only on [`Rung::N2`] or [`Rung::Oracle`].
+/// `N3` and `N4` remain as `max_rung` caps — on those ladders a cap below
+/// the oracle means "no escalation" — and as the `F64x3`/`F64x4` rungs of
+/// mf-solve's residual ladder.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rung {
     /// The base rung: the branch-free `N=2` kernel (~107-bit).
     #[default]
     N2,
-    /// First escalation: widen to `N=3` (~161-bit) and rerun.
+    /// `N=3` (~161-bit).
     N3,
-    /// Second escalation: widen to `N=4` (~215-bit) and rerun.
+    /// `N=4` (~215-bit).
     N4,
     /// Ladder top: the [`MpFloat`] software oracle at `N=4`-equivalent
     /// working precision. Always accepts.
@@ -97,44 +107,13 @@ pub enum Rung {
 }
 
 impl Rung {
-    /// The full ladder, base rung first.
-    pub const LADDER: [Rung; 4] = [Rung::N2, Rung::N3, Rung::N4, Rung::Oracle];
-
-    /// Position on the ladder (0 = base rung).
+    /// Position in precision order (0 = base rung).
     pub fn index(self) -> usize {
         match self {
             Rung::N2 => 0,
             Rung::N3 => 1,
             Rung::N4 => 2,
             Rung::Oracle => 3,
-        }
-    }
-
-    /// The next rung up, saturating at the oracle.
-    pub fn next(self) -> Rung {
-        match self {
-            Rung::N2 => Rung::N3,
-            Rung::N3 => Rung::N4,
-            Rung::N4 | Rung::Oracle => Rung::Oracle,
-        }
-    }
-
-    /// The next rung down, saturating at the base rung (hysteresis decay).
-    pub fn step_down(self) -> Rung {
-        match self {
-            Rung::Oracle => Rung::N4,
-            Rung::N4 => Rung::N3,
-            Rung::N3 | Rung::N2 => Rung::N2,
-        }
-    }
-
-    /// Expansion term count for the finite rungs, `None` for the oracle.
-    pub fn terms(self) -> Option<usize> {
-        match self {
-            Rung::N2 => Some(2),
-            Rung::N3 => Some(3),
-            Rung::N4 => Some(4),
-            Rung::Oracle => None,
         }
     }
 }
@@ -153,21 +132,23 @@ impl fmt::Display for Rung {
 /// Configuration for an [`Adaptive`] engine's escalation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EscalationPolicy {
-    /// Highest rung the ladder may climb to. An attempt at this rung is
-    /// accepted even if its detectors still trip (the caller sees the
-    /// flags). Default: [`Rung::Oracle`].
+    /// Highest rung the ladder may escalate to. The ladders over `N=2`
+    /// values have one escalation, to the oracle: any cap below
+    /// [`Rung::Oracle`] switches escalation off, and a tripped base result
+    /// is accepted with its flags (the caller sees them). Default:
+    /// [`Rung::Oracle`].
     pub max_rung: Rung,
-    /// Sticky-per-value mode: after an escalation the accepted rung stays
-    /// resident and subsequent operations start there (amortizing bursts of
-    /// hard inputs), decaying back down per `decay`. When `false`, every
+    /// Sticky-per-value mode: after an escalation the oracle stays resident
+    /// and subsequent operations run there (amortizing bursts of hard
+    /// inputs), decaying back to `N=2` per `decay`. When `false`, every
     /// operation restarts at `N=2`. Default: `true`.
     pub sticky: bool,
-    /// Hysteresis: number of consecutive clean operations at an elevated
-    /// resident rung before it steps down one level. `0` disables decay
-    /// (the rung stays pinned until [`Adaptive::reset`]). Default: `16`.
+    /// Hysteresis: number of consecutive operations at the resident oracle
+    /// before the engine steps back down to `N=2`. `0` disables decay (the
+    /// oracle stays resident until [`Adaptive::reset`]). Default: `16`.
     pub decay: u32,
-    /// Hard budget on total escalation steps. Once the cumulative count
-    /// reaches the budget the engine latches *degraded* and every
+    /// Hard budget on total escalated operations. Once the cumulative
+    /// count reaches the budget the engine latches *degraded* and every
     /// subsequent operation routes through plain
     /// [`GuardPolicy::OracleFallback`] — the pool's degrade-to-serial
     /// contract, applied to precision. `0` degrades immediately.
@@ -194,16 +175,19 @@ impl Default for EscalationPolicy {
 pub struct AdaptiveStats {
     /// Total operations evaluated (including bypassed and degraded ones).
     pub ops: u64,
-    /// Total escalation steps (rungs climbed) across all operations.
+    /// Operations that escalated from the base rung.
     pub escalations: u64,
-    /// Operations whose ladder climbed all the way to the oracle rung.
+    /// Operations evaluated by escalating to the oracle rung. The ladder
+    /// has no other escalation, so this always equals `escalations`; it
+    /// stays a field of its own for the `core.adaptive.oracle_falls`
+    /// counter and the reports that print it.
     pub oracle_falls: u64,
     /// Operations evaluated after the budget latch (via `OracleFallback`).
     pub degraded_ops: u64,
 }
 
 impl AdaptiveStats {
-    /// Escalation steps per operation — the headline workload metric.
+    /// Escalated operations per operation — the headline workload metric.
     pub fn escalation_rate(&self) -> f64 {
         if self.ops == 0 {
             0.0
@@ -221,16 +205,16 @@ pub struct Evaluated<V> {
     /// The rung that produced (and accepted) the value.
     pub rung: Rung,
     /// Detector findings from the accepted attempt ([`GuardFlags::NONE`]
-    /// for the oracle rung; possibly still set when `max_rung` capped the
-    /// climb).
+    /// for the oracle rung; possibly still set when `max_rung` switched
+    /// escalation off).
     pub flags: GuardFlags,
-    /// Rungs climbed while evaluating this operation (0 = first attempt
-    /// accepted).
+    /// 1 if this operation escalated from the base rung to the oracle, 0 if
+    /// its first attempt was accepted.
     pub escalations: u32,
 }
 
 impl<V> Evaluated<V> {
-    /// True if this operation climbed at least one rung.
+    /// True if this operation escalated.
     pub fn escalated(&self) -> bool {
         self.escalations > 0
     }
@@ -263,11 +247,11 @@ enum Op {
 /// let r = engine.checked_mul(F64x2::from(3.0), F64x2::from(7.0));
 /// assert_eq!(r.rung, Rung::N2);
 /// assert!(!r.escalated());
-/// // …while a collapse-prone divisor climbs the ladder and still comes
-/// // back with the right answer.
+/// // …while a collapse-prone divisor escalates to the oracle and still
+/// // comes back with the right answer.
 /// let tiny = F64x2::from(2.0f64.powi(-1021));
 /// let q = engine.checked_div(F64x2::ONE, tiny);
-/// assert!(q.escalated());
+/// assert_eq!((q.rung, q.escalations), (Rung::Oracle, 1));
 /// assert_eq!(q.value.to_f64(), 2.0f64.powi(1021));
 /// ```
 pub struct Adaptive<T: GuardBase = f64> {
@@ -277,7 +261,6 @@ pub struct Adaptive<T: GuardBase = f64> {
     degraded: Cell<bool>,
     ops: Cell<u64>,
     escalations: Cell<u64>,
-    oracle_falls: Cell<u64>,
     degraded_ops: Cell<u64>,
     flushed: Cell<AdaptiveStats>,
     _base: PhantomData<T>,
@@ -296,13 +279,12 @@ impl<T: GuardBase> Adaptive<T> {
             policy,
             rung: Cell::new(Rung::N2),
             clean_streak: Cell::new(0),
-            // A zero budget means the ladder is never allowed to climb:
+            // A zero budget means the ladder is never allowed to escalate:
             // degrade from the first op, exactly as an exhausted budget
             // would.
             degraded: Cell::new(policy.budget == 0),
             ops: Cell::new(0),
             escalations: Cell::new(0),
-            oracle_falls: Cell::new(0),
             degraded_ops: Cell::new(0),
             flushed: Cell::new(AdaptiveStats::default()),
             _base: PhantomData,
@@ -314,7 +296,9 @@ impl<T: GuardBase> Adaptive<T> {
         &self.policy
     }
 
-    /// The resident rung (always [`Rung::N2`] in per-op mode).
+    /// The resident rung: [`Rung::N2`], or [`Rung::Oracle`] while a sticky
+    /// engine stays at the oracle after an escalation (always
+    /// [`Rung::N2`] in per-op mode).
     pub fn rung(&self) -> Rung {
         self.rung.get()
     }
@@ -331,7 +315,7 @@ impl<T: GuardBase> Adaptive<T> {
         let now = AdaptiveStats {
             ops: self.ops.get(),
             escalations: self.escalations.get(),
-            oracle_falls: self.oracle_falls.get(),
+            oracle_falls: self.escalations.get(),
             degraded_ops: self.degraded_ops.get(),
         };
         if mf_telemetry::ENABLED {
@@ -411,15 +395,15 @@ impl<T: GuardBase> Adaptive<T> {
 
     /// The hot entry: inlined into `checked_*` so the clean base-rung case
     /// costs one guarded kernel plus the head-residual check and an op
-    /// count — everything else (special values, degrade, climbing, an
-    /// elevated resident rung) drops into `#[cold]` outlined paths.
+    /// count — everything else (special values, degrade, escalation, a
+    /// resident oracle) drops into `#[cold]` outlined paths.
     ///
     /// The §4.4 special-value bypass is *not* tested up front: the guarded
     /// base kernel already propagates special values with the documented
     /// semantics, and [`residual_trip`] never trips on a non-finite
     /// quantity, so a special value either sails through here (same value
     /// the bypass would produce) or raises a flag and is re-examined by
-    /// [`Self::eval_tripped`] before any ladder climb.
+    /// [`Self::eval_tripped`] before any escalation.
     #[inline(always)]
     fn eval(
         &self,
@@ -451,7 +435,9 @@ impl<T: GuardBase> Adaptive<T> {
 
     /// A base-rung attempt raised a flag or failed the residual bound:
     /// special values take their bypass result as-is (the oracle rung
-    /// cannot represent them), everything else enters the ladder.
+    /// cannot represent them), and so does every op when `max_rung` is
+    /// below the oracle; everything else escalates to the oracle, which a
+    /// sticky engine then keeps resident.
     #[cold]
     #[inline(never)]
     fn eval_tripped(
@@ -460,23 +446,30 @@ impl<T: GuardBase> Adaptive<T> {
         b: MultiFloat<T, 2>,
         op: Op,
     ) -> Evaluated<MultiFloat<T, 2>> {
-        let g = base_checked(a, b, op, GuardPolicy::FastOnly);
-        if bypass(&a, &b, op) || self.policy.max_rung == Rung::N2 {
-            if !bypass(&a, &b, op) {
-                self.settle(Rung::N2, 0);
-            }
-            return Evaluated {
-                value: g.value,
-                rung: Rung::N2,
-                flags: g.flags,
-                escalations: 0,
-            };
+        if bypass(&a, &b, op) || self.policy.max_rung != Rung::Oracle {
+            return eval_bypass(a, b, op);
         }
-        self.climb(a, b, op, Rung::N3, 1)
+        let total = self.escalations.get() + 1;
+        self.escalations.set(total);
+        self.clean_streak.set(0);
+        if self.policy.sticky {
+            self.rung.set(Rung::Oracle);
+            ADAPT_RUNG.set(Rung::Oracle.index() as i64);
+        }
+        if total >= self.policy.budget {
+            self.degraded.set(true);
+        }
+        Evaluated {
+            value: RUNG_ORACLE.time(|| oracle_eval(&a, &b, op)),
+            rung: Rung::Oracle,
+            flags: GuardFlags::NONE,
+            escalations: 1,
+        }
     }
 
-    /// Sticky engine resident above the base rung: evaluate at the
-    /// resident rung (special values still bypass the ladder).
+    /// Sticky engine with the oracle resident: evaluate there (special
+    /// values still bypass the ladder), and after `decay` such ops step
+    /// back down to `N=2`.
     #[cold]
     #[inline(never)]
     fn eval_resident(
@@ -488,36 +481,20 @@ impl<T: GuardBase> Adaptive<T> {
         if bypass(&a, &b, op) {
             return eval_bypass(a, b, op);
         }
-        self.climb(a, b, op, self.rung.get().min(self.policy.max_rung), 0)
-    }
-
-    /// The ladder proper, entered only after the base rung tripped (or with
-    /// a sticky resident rung above `N=2`). Outlined and cold so the clean
-    /// path stays small enough to inline.
-    #[cold]
-    #[inline(never)]
-    fn climb(
-        &self,
-        a: MultiFloat<T, 2>,
-        b: MultiFloat<T, 2>,
-        op: Op,
-        start: Rung,
-        mut climbs: u32,
-    ) -> Evaluated<MultiFloat<T, 2>> {
-        let mut rung = start;
-        loop {
-            let (value, flags, clean) = self.attempt(a, b, op, rung);
-            if clean || rung >= self.policy.max_rung {
-                self.settle(rung, climbs);
-                return Evaluated {
-                    value,
-                    rung,
-                    flags,
-                    escalations: climbs,
-                };
-            }
-            rung = rung.next();
-            climbs += 1;
+        let value = RUNG_ORACLE.time(|| oracle_eval(&a, &b, op));
+        let streak = self.clean_streak.get() + 1;
+        if self.policy.decay > 0 && streak >= self.policy.decay {
+            self.rung.set(Rung::N2);
+            self.clean_streak.set(0);
+            ADAPT_RUNG.set(Rung::N2.index() as i64);
+        } else {
+            self.clean_streak.set(streak);
+        }
+        Evaluated {
+            value,
+            rung: Rung::Oracle,
+            flags: GuardFlags::NONE,
+            escalations: 0,
         }
     }
 
@@ -549,57 +526,6 @@ impl<T: GuardBase> Adaptive<T> {
             escalations: 0,
         }
     }
-
-    /// One attempt at `rung`. Returns `(narrowed value, flags, clean)`.
-    fn attempt(
-        &self,
-        a: MultiFloat<T, 2>,
-        b: MultiFloat<T, 2>,
-        op: Op,
-        rung: Rung,
-    ) -> (MultiFloat<T, 2>, GuardFlags, bool) {
-        let tol = self.policy.tol_bits;
-        match rung {
-            Rung::N2 => {
-                let g = base_checked(a, b, op, GuardPolicy::FastOnly);
-                let trip = g.flags.any() || residual_trip(a.hi(), b.hi(), g.value.hi(), op, tol);
-                (g.value, g.flags, !trip)
-            }
-            Rung::N3 => RUNG_N3.time(|| attempt_wide::<T, 3>(a, b, op, tol)),
-            Rung::N4 => RUNG_N4.time(|| attempt_wide::<T, 4>(a, b, op, tol)),
-            Rung::Oracle => RUNG_ORACLE.time(|| (oracle_eval(&a, &b, op), GuardFlags::NONE, true)),
-        }
-    }
-
-    /// Post-acceptance ladder bookkeeping (cold unless escalating or at an
-    /// elevated resident rung).
-    fn settle(&self, rung: Rung, climbs: u32) {
-        if climbs > 0 {
-            let total = self.escalations.get() + climbs as u64;
-            self.escalations.set(total);
-            if rung == Rung::Oracle {
-                self.oracle_falls.set(self.oracle_falls.get() + 1);
-            }
-            self.clean_streak.set(0);
-            if self.policy.sticky {
-                self.rung.set(rung);
-                ADAPT_RUNG.set(rung.index() as i64);
-            }
-            if total >= self.policy.budget {
-                self.degraded.set(true);
-            }
-        } else if self.policy.sticky && self.policy.decay > 0 && self.rung.get() != Rung::N2 {
-            let streak = self.clean_streak.get() + 1;
-            if streak >= self.policy.decay {
-                let down = self.rung.get().step_down();
-                self.rung.set(down);
-                self.clean_streak.set(0);
-                ADAPT_RUNG.set(down.index() as i64);
-            } else {
-                self.clean_streak.set(streak);
-            }
-        }
-    }
 }
 
 impl<T: GuardBase> Drop for Adaptive<T> {
@@ -609,9 +535,9 @@ impl<T: GuardBase> Drop for Adaptive<T> {
     }
 }
 
-/// §4.4 special-value handling, outlined from the hot path: run the guard
-/// layer's own bypass and report the result as a non-escalated base-rung
-/// evaluation.
+/// §4.4 special-value handling (and a tripped op under a `max_rung` below
+/// the oracle), outlined from the hot path: run the guarded base kernel and
+/// report its result and flags as a non-escalated base-rung evaluation.
 #[cold]
 #[inline(never)]
 fn eval_bypass<T: GuardBase>(
@@ -692,51 +618,6 @@ fn residual_trip<T: FloatBase>(a_hi: T, b_hi: T, r_hi: T, op: Op, tol_bits: u32)
         return false;
     }
     (naive - reference).abs() > mag * T::exp2i(-(tol_bits as i32))
-}
-
-/// Widen an `N=2` value to `N` terms by zero-padding (exact; renormalized
-/// defensively so noncanonical inputs cannot poison the wider kernel's
-/// invariants).
-fn widen<T: FloatBase, const N: usize>(x: MultiFloat<T, 2>) -> MultiFloat<T, N> {
-    let c2 = x.components();
-    let mut c = [T::ZERO; N];
-    c[0] = c2[0];
-    c[1] = c2[1];
-    MultiFloat::from_components_renorm(c)
-}
-
-/// Narrow an `N`-term value back to `N=2`: fold the tail low-to-high into
-/// one term (error below the `N=2` representation precision), then
-/// renormalize the pair.
-fn narrow<T: FloatBase, const N: usize>(x: MultiFloat<T, N>) -> MultiFloat<T, 2> {
-    let c = x.components();
-    let mut tail = T::ZERO;
-    for i in (1..N).rev() {
-        tail = tail + c[i];
-    }
-    MultiFloat::from_components_renorm([c[0], tail])
-}
-
-/// One escalated attempt at a finite rung `N ∈ {3, 4}`: widen, rerun the
-/// guarded kernel, re-judge, narrow.
-fn attempt_wide<T: GuardBase, const N: usize>(
-    a: MultiFloat<T, 2>,
-    b: MultiFloat<T, 2>,
-    op: Op,
-    tol_bits: u32,
-) -> (MultiFloat<T, 2>, GuardFlags, bool) {
-    let wa = widen::<T, N>(a);
-    let wb = widen::<T, N>(b);
-    let g = match op {
-        Op::Add => wa.checked_add(wb, GuardPolicy::FastOnly),
-        Op::Sub => wa.checked_sub(wb, GuardPolicy::FastOnly),
-        Op::Mul => wa.checked_mul(wb, GuardPolicy::FastOnly),
-        Op::Div => wa.checked_div(wb, GuardPolicy::FastOnly),
-        Op::Recip => wa.checked_recip(GuardPolicy::FastOnly),
-        Op::Sqrt => wa.checked_sqrt(GuardPolicy::FastOnly),
-    };
-    let trip = g.flags.any() || residual_trip(a.hi(), b.hi(), g.value.hi(), op, tol_bits);
-    (narrow(g.value), g.flags, !trip)
 }
 
 /// The ladder top: evaluate through [`MpFloat`] at `N=4`-equivalent working
@@ -836,7 +717,7 @@ mod tests {
             let engine = Engine::default();
             let r = engine.checked_div(F64x2::ONE, F64x2::from_scalar(head));
             assert!(r.escalated(), "head {head:e} did not escalate");
-            assert_eq!(r.rung, Rung::Oracle, "range regimes trip at every N");
+            assert_eq!(r.rung, Rung::Oracle);
             let exact = MpFloat::from_f64(1.0, 512).div(&MpFloat::from_f64(head, 512), 512);
             assert!(oracle_rel_err(r.value, &exact) < 2.0f64.powi(-99));
             assert_eq!(engine.stats().oracle_falls, 1);
@@ -871,9 +752,8 @@ mod tests {
         // A cancelling addition leaves the exact head (the surviving tails,
         // 3·2^-55 here) far below the naive sum's magnitude scale: the
         // backward-style bound tolerates that by design at tol 40, but a
-        // deliberately strict tolerance (58 > P) makes it trip at every
-        // finite rung (the head never moves with N), driving a flags-clean
-        // escalation all the way to the oracle.
+        // deliberately strict tolerance (58 > P) makes it trip, driving a
+        // flags-clean escalation to the oracle.
         let policy = EscalationPolicy {
             tol_bits: 58,
             ..EscalationPolicy::default()
@@ -903,20 +783,27 @@ mod tests {
         assert_eq!(engine.rung(), Rung::Oracle);
 
         let mut s = 7u64;
-        let mut clean = |n: u32| {
+        let mut clean = |n: u32, rung: Rung| {
             for _ in 0..n {
                 let r = engine.checked_mul(rand_val(&mut s), rand_val(&mut s));
                 assert!(!r.escalated());
+                assert_eq!(r.rung, rung);
             }
         };
-        clean(2);
-        assert_eq!(engine.rung(), Rung::N4);
-        clean(2);
-        assert_eq!(engine.rung(), Rung::N3);
-        clean(2);
-        assert_eq!(engine.rung(), Rung::N2);
-        clean(8);
+        clean(1, Rung::Oracle);
+        assert_eq!(engine.rung(), Rung::Oracle, "one op short of the decay");
+        clean(1, Rung::Oracle);
+        assert_eq!(engine.rung(), Rung::N2, "decay steps straight to the base");
+        clean(8, Rung::N2);
         assert_eq!(engine.rung(), Rung::N2, "decay saturates at the base rung");
+
+        // A second trip re-arms the residency and its full decay count.
+        let r = engine.checked_div(F64x2::ONE, tiny);
+        assert_eq!((r.rung, r.escalations), (Rung::Oracle, 1));
+        clean(2, Rung::Oracle);
+        assert_eq!(engine.rung(), Rung::N2);
+        let st = engine.stats();
+        assert_eq!((st.escalations, st.oracle_falls), (2, 2));
     }
 
     #[test]
@@ -950,15 +837,22 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_degrades_to_oracle_fallback() {
+        // Per-op mode, so the second tiny divisor escalates again instead
+        // of running at a resident oracle.
         let policy = EscalationPolicy {
             budget: 2,
+            sticky: false,
             ..EscalationPolicy::default()
         };
         let engine = Engine::new(policy);
         let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        // One tiny-divisor op climbs three rungs — past the budget of 2.
+        // Each tiny-divisor op is one escalation: the first stays inside
+        // the budget of 2, the second exhausts it.
         let r = engine.checked_div(F64x2::ONE, tiny);
-        assert_eq!(r.escalations, 3);
+        assert_eq!((r.rung, r.escalations), (Rung::Oracle, 1));
+        assert!(!engine.is_degraded());
+        let r = engine.checked_div(F64x2::ONE, tiny);
+        assert_eq!((r.rung, r.escalations), (Rung::Oracle, 1));
         assert!(engine.is_degraded());
 
         // Degraded ops still recover through plain OracleFallback…
@@ -973,7 +867,7 @@ mod tests {
 
         let st = engine.stats();
         assert_eq!(st.degraded_ops, 2);
-        assert_eq!(st.oracle_falls, 1);
+        assert_eq!((st.escalations, st.oracle_falls), (2, 2));
 
         // A zero budget degrades from the first op.
         let engine = Engine::new(EscalationPolicy {
@@ -987,18 +881,72 @@ mod tests {
     }
 
     #[test]
-    fn max_rung_caps_the_climb() {
-        let policy = EscalationPolicy {
-            max_rung: Rung::N3,
-            ..EscalationPolicy::default()
-        };
-        let engine = Engine::new(policy);
+    fn max_rung_below_oracle_ships_the_base_result() {
         let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        let r = engine.checked_div(F64x2::ONE, tiny);
-        assert_eq!(r.rung, Rung::N3, "climb capped below the oracle");
-        assert_eq!(r.escalations, 1);
-        assert!(r.flags.any(), "capped result still reports its detectors");
-        assert_eq!(engine.stats().oracle_falls, 0);
+        let base = F64x2::ONE.checked_div(tiny, GuardPolicy::FastOnly);
+        assert!(base.flags.any(), "the base kernel must trip for this test");
+        for max_rung in [Rung::N2, Rung::N3, Rung::N4] {
+            let engine = Engine::new(EscalationPolicy {
+                max_rung,
+                ..EscalationPolicy::default()
+            });
+            let r = engine.checked_div(F64x2::ONE, tiny);
+            assert_eq!(r.rung, Rung::N2, "cap {max_rung}: no escalation");
+            assert_eq!(r.escalations, 0);
+            assert_eq!(r.flags, base.flags, "capped result reports its detectors");
+            assert_eq!(r.value.components(), base.value.components());
+            assert_eq!(engine.rung(), Rung::N2, "nothing becomes resident");
+            let st = engine.stats();
+            assert_eq!((st.escalations, st.oracle_falls), (0, 0));
+        }
+    }
+
+    /// Every op of a collapse-regime sweep — tiny divisors and reciprocals
+    /// of huge heads, deep-subnormal square roots, huge-head sums —
+    /// escalates exactly once, straight to the oracle, and returns the
+    /// oracle's bits.
+    #[test]
+    fn collapse_regimes_escalate_once_to_the_oracle() {
+        let engine = Engine::new(EscalationPolicy {
+            sticky: false,
+            ..EscalationPolicy::default()
+        });
+        let prec = 4 * (f64::PRECISION + 1) + 64;
+        let mut s = 0xC0_11A9_u64;
+        let mut n = 0u64;
+        for k in 0..40 {
+            // Split the scale factors: `powi` overflows to 0 past 2^-1023.
+            let m = 1.0 + (lcg(&mut s) >> 12) as f64 * 2.0f64.powi(-52);
+            let tiny = F64x2::from_scalar(m * 2.0f64.powi(-521) * 2.0f64.powi(-500 - k % 20));
+            let deep = F64x2::from_scalar(m * 2.0f64.powi(-530) * 2.0f64.powi(-530 - k % 12));
+            let huge = F64x2::from_scalar(m * 2.0f64.powi(1023));
+            let x = rand_val(&mut s);
+            let cases = [
+                (
+                    engine.checked_div(x, tiny),
+                    x.to_mp(prec).div(&tiny.to_mp(prec), prec),
+                ),
+                (engine.checked_sqrt(deep), deep.to_mp(prec).sqrt(prec)),
+                (
+                    engine.checked_add(huge, x),
+                    huge.to_mp(prec).add(&x.to_mp(prec), prec),
+                ),
+                (
+                    engine.checked_sub(huge, x),
+                    huge.to_mp(prec).sub(&x.to_mp(prec), prec),
+                ),
+            ];
+            for (i, (r, exact)) in cases.iter().enumerate() {
+                assert_eq!(r.rung, Rung::Oracle, "k={k} case {i}");
+                assert_eq!(r.escalations, 1, "k={k} case {i}");
+                assert_eq!(r.flags, GuardFlags::NONE);
+                let want = F64x2::from_mp(exact);
+                assert_eq!(r.value.components(), want.components(), "k={k} case {i}");
+                n += 1;
+            }
+        }
+        let st = engine.stats();
+        assert_eq!((st.ops, st.escalations, st.oracle_falls), (n, n, n));
     }
 
     #[test]
@@ -1038,7 +986,7 @@ mod tests {
         assert!(oracle_rel_err(r.value, &exact) < 2.0f64.powi(-99));
 
         // Fresh engine: the sqrt escalation above left the sticky rung
-        // resident at the oracle, which would absorb this op's climb.
+        // resident at the oracle, which would absorb this op's escalation.
         let engine = Engine::default();
         let huge = F64x2::from_scalar(2.0f64.powi(1021));
         let r = engine.checked_recip(huge);
@@ -1049,25 +997,14 @@ mod tests {
     }
 
     #[test]
-    fn widen_narrow_roundtrip_is_lossless_for_n2_values() {
-        let mut s = 42u64;
-        for _ in 0..200 {
-            let x = rand_val(&mut s);
-            let w3 = widen::<f64, 3>(x);
-            let w4 = widen::<f64, 4>(x);
-            assert_eq!(narrow(w3).components(), x.components());
-            assert_eq!(narrow(w4).components(), x.components());
-        }
-    }
-
-    #[test]
     fn rung_display_and_order() {
         assert_eq!(Rung::N2.to_string(), "N2");
         assert_eq!(Rung::Oracle.to_string(), "oracle");
         assert!(Rung::N2 < Rung::N3 && Rung::N3 < Rung::N4 && Rung::N4 < Rung::Oracle);
-        assert_eq!(Rung::Oracle.next(), Rung::Oracle);
-        assert_eq!(Rung::N2.step_down(), Rung::N2);
-        for (i, r) in Rung::LADDER.iter().enumerate() {
+        for (i, r) in [Rung::N2, Rung::N3, Rung::N4, Rung::Oracle]
+            .iter()
+            .enumerate()
+        {
             assert_eq!(r.index(), i);
         }
     }

@@ -702,7 +702,7 @@ mod tests {
         assert!(out.rung_history.iter().all(|&r| r == ResidualRung::F64));
     }
 
-    /// `max_rung` caps the climb exactly as in the scalar engine.
+    /// `max_rung` caps the residual ladder at the matching rung.
     #[test]
     fn adaptive_respects_max_rung_cap() {
         let n = 10;

@@ -14,7 +14,7 @@
 //!
 //! The textual form is `<source><cmp><threshold>` with `cmp` one of `>`
 //! `<`, e.g. `gauge:audit.margin.div<0` or
-//! `rate:core.adaptive.escalations/core.adaptive.ops>0.5`. Rules whose
+//! `rate:blas.adaptive.escalations/blas.adaptive.chunks>0.5`. Rules whose
 //! source is absent from the snapshot (probe never registered) or whose
 //! window is empty are skipped, not fired — a process that never ran an
 //! adaptive op is not unhealthy for it.
@@ -215,8 +215,10 @@ pub fn default_rules() -> Vec<Rule> {
         // Degraded work (panic-recovered chunks / ops) per window.
         Rule::parse("delta:core.adaptive.degraded_ops>0").unwrap(),
         Rule::parse("delta:blas.parallel.degraded_chunks>0").unwrap(),
-        // Escalation and unrecovered-trip rates.
-        Rule::parse("rate:core.adaptive.escalations/core.adaptive.ops>0.5").unwrap(),
+        // Escalation and unrecovered-trip rates. The scalar engine counts
+        // one escalation per escalated op: fire above one in six.
+        Rule::parse("rate:core.adaptive.escalations/core.adaptive.ops>0.16666666666666666")
+            .unwrap(),
         Rule::parse("rate:blas.adaptive.escalations/blas.adaptive.chunks>0.5").unwrap(),
         Rule::parse("rate:core.guard.trips.fast_only/core.guard.checks>0.25").unwrap(),
     ];
@@ -436,7 +438,7 @@ mod tests {
             "total:audit.violations>0",
             "gauge:audit.margin.div<0",
             "p99:audit.ulp.mul>64",
-            "rate:core.adaptive.escalations/core.adaptive.ops>0.5",
+            "rate:core.adaptive.escalations/core.adaptive.ops>0.16666666666666666",
         ] {
             let r = Rule::parse(spec).expect(spec);
             assert_eq!(r.render(), spec, "round trip");
@@ -460,6 +462,15 @@ mod tests {
         for r in &rules {
             assert_eq!(Rule::parse(&r.render()).unwrap(), r.clone());
         }
+        // One escalated op in six, as strict as the 0.5 threshold was when
+        // every op that reached the oracle counted three escalations.
+        let core = Source::Rate(
+            "core.adaptive.escalations".into(),
+            "core.adaptive.ops".into(),
+        );
+        let rule = rules.iter().find(|r| r.source == core).unwrap();
+        assert_eq!(rule.threshold, 0.5 / 3.0);
+        assert!(!rule.fires(1.0 / 6.0) && rule.fires(1001.0 / 6000.0));
     }
 
     #[test]

@@ -45,3 +45,8 @@ pub use mf_solve as solve;
 
 pub use mf_mpsoft::MpFloat;
 pub use mf_softfloat::SoftFloat;
+
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
