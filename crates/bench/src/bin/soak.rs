@@ -4,13 +4,13 @@
 //!
 //! Two modes:
 //!
-//! * `--mode clean` (default) — guarded scalar ops under recovery
-//!   policies, flat BLAS `axpy`/`dot`, and adaptive `dot`/`axpy` over
+//! * `--mode clean` (default) — guarded scalar ops under the oracle
+//!   fallback policy, flat BLAS `axpy`/`dot`, and adaptive `dot`/`axpy` over
 //!   well-conditioned data. **Any** alert is a harness failure (exit 1):
 //!   the default rule set must be quiet on a healthy workload.
 //! * `--mode hostile` — the same workload plus deliberately collapsed
-//!   `FastOnly` divisions (NaN from finite inputs, the documented guard
-//!   escape hatch). The run **must** fire alerts and flip `/health` to
+//!   `FastOnly` top-binade sums (NaN from finite inputs, the documented
+//!   guard escape hatch). The run **must** fire alerts and flip `/health` to
 //!   503; a silent run is the failure (exit 1) — it would mean the audit
 //!   sampler or the rules engine lost the signal.
 //!
@@ -131,13 +131,13 @@ fn parse_args(run: &cli::Run, args: Vec<cli::Arg>) -> Args {
 /// One round of the clean workload: guarded scalar ops, flat kernels,
 /// adaptive kernels — every audited surface in the stack.
 fn clean_round(x: &[F64x2], y: &mut [F64x2], threads: usize, round: u64) {
-    // Guarded scalar ops under a recovery policy.
+    // Guarded scalar ops under the recovery policy.
     let a = x[(round % 251) as usize % x.len()];
     let b = x[(round % 241 + 1) as usize % x.len()];
-    sink(a.checked_mul(b, GuardPolicy::RescaleRetry).value);
-    sink(a.checked_add(b, GuardPolicy::RescaleRetry).value);
-    sink(a.checked_div(b, GuardPolicy::RescaleRetry).value);
-    sink(a.abs().checked_sqrt(GuardPolicy::RescaleRetry).value);
+    sink(a.checked_mul(b, GuardPolicy::OracleFallback).value);
+    sink(a.checked_add(b, GuardPolicy::OracleFallback).value);
+    sink(a.checked_div(b, GuardPolicy::OracleFallback).value);
+    sink(a.abs().checked_sqrt(GuardPolicy::OracleFallback).value);
 
     // Flat kernels (per-element audit draws).
     let alpha = F64x2::from(0.5);
@@ -160,13 +160,14 @@ fn clean_round(x: &[F64x2], y: &mut [F64x2], threads: usize, round: u64) {
 /// Hostile injections: FastOnly collapses (NaN shipped from finite
 /// inputs) that the audit sampler must flag as violations.
 fn hostile_round(round: u64) {
-    // NB `2.0f64.powi(-1040)` underflows to 0.0 (and a zero divisor takes
-    // the documented div-by-zero early return, which is never sampled);
-    // exp2i constructs the deep subnormal exactly.
-    let tiny = F64x2::from_scalar(<f64 as FloatBase>::exp2i(-1040 - (round % 8) as i32));
-    let a = F64x2::from_scalar(<f64 as FloatBase>::exp2i(-100));
-    sink(a.checked_div(tiny, GuardPolicy::FastOnly).value);
-    sink(tiny.checked_recip(GuardPolicy::FastOnly).value);
+    // MAX + 2^970 rounds to inf in the head TwoSum, while the tail keeps
+    // the exact sum [MAX, 2^970 - 2^(960 - k)] representable.
+    let p = <f64 as FloatBase>::exp2i;
+    let a = F64x2::from_components([f64::MAX, -p(960 - (round % 8) as i32)]);
+    sink(
+        a.checked_add(F64x2::from_scalar(p(970)), GuardPolicy::FastOnly)
+            .value,
+    );
 }
 
 fn counter(snap: &mf_telemetry::Snapshot, name: &str) -> u64 {

@@ -34,8 +34,8 @@ pub fn rel_bound_exp(op: &str, n: usize) -> i32 {
     match op {
         "add" | "sub" => [-102, -153, -204][i],
         "mul" => [-101, -151, -201][i],
-        "div" => [-99, -150, -200][i],
-        "sqrt" => [-100, -152, -203][i],
+        "div" | "recip" => [-99, -150, -200][i],
+        "sqrt" | "rsqrt" => [-100, -152, -203][i],
         _ => unreachable!("no bound for {op}"),
     }
 }
@@ -94,7 +94,7 @@ pub fn run_case(case: &Case) -> Vec<Divergence> {
         };
     }
     match case.op.as_str() {
-        "add" | "sub" | "mul" | "div" | "sqrt" => for_n!(check_arith),
+        "add" | "sub" | "mul" | "div" | "sqrt" | "recip" | "rsqrt" => for_n!(check_arith),
         "ln" => for_n!(check_ln),
         "cmp" => for_n!(check_cmp),
         "to_f64" => for_n!(check_to_f64),
@@ -117,7 +117,7 @@ fn check_arith<const N: usize>(case: &Case) -> Vec<Divergence> {
     let op = case.op.as_str();
     let a = &case.operands[0];
     let b = &case.operands[case.operands.len() - 1];
-    let unary = op == "sqrt";
+    let unary = matches!(op, "sqrt" | "recip" | "rsqrt");
     if !valid_expansion(a) || (!unary && !valid_expansion(b)) {
         return Vec::new(); // inadmissible spelling; not an input the API promises anything for
     }
@@ -128,6 +128,8 @@ fn check_arith<const N: usize>(case: &Case) -> Vec<Divergence> {
         "sub" => xa.sub(xb),
         "mul" => xa.mul(xb),
         "div" => xa.div(xb),
+        "recip" => xa.recip(),
+        "rsqrt" => xa.rsqrt(),
         _ => xa.sqrt(),
     };
     let mut out = Vec::new();
@@ -145,54 +147,38 @@ fn check_arith<const N: usize>(case: &Case) -> Vec<Divergence> {
         }
         return out;
     }
-    // sqrt of a negative value is NaN.
-    if unary && xa.is_negative() && !xa.is_zero() {
+    // The square root (and inverse root) of a negative value is NaN.
+    let root = matches!(op, "sqrt" | "rsqrt");
+    if root && xa.is_negative() && !xa.is_zero() {
         if !result.is_nan() {
-            out.push(diverge(case, "mf-core", "sqrt(negative) not NaN".into()));
+            out.push(diverge(case, "mf-core", format!("{op}(negative) not NaN")));
         }
         return out;
     }
-    // Division by an exact zero collapses (NaN, not ±inf).
-    if op == "div" && xb.is_zero() {
+    // Division by an exact zero collapses (NaN, not ±inf), and so do
+    // recip(0) and rsqrt(0).
+    let divisor_zero = match op {
+        "div" => xb.is_zero(),
+        "recip" | "rsqrt" => xa.is_zero(),
+        _ => false,
+    };
+    if divisor_zero {
         if result.is_finite() {
             out.push(diverge(
                 case,
                 "mf-core",
-                "x/0 produced a finite value".into(),
+                format!("{op} by zero produced a finite value"),
             ));
         }
         return out;
     }
-    // Division by a divisor below the recip-overflow threshold may collapse
-    // even though the exact quotient is representable (1/b overflows
-    // before the Newton correction runs). Likewise sqrt of a deep
-    // subnormal: the rsqrt iteration squares r ~ 2^512+, overflowing.
-    let div_collapse_ok = op == "div" && xb.hi().abs() < pow2f(-1020);
-    let sqrt_collapse_ok = unary && xa.hi() < pow2f(-1020);
-    // Residual reconstruction overflow: Karp–Markstein div rebuilds
-    // divisor * q0 ~ dividend (and sqrt rebuilds y^2 ~ x) for the residual;
-    // with the operand's head within an ulp-scale factor of f64::MAX that
-    // product can round past MAX and collapse even though the exact result
-    // is small. Conservatively excused for heads at or above 2^1023.
-    let residual_overflow_ok = (op == "div" || unary) && xa.hi().abs() >= pow2f(1023);
 
     let a_mp = slice_to_mp(a);
     let b_mp = slice_to_mp(b);
-    let exact = match op {
-        "add" => a_mp.add(&b_mp, ORACLE_PREC),
-        "sub" => a_mp.sub(&b_mp, ORACLE_PREC),
-        "mul" => a_mp.mul(&b_mp, ORACLE_PREC),
-        "div" => a_mp.div(&b_mp, ORACLE_PREC),
-        _ => a_mp.sqrt(ORACLE_PREC),
-    };
+    let exact = exact_arith(op, &a_mp, &b_mp);
 
-    // Exact cancellation (and 0/x, sqrt(0)) must produce exactly zero —
-    // except 0 / b for b below the recip-overflow threshold, which runs
-    // through 0 * inf and collapses like every other tiny-divisor case.
+    // Exact cancellation (and 0/x, sqrt(0)) must produce exactly zero.
     if exact.is_zero() {
-        if div_collapse_ok && !result.is_finite() {
-            return out;
-        }
         if !result.is_zero() {
             out.push(diverge(
                 case,
@@ -204,8 +190,7 @@ fn check_arith<const N: usize>(case: &Case) -> Vec<Divergence> {
     }
 
     let e_exact = exact.exp2().unwrap_or(0);
-    let may_overflow =
-        e_exact >= OVERFLOW_EXP || div_collapse_ok || sqrt_collapse_ok || residual_overflow_ok;
+    let may_overflow = e_exact >= OVERFLOW_EXP;
     let bexp = rel_bound_exp(op, N);
     if !result.is_finite() {
         if !may_overflow {
@@ -232,6 +217,10 @@ fn check_arith<const N: usize>(case: &Case) -> Vec<Divergence> {
 
     // Baselines, regular regime only: their documented bounds don't cover
     // the edge regimes, and they are perf baselines, not the contract.
+    // They offer no reciprocal or inverse root.
+    if matches!(op, "recip" | "rsqrt") {
+        return out;
+    }
     let regular = (-400..=400).contains(&e_exact)
         && a.iter().chain(b.iter()).all(|&v| {
             v == 0.0 || ((-400..=400).contains(&(v.abs().log2() as i64)) && v.is_finite())
@@ -244,22 +233,33 @@ fn check_arith<const N: usize>(case: &Case) -> Vec<Divergence> {
     out
 }
 
+/// The oracle result of an arithmetic op (`b` is ignored by the unary ops).
+fn exact_arith(op: &str, a: &MpFloat, b: &MpFloat) -> MpFloat {
+    match op {
+        "add" => a.add(b, ORACLE_PREC),
+        "sub" => a.sub(b, ORACLE_PREC),
+        "mul" => a.mul(b, ORACLE_PREC),
+        "div" => a.div(b, ORACLE_PREC),
+        "recip" => MpFloat::from_f64(1.0, 53).div(a, ORACLE_PREC),
+        "rsqrt" => MpFloat::from_f64(1.0, 53).div(&a.sqrt(ORACLE_PREC), ORACLE_PREC),
+        _ => a.sqrt(ORACLE_PREC),
+    }
+}
+
 /// Name under which guarded-mode divergences are reported.
 pub fn guard_impl_name(policy: GuardPolicy) -> &'static str {
     match policy {
         GuardPolicy::FastOnly => "mf-guard-fastonly",
-        GuardPolicy::RescaleRetry => "mf-guard-rescale",
         GuardPolicy::OracleFallback => "mf-guard-oracle",
     }
 }
 
 /// Lockstep entry point for the guarded API: like [`run_case`], but the
-/// case runs through `checked_*` under `policy` and is held to the
-/// documented accuracy bound *without* the fast path's collapse excuses.
-/// The tiny-divisor / deep-subnormal / residual-reconstruction regimes are
-/// exactly what the recovery paths exist to fix, so a collapse under a
-/// recovery policy is a divergence here even though [`run_case`] excuses
-/// it. Non-arithmetic ops have no guarded form and return no findings.
+/// case runs through `checked_*` under `policy` and is held to the same
+/// documented accuracy bound, so neither the detectors nor a recovery may
+/// make a result worse. The only excuse for a non-finite result is an
+/// exact result that is itself out of range. Non-arithmetic ops have no
+/// guarded form and return no findings.
 pub fn run_case_guarded(case: &Case, policy: GuardPolicy) -> Vec<Divergence> {
     match case.op.as_str() {
         "add" | "sub" | "mul" | "div" | "sqrt" => match case.n {
@@ -321,13 +321,7 @@ fn check_arith_guarded<const N: usize>(case: &Case, policy: GuardPolicy) -> Vec<
 
     let a_mp = slice_to_mp(a);
     let b_mp = slice_to_mp(b);
-    let exact = match op {
-        "add" => a_mp.add(&b_mp, ORACLE_PREC),
-        "sub" => a_mp.sub(&b_mp, ORACLE_PREC),
-        "mul" => a_mp.mul(&b_mp, ORACLE_PREC),
-        "div" => a_mp.div(&b_mp, ORACLE_PREC),
-        _ => a_mp.sqrt(ORACLE_PREC),
-    };
+    let exact = exact_arith(op, &a_mp, &b_mp);
     if exact.is_zero() {
         if !result.is_zero() {
             out.push(diverge(
@@ -343,14 +337,14 @@ fn check_arith_guarded<const N: usize>(case: &Case, policy: GuardPolicy) -> Vec<
         return out;
     }
 
-    // The only excuse left under a recovery policy: the true result itself
-    // is outside the representable range (the saturated non-finite answer
-    // is then the *correct* report, and stays flagged in `g.flags`).
+    // The only excuse for a non-finite result: the true result itself
+    // rounds out of the representable range (the saturated non-finite
+    // answer is then the *correct* report, and stays flagged in `g.flags`).
     let e_exact = exact.exp2().unwrap_or(0);
     let may_overflow = e_exact >= OVERFLOW_EXP;
     let bexp = rel_bound_exp(op, N);
     if !result.is_finite() {
-        if !may_overflow {
+        if MultiFloat::<f64, N>::from_mp(&exact).is_finite() {
             out.push(diverge(
                 case,
                 name,
@@ -389,11 +383,11 @@ pub const ADAPTIVE_ESCALATED_BOUND_EXP: i32 = -103;
 /// Lockstep entry point for the adaptive engine: the case runs through
 /// [`Adaptive`]'s `checked_*` ladder and is held to [`rel_bound_exp`] when
 /// it stayed on the base rung and to [`ADAPTIVE_ESCALATED_BOUND_EXP`] when
-/// it escalated — proving escalated results match the MpFloat oracle. As
-/// with the recovery policies, collapse regimes (tiny divisor, deep
-/// subnormal sqrt, residual-reconstruction overflow) are exactly what the
-/// ladder exists to fix, so an unrecovered collapse is a divergence unless
-/// the exact result itself is unrepresentable. The engine's base format is
+/// it escalated — proving escalated results match the MpFloat oracle. The
+/// add/mul collapse regimes (top-binade sums, products near overflow) are
+/// exactly what the ladder exists to fix, so an unrecovered collapse is a
+/// divergence unless the exact result itself is unrepresentable. The
+/// engine's base format is
 /// `F64x2`, so wider cases check the two-component truncation of their
 /// operands. Non-arithmetic ops return no findings.
 pub fn run_case_adaptive(case: &Case, engine: &Adaptive<f64>) -> Vec<Divergence> {
@@ -456,13 +450,7 @@ fn check_arith_adaptive(case: &Case, engine: &Adaptive<f64>) -> Vec<Divergence> 
 
     let a_mp = slice_to_mp(a);
     let b_mp = slice_to_mp(b);
-    let exact = match op {
-        "add" => a_mp.add(&b_mp, ORACLE_PREC),
-        "sub" => a_mp.sub(&b_mp, ORACLE_PREC),
-        "mul" => a_mp.mul(&b_mp, ORACLE_PREC),
-        "div" => a_mp.div(&b_mp, ORACLE_PREC),
-        _ => a_mp.sqrt(ORACLE_PREC),
-    };
+    let exact = exact_arith(op, &a_mp, &b_mp);
     if exact.is_zero() {
         if !result.is_zero() {
             out.push(diverge(
@@ -539,7 +527,10 @@ fn flush_excused(op: &str, got: &MpFloat, exact: &MpFloat, a: &MpFloat, b: &MpFl
                 // below 2^-1074): error <= N * 2^-1074 * |a|.
                 || (!a.is_zero() && e(&diff.div(&a.abs(), 64)) <= -1055)
         }
-        "sqrt" => {
+        // The reciprocal is the quotient 1 / a; the inverse root shares the
+        // square root's flushes.
+        "recip" => flush_excused("div", got, exact, &MpFloat::from_f64(1.0, 53), a),
+        "sqrt" | "rsqrt" => {
             // Small x: the residual x - y*y flushes.
             e(&diff.mul(&exact.abs(), 64)) <= -1055
                 // Large x: tails of r*r in the rsqrt iteration flush
@@ -1528,6 +1519,8 @@ fn check_soft<const P: u32>(case: &Case) -> Vec<Divergence> {
         "sub" => sa - sb,
         "mul" => sa * sb,
         "div" => sa / sb,
+        "recip" => sa.recip(),
+        "rsqrt" => sa.sqrt().recip(),
         _ => sa.sqrt(),
     };
     if P == 53 {
@@ -1539,6 +1532,8 @@ fn check_soft<const P: u32>(case: &Case) -> Vec<Divergence> {
             "sub" => a - b,
             "mul" => a * b,
             "div" => a / b,
+            "recip" => a.recip(),
+            "rsqrt" => a.sqrt().recip(),
             _ => a.sqrt(),
         };
         let subn = |v: f64| v != 0.0 && v.abs() < f64::MIN_POSITIVE;
@@ -1587,6 +1582,10 @@ fn check_soft<const P: u32>(case: &Case) -> Vec<Divergence> {
                 }
                 ma.div(&mb, P)
             }
+            // Both roundings of the two-step inverse root, like the
+            // hardware's `a.sqrt().recip()`.
+            "recip" => MpFloat::from_f64(1.0, P).div(&ma, P),
+            "rsqrt" => MpFloat::from_f64(1.0, P).div(&ma.sqrt(P), P),
             _ => ma.sqrt(P),
         };
         if got.to_f64() != want.to_f64() {

@@ -30,12 +30,13 @@ pub enum Regime {
     BoundaryTie,
     /// Trailing components forced to zero (short expansions).
     ShortZero,
-    /// The two documented collapse regimes the guard layer recovers from:
-    /// heads below the reciprocal-seed threshold `2^-1020` (tiny divisor /
-    /// deep-subnormal sqrt operand) and heads at the top binade `2^1023`
-    /// (residual-reconstruction overflow). Pairs bias one operand into a
-    /// collapse range and leave the other ordinary so the exact result
-    /// usually stays representable — the case where recovery must succeed.
+    /// The range edges of the Newton kernels and the guard detectors:
+    /// heads below `2^-1020`, where the unshifted reciprocal seed overflows
+    /// (tiny divisor / deep-subnormal sqrt operand), and heads at the top
+    /// binade `2^1023` (residual reconstruction, top-binade sums). Pairs
+    /// bias one operand into an edge range and leave the other ordinary so
+    /// the exact result usually stays representable — the case where the
+    /// range shift or the recovery must deliver it.
     GuardRegime,
 }
 
@@ -167,10 +168,10 @@ impl CaseGen {
         }
     }
 
-    /// A head in one of the collapse ranges: below the `2^-1020`
+    /// A head in one of the edge ranges: below the `2^-1020`
     /// reciprocal-seed threshold (spanning normal and subnormal), at the
     /// top binade, or just inside/outside the thresholds to probe the
-    /// detector boundaries.
+    /// window and detector boundaries.
     fn guard_head(&mut self) -> f64 {
         match self.rng.gen_range(0..4) {
             0 => self.head(-1074, -1021), // regime 1, subnormal included
@@ -243,10 +244,10 @@ impl CaseGen {
         let n = 2 + (self.counter as usize / REGIMES.len()) % 3;
         match class {
             OpClass::Arith => {
-                const OPS: [&str; 6] = ["add", "sub", "mul", "div", "sqrt", "ln"];
+                const OPS: [&str; 8] = ["add", "sub", "mul", "div", "sqrt", "recip", "rsqrt", "ln"];
                 let op = OPS[self.rng.gen_range(0..OPS.len())];
                 match op {
-                    "sqrt" | "ln" => {
+                    "sqrt" | "recip" | "rsqrt" | "ln" => {
                         let a = self.expansion(n, regime);
                         Case::new(op, n, vec![a])
                     }
@@ -342,7 +343,7 @@ impl CaseGen {
                 }
             }
             OpClass::Soft => {
-                const OPS: [&str; 5] = ["add", "sub", "mul", "div", "sqrt"];
+                const OPS: [&str; 7] = ["add", "sub", "mul", "div", "sqrt", "recip", "rsqrt"];
                 let op = OPS[self.rng.gen_range(0..OPS.len())];
                 let p11 = self.rng.gen_bool(0.33);
                 let (name, a, b) = if p11 {
@@ -356,8 +357,10 @@ impl CaseGen {
                     let b = self.head(-900, 900);
                     (format!("soft_{op}"), a, b)
                 };
-                if op == "sqrt" {
+                if matches!(op, "sqrt" | "rsqrt") {
                     Case::new(&name, 1, vec![vec![a.abs()]])
+                } else if op == "recip" {
+                    Case::new(&name, 1, vec![vec![a]])
                 } else {
                     Case::new(&name, 1, vec![vec![a], vec![b]])
                 }

@@ -58,7 +58,8 @@ pub use mf_softfloat::SoftFloat;
 /// carry the input in `text` instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Case {
-    /// Operation name: `add`, `sub`, `mul`, `div`, `sqrt`, `ln`, `cmp`,
+    /// Operation name: `add`, `sub`, `mul`, `div`, `sqrt`, `recip`,
+    /// `rsqrt`, `ln`, `cmp`,
     /// `to_f64`, `mp_roundtrip`, `io_roundtrip`, `parse`, `dot`, `axpy`,
     /// `gemv`, `soft_add` … (see [`check::run_case`] for the full set).
     pub op: String,
@@ -107,7 +108,7 @@ impl Case {
 /// The op classes the harness can run (`--ops` on the CLI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
-    /// add / sub / mul / div / sqrt / ln on expansions.
+    /// add / sub / mul / div / sqrt / recip / rsqrt / ln on expansions.
     Arith,
     /// PartialEq / PartialOrd / min / max.
     Cmp,

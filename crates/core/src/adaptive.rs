@@ -247,12 +247,13 @@ enum Op {
 /// let r = engine.checked_mul(F64x2::from(3.0), F64x2::from(7.0));
 /// assert_eq!(r.rung, Rung::N2);
 /// assert!(!r.escalated());
-/// // …while a collapse-prone divisor escalates to the oracle and still
-/// // comes back with the right answer.
-/// let tiny = F64x2::from(2.0f64.powi(-1021));
-/// let q = engine.checked_div(F64x2::ONE, tiny);
-/// assert_eq!((q.rung, q.escalations), (Rung::Oracle, 1));
-/// assert_eq!(q.value.to_f64(), 2.0f64.powi(1021));
+/// // …while a sum at the top binade, where the addition network's
+/// // error-free sums can overflow, escalates to the oracle and still comes
+/// // back with the right answer.
+/// let big = F64x2::from(2.0f64.powi(1023));
+/// let s = engine.checked_add(big, F64x2::from(2.0f64.powi(900)));
+/// assert_eq!((s.rung, s.escalations), (Rung::Oracle, 1));
+/// assert_eq!(s.value.components(), [2.0f64.powi(1023), 2.0f64.powi(900)]);
 /// ```
 pub struct Adaptive<T: GuardBase = f64> {
     policy: EscalationPolicy,
@@ -674,6 +675,15 @@ mod tests {
         got.to_mp(512).rel_error_vs(exact)
     }
 
+    /// Operands of a sum at the top binade: the add detector trips, and the
+    /// exact sum `[2^1023, 2^900]` is representable.
+    fn top_binade() -> (F64x2, F64x2) {
+        (
+            F64x2::from_scalar(2.0f64.powi(1023)),
+            F64x2::from_scalar(2.0f64.powi(900)),
+        )
+    }
+
     #[test]
     fn clean_inputs_never_escalate() {
         let engine = Engine::default();
@@ -701,31 +711,33 @@ mod tests {
         assert!(!engine.is_degraded());
     }
 
+    /// The old division and square-root guard regimes — divisor heads at
+    /// and below the former 2^-1019 detector boundary, a radicand below it,
+    /// a divisor head from 2^1020 up — settle on the base rung within the
+    /// base bound.
     #[test]
-    fn tiny_divisor_boundary_climbs_to_oracle() {
-        // pre_div trips for |b.hi| < 2^(TINY_EXP + 1) = 2^-1019: exactly at
-        // the threshold is clean, one ulp below trips.
-        // Build the ±1 ulp neighbours through the bit patterns — powi is
-        // inexact this deep in the exponent range.
-        let clean_head = 2.0f64.powi(-1019);
-        let trip_heads = [
-            2.0f64.powi(-1020),                               // 2^(MIN_EXP + 2)
-            f64::from_bits(2.0f64.powi(-1020).to_bits() + 1), // +1 ulp
-            f64::from_bits(clean_head.to_bits() - 1),         // 2^-1019 - 1 ulp
-        ];
-        for head in trip_heads {
-            let engine = Engine::default();
-            let r = engine.checked_div(F64x2::ONE, F64x2::from_scalar(head));
-            assert!(r.escalated(), "head {head:e} did not escalate");
-            assert_eq!(r.rung, Rung::Oracle);
-            let exact = MpFloat::from_f64(1.0, 512).div(&MpFloat::from_f64(head, 512), 512);
-            assert!(oracle_rel_err(r.value, &exact) < 2.0f64.powi(-99));
-            assert_eq!(engine.stats().oracle_falls, 1);
-        }
+    fn old_div_sqrt_regimes_stay_on_the_base_rung() {
         let engine = Engine::default();
-        let r = engine.checked_div(F64x2::ONE, F64x2::from_scalar(clean_head));
-        assert!(!r.escalated(), "2^-1019 is outside the tiny-divisor regime");
-        assert_eq!(r.rung, Rung::N2);
+        let mp = |v: f64| MpFloat::from_f64(v, 512);
+        let x = 2.0f64.powi(-100);
+        let edge = 2.0f64.powi(-1020).to_bits();
+        let mut cases = Vec::new();
+        for b in [edge, edge + 1, 2.0f64.powi(-1019).to_bits() - 1, 1 << 34] {
+            let b = f64::from_bits(b); // powi is inexact this deep
+            let r = engine.checked_div(F64x2::from_scalar(x), F64x2::from_scalar(b));
+            cases.push((r, mp(x).div(&mp(b), 512)));
+        }
+        let (tiny, huge) = (2.0f64.powi(-1021), 2.0f64.powi(1021));
+        cases.push((
+            engine.checked_sqrt(F64x2::from_scalar(tiny)),
+            mp(tiny).sqrt(512),
+        ));
+        let r = engine.checked_recip(F64x2::from_scalar(huge));
+        cases.push((r, mp(1.0).div(&mp(huge), 512)));
+        for (r, exact) in cases {
+            assert_eq!((r.rung, r.flags), (Rung::N2, GuardFlags::NONE));
+            assert!(oracle_rel_err(r.value, &exact) < 2.0f64.powi(-99));
+        }
     }
 
     #[test]
@@ -778,8 +790,8 @@ mod tests {
             ..EscalationPolicy::default()
         };
         let engine = Engine::new(policy);
-        let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        engine.checked_div(F64x2::ONE, tiny);
+        let (big, small) = top_binade();
+        engine.checked_add(big, small);
         assert_eq!(engine.rung(), Rung::Oracle);
 
         let mut s = 7u64;
@@ -798,7 +810,7 @@ mod tests {
         assert_eq!(engine.rung(), Rung::N2, "decay saturates at the base rung");
 
         // A second trip re-arms the residency and its full decay count.
-        let r = engine.checked_div(F64x2::ONE, tiny);
+        let r = engine.checked_add(big, small);
         assert_eq!((r.rung, r.escalations), (Rung::Oracle, 1));
         clean(2, Rung::Oracle);
         assert_eq!(engine.rung(), Rung::N2);
@@ -809,8 +821,8 @@ mod tests {
     #[test]
     fn sticky_residency_starts_ops_at_elevated_rung() {
         let engine = Engine::default(); // sticky, decay 16
-        let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        engine.checked_div(F64x2::ONE, tiny);
+        let (big, small) = top_binade();
+        engine.checked_add(big, small);
         assert_eq!(engine.rung(), Rung::Oracle);
         // The next clean op runs at the resident rung without escalating.
         let r = engine.checked_mul(F64x2::from(3.0), F64x2::from(5.0));
@@ -826,8 +838,8 @@ mod tests {
             ..EscalationPolicy::default()
         };
         let engine = Engine::new(policy);
-        let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        let r = engine.checked_div(F64x2::ONE, tiny);
+        let (big, small) = top_binade();
+        let r = engine.checked_add(big, small);
         assert!(r.escalated());
         assert_eq!(engine.rung(), Rung::N2, "per-op mode has no residency");
         let r = engine.checked_mul(F64x2::from(3.0), F64x2::from(5.0));
@@ -837,28 +849,28 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_degrades_to_oracle_fallback() {
-        // Per-op mode, so the second tiny divisor escalates again instead
-        // of running at a resident oracle.
+        // Per-op mode, so the second top-binade sum escalates again
+        // instead of running at a resident oracle.
         let policy = EscalationPolicy {
             budget: 2,
             sticky: false,
             ..EscalationPolicy::default()
         };
         let engine = Engine::new(policy);
-        let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        // Each tiny-divisor op is one escalation: the first stays inside
-        // the budget of 2, the second exhausts it.
-        let r = engine.checked_div(F64x2::ONE, tiny);
+        let (big, small) = top_binade();
+        // Each top-binade sum is one escalation: the first stays inside the
+        // budget of 2, the second exhausts it.
+        let r = engine.checked_add(big, small);
         assert_eq!((r.rung, r.escalations), (Rung::Oracle, 1));
         assert!(!engine.is_degraded());
-        let r = engine.checked_div(F64x2::ONE, tiny);
+        let r = engine.checked_add(big, small);
         assert_eq!((r.rung, r.escalations), (Rung::Oracle, 1));
         assert!(engine.is_degraded());
 
         // Degraded ops still recover through plain OracleFallback…
-        let r = engine.checked_div(F64x2::ONE, tiny);
+        let r = engine.checked_add(big, small);
         assert_eq!(r.rung, Rung::Oracle);
-        assert_eq!(r.value.to_f64(), 2.0f64.powi(1021));
+        assert_eq!(r.value.components(), [2.0f64.powi(1023), 2.0f64.powi(900)]);
         assert!(r.flags.contains(GuardFlags::PRE_RANGE));
         // …and clean ops run the fast path under the same policy.
         let r = engine.checked_mul(F64x2::from(3.0), F64x2::from(5.0));
@@ -875,22 +887,22 @@ mod tests {
             ..EscalationPolicy::default()
         });
         assert!(engine.is_degraded());
-        let r = engine.checked_div(F64x2::ONE, tiny);
+        let r = engine.checked_add(big, small);
         assert_eq!(r.rung, Rung::Oracle);
         assert_eq!(engine.stats().degraded_ops, 1);
     }
 
     #[test]
     fn max_rung_below_oracle_ships_the_base_result() {
-        let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        let base = F64x2::ONE.checked_div(tiny, GuardPolicy::FastOnly);
+        let (big, small) = top_binade();
+        let base = big.checked_add(small, GuardPolicy::FastOnly);
         assert!(base.flags.any(), "the base kernel must trip for this test");
         for max_rung in [Rung::N2, Rung::N3, Rung::N4] {
             let engine = Engine::new(EscalationPolicy {
                 max_rung,
                 ..EscalationPolicy::default()
             });
-            let r = engine.checked_div(F64x2::ONE, tiny);
+            let r = engine.checked_add(big, small);
             assert_eq!(r.rung, Rung::N2, "cap {max_rung}: no escalation");
             assert_eq!(r.escalations, 0);
             assert_eq!(r.flags, base.flags, "capped result reports its detectors");
@@ -901,10 +913,9 @@ mod tests {
         }
     }
 
-    /// Every op of a collapse-regime sweep — tiny divisors and reciprocals
-    /// of huge heads, deep-subnormal square roots, huge-head sums —
-    /// escalates exactly once, straight to the oracle, and returns the
-    /// oracle's bits.
+    /// Every op of a collapse-regime sweep — huge-head sums and
+    /// differences — escalates exactly once, straight to the oracle, and
+    /// returns the oracle's bits.
     #[test]
     fn collapse_regimes_escalate_once_to_the_oracle() {
         let engine = Engine::new(EscalationPolicy {
@@ -915,18 +926,10 @@ mod tests {
         let mut s = 0xC0_11A9_u64;
         let mut n = 0u64;
         for k in 0..40 {
-            // Split the scale factors: `powi` overflows to 0 past 2^-1023.
             let m = 1.0 + (lcg(&mut s) >> 12) as f64 * 2.0f64.powi(-52);
-            let tiny = F64x2::from_scalar(m * 2.0f64.powi(-521) * 2.0f64.powi(-500 - k % 20));
-            let deep = F64x2::from_scalar(m * 2.0f64.powi(-530) * 2.0f64.powi(-530 - k % 12));
             let huge = F64x2::from_scalar(m * 2.0f64.powi(1023));
             let x = rand_val(&mut s);
             let cases = [
-                (
-                    engine.checked_div(x, tiny),
-                    x.to_mp(prec).div(&tiny.to_mp(prec), prec),
-                ),
-                (engine.checked_sqrt(deep), deep.to_mp(prec).sqrt(prec)),
                 (
                     engine.checked_add(huge, x),
                     huge.to_mp(prec).add(&x.to_mp(prec), prec),
@@ -974,26 +977,6 @@ mod tests {
         assert_eq!(st.ops, 4);
         assert_eq!(st.escalations, 0);
         assert!(!engine.is_degraded());
-    }
-
-    #[test]
-    fn escalated_sqrt_and_recip_match_oracle() {
-        let engine = Engine::default();
-        let tiny = F64x2::from_scalar(2.0f64.powi(-1021));
-        let r = engine.checked_sqrt(tiny);
-        assert!(r.escalated());
-        let exact = MpFloat::from_f64(2.0f64.powi(-1021), 512).sqrt(512);
-        assert!(oracle_rel_err(r.value, &exact) < 2.0f64.powi(-99));
-
-        // Fresh engine: the sqrt escalation above left the sticky rung
-        // resident at the oracle, which would absorb this op's escalation.
-        let engine = Engine::default();
-        let huge = F64x2::from_scalar(2.0f64.powi(1021));
-        let r = engine.checked_recip(huge);
-        assert!(r.escalated());
-        let exact =
-            MpFloat::from_f64(1.0, 512).div(&MpFloat::from_f64(2.0f64.powi(1021), 512), 512);
-        assert!(oracle_rel_err(r.value, &exact) < 2.0f64.powi(-99));
     }
 
     #[test]

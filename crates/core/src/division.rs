@@ -13,14 +13,28 @@
 //! by the numerator, replacing a full-precision reciprocal polish with one
 //! multiply and one residual correction — benchmarked against plain
 //! `mul(b, recip(a))` in the ablation suite (DESIGN.md §3.5).
+//!
+//! # Exponent range
+//!
+//! The Newton kernels overflow, even when the result is representable, for
+//! a divisor head below `2^(MIN_EXP+3)` (the seed `1/a₀`) or near
+//! `2^MAX_EXP` (the reciprocal's tails), and for a dividend head at
+//! `2^MAX_EXP` (the residual `a·q₀ ≈ b`). [`recip`], [`div_karp_markstein`]
+//! and [`div_scalar`] therefore scale their operands by an exact power of
+//! two read from the divisor's head exponent, which brings the divisor near
+//! `2^0` and leaves the quotient as it is, run the unchanged kernel, and
+//! (for the reciprocal) scale the result by the same factor. The shift is
+//! an integer select that is 0 inside the window, where every operand is
+//! multiplied by exactly `1.0` and keeps its bits.
 
 use crate::addition::{add, sub};
 use crate::multiplication::{mul, mul_scalar};
 use mf_eft::FloatBase;
 
-/// Number of full-width Newton iterations for an `N`-term reciprocal.
+/// Number of full-width Newton iterations for an `N`-term reciprocal (and,
+/// one more than strictly needed for bit doubling, for the inverse root).
 #[inline(always)]
-const fn recip_iters(n: usize) -> usize {
+pub(crate) const fn recip_iters(n: usize) -> usize {
     match n {
         1 => 0,
         2 | 3 => 2,
@@ -28,7 +42,52 @@ const fn recip_iters(n: usize) -> usize {
     }
 }
 
-/// `1 / a` as an `N`-term expansion.
+/// `x * f` termwise. Exact when `f` is a power of two and no term leaves the
+/// normal range; `f = 1` returns `x` bit for bit.
+#[inline(always)]
+pub(crate) fn scale<T: FloatBase, const N: usize>(x: &[T; N], f: T) -> [T; N] {
+    let mut out = *x;
+    for v in &mut out {
+        *v = *v * f;
+    }
+    out
+}
+
+/// The shift `s` that brings a head `h` outside `[2^lo, 2^(hi+1))` to
+/// `h·2^-s` near `2^0`: its exponent, clamped so that `2^-s` and a quarter
+/// of it are normal powers of two and `s` may be rounded down to even; 0
+/// inside the window. Zero and non-finite heads may shift too: the kernels
+/// return NaN or ±inf for them either way.
+#[inline(always)]
+pub(crate) fn window_shift<T: FloatBase>(h: T, lo: i32, hi: i32) -> i32 {
+    let m = h.abs();
+    if !((m >= T::exp2i(lo)) & (m < T::exp2i(hi + 1))) {
+        h.exponent().clamp(1 - T::MAX_EXP, -T::MIN_EXP - 2)
+    } else {
+        0
+    }
+}
+
+/// Factors `(fb, fa, up)` for `b / a`. Both operands take the divisor's
+/// `fa = 2^-s` (its [`window_shift`] for the window
+/// `[2^(MIN_EXP+3), 2^(MAX_EXP-3))`), which leaves the quotient as it is;
+/// the dividend then sits within a factor `2^P` of the quotient, so its
+/// tails flush no earlier than the quotient's own. A dividend head at
+/// `2^MAX_EXP` is also quartered, so that `a·q₀ ≈ b` stays in range, and
+/// the quotient multiplied by `up = 4`. `fa` never depends on the
+/// dividend, so the divisor's Newton iterations need not wait for it.
+#[inline(always)]
+fn quotient_factors<T: FloatBase>(b: T, a: T) -> (T, T, T) {
+    let fa = T::exp2i(-window_shift(a, T::MIN_EXP + 3, T::MAX_EXP - 4));
+    let m = b.abs();
+    if (m >= T::exp2i(T::MAX_EXP)) & (m < T::INFINITY) {
+        (fa * (T::HALF * T::HALF), fa, T::TWO * T::TWO)
+    } else {
+        (fa, fa, T::ONE)
+    }
+}
+
+/// `1 / a` as an `N`-term expansion, range-safe (see the module docs).
 #[inline(always)]
 pub fn recip<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
     if N == 1 {
@@ -36,14 +95,20 @@ pub fn recip<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         out[0] = a[0].recip();
         return out;
     }
+    // 1/a = (1/(a·2^-s))·2^-s: one factor scales both ways.
+    let f = T::exp2i(-window_shift(a[0], T::MIN_EXP + 3, T::MAX_EXP - 4));
+    scale(&recip_newton(&scale(a, f), recip_iters(N)), f)
+}
+
+/// `iters` Newton reciprocal iterations from the scalar seed, for divisor
+/// heads inside the window.
+#[inline(always)]
+fn recip_newton<T: FloatBase, const N: usize>(a: &[T; N], iters: usize) -> [T; N] {
     let mut x = [T::ZERO; N];
     x[0] = a[0].recip();
-    let one = {
-        let mut o = [T::ZERO; N];
-        o[0] = T::ONE;
-        o
-    };
-    for _ in 0..recip_iters(N) {
+    let mut one = [T::ZERO; N];
+    one[0] = T::ONE;
+    for _ in 0..iters {
         // e = 1 - a*x ; x = x + x*e
         let ax = mul(a, &x);
         let e = sub(&one, &ax);
@@ -69,7 +134,7 @@ pub fn div_via_recip<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N]) -> [T
 /// with the residual `r = b - a·q₀`: `q = q₀ + y·r`. This trades a
 /// full-precision reciprocal polish for one extra multiply-and-add at the
 /// *quotient*, which converges because `q₀` is already accurate to half the
-/// target precision.
+/// target precision. Range-safe (see the module docs).
 #[inline(always)]
 pub fn div_karp_markstein<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N]) -> [T; N] {
     if N == 1 {
@@ -77,29 +142,30 @@ pub fn div_karp_markstein<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N]) 
         out[0] = b[0] / a[0];
         return out;
     }
+    let (fb, fa, up) = quotient_factors(b[0], a[0]);
+    km_newton(&scale(b, fb), &scale(a, fa), up)
+}
+
+/// The Karp–Markstein quotient, for operand heads inside the window, times
+/// `up`. The factor goes onto the terms of the last sum rather than onto
+/// the result: LLVM's SLP vectorizer packs a store of `result * up`
+/// together with the whole N = 2 network, at a cost in shuffles. (A
+/// quotient this scales overflows only past `2^(MAX_EXP-1)`, where the
+/// contract allows a non-finite result.)
+#[inline(always)]
+fn km_newton<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N], up: T) -> [T; N] {
     // Reciprocal to roughly half precision (one fewer iteration).
-    let mut y = [T::ZERO; N];
-    y[0] = a[0].recip();
-    let one = {
-        let mut o = [T::ZERO; N];
-        o[0] = T::ONE;
-        o
-    };
-    for _ in 0..recip_iters(N) - 1 {
-        let ay = mul(a, &y);
-        let e = sub(&one, &ay);
-        let ye = mul(&y, &e);
-        y = add(&y, &ye);
-    }
+    let y = recip_newton(a, recip_iters(N) - 1);
     let q0 = mul(b, &y);
     let aq0 = mul(a, &q0);
     let r = sub(b, &aq0);
     let yr = mul(&y, &r);
-    add(&q0, &yr)
+    add(&scale(&q0, up), &scale(&yr, up))
 }
 
 /// `x / s` for a base-precision divisor, via the scalar reciprocal and a
 /// residual correction (cheaper than widening `s` to an expansion).
+/// Range-safe like [`div_karp_markstein`].
 #[inline(always)]
 pub fn div_scalar<T: FloatBase, const N: usize>(x: &[T; N], s: T) -> [T; N] {
     if N == 1 {
@@ -107,17 +173,26 @@ pub fn div_scalar<T: FloatBase, const N: usize>(x: &[T; N], s: T) -> [T; N] {
         out[0] = x[0] / s;
         return out;
     }
+    let (fx, fs, up) = quotient_factors(x[0], s);
+    div_scalar_newton(&scale(x, fx), s * fs, up)
+}
+
+/// The scalar-divisor quotient, for operand heads inside the window, times
+/// `up` (applied like [`km_newton`]'s).
+#[inline(always)]
+fn div_scalar_newton<T: FloatBase, const N: usize>(x: &[T; N], s: T, up: T) -> [T; N] {
     // Karp–Markstein with a scalar divisor: y ≈ 1/s to base precision,
     // then two correction rounds at expansion precision.
     let y = s.recip();
     let mut q = mul_scalar(x, y);
     // N-1 correction rounds: each squares the relative error of the
     // quotient (2^-53 -> 2^-106 -> 2^-159 -> ...).
-    for _ in 0..N - 1 {
+    for i in 0..N - 1 {
         let sq = mul_scalar(&q, s);
         let r = sub(x, &sq);
         let corr = mul_scalar(&r, y);
-        q = add(&q, &corr);
+        let u = if i == N - 2 { up } else { T::ONE };
+        q = add(&scale(&q, u), &scale(&corr, u));
     }
     q
 }
@@ -126,6 +201,7 @@ pub fn div_scalar<T: FloatBase, const N: usize>(x: &[T; N], s: T) -> [T; N] {
 pub(crate) mod tests {
     use super::*;
     use crate::addition::tests::rand_expansion;
+    use crate::sqrt::{rsqrt, sqrt};
     use crate::MultiFloat;
     use mf_mpsoft::MpFloat;
     use rand::rngs::SmallRng;
@@ -273,6 +349,87 @@ pub(crate) mod tests {
                 "x={x:?} s={s:e}"
             );
         }
+    }
+
+    /// A nonzero `rand_expansion` moved to head exponent `e`, in two exact
+    /// steps so that `e` may reach the subnormal range.
+    fn expansion_at<const N: usize>(rng: &mut SmallRng, e: i32) -> [f64; N] {
+        let x = loop {
+            let x = rand_expansion::<N>(rng, 0);
+            if x[0] != 0.0 {
+                break x;
+            }
+        };
+        let d = e - x[0].exponent();
+        let p = <f64 as FloatBase>::exp2i;
+        scale(&scale(&x, p(d / 2)), p(d - d / 2))
+    }
+
+    /// Operand heads outside the Newton window — a divisor or radicand
+    /// below 2^-1019 (down to the smallest subnormal), a divisor from 2^1020
+    /// up, a dividend or radicand at 2^1023 — made the unshifted kernels
+    /// return NaN. With the range shift, every quotient, reciprocal and
+    /// root whose terms all stay normal must meet the in-window bound.
+    fn check_out_of_window<const N: usize>(rng: &mut SmallRng, bound_exp: i32) {
+        let one = MpFloat::from_f64(1.0, 53);
+        for i in 0..3_000 {
+            let (ea, eb) = match i % 3 {
+                0 => (rng.gen_range(-1074..-1019), rng.gen_range(-1074..0)),
+                1 => (rng.gen_range(1020..1024), rng.gen_range(300..1024)),
+                _ => (rng.gen_range(30..300), 1023),
+            };
+            let a = expansion_at::<N>(rng, ea);
+            let b = expansion_at::<N>(rng, eb);
+            let x = if a[0] < 0.0 { a.map(|v| -v) } else { a };
+            let root = MpFloat::exact_sum(&x).sqrt(1200);
+            // In-window radicands near the top keep the unshifted kernel's
+            // flushed x² tails (the conformance checker's flush excuse).
+            let shifted_root = ea < -1019 || ea == 1023;
+            for (got, exact, judged) in [
+                (
+                    div_karp_markstein(&b, &a),
+                    exact_quotient(&b, &a, 1200),
+                    true,
+                ),
+                (
+                    div_scalar(&b, a[0]),
+                    exact_quotient(&b, &a[..1], 1200),
+                    true,
+                ),
+                (recip(&a), exact_quotient(&[1.0], &a, 1200), true),
+                (sqrt(&x), root.clone(), shifted_root),
+                (rsqrt(&x), one.div(&root, 1200), shifted_root),
+            ] {
+                let e = exact.exp2().unwrap_or(0);
+                if !judged || e < -1000 + 53 * N as i64 || e > 1022 {
+                    continue;
+                }
+                let rel = MpFloat::exact_sum(&got).rel_error_vs(&exact);
+                assert!(
+                    rel <= 2.0f64.powi(bound_exp),
+                    "error 2^{:.2} exceeds 2^{bound_exp}: b={b:?} a={a:?} got={got:?}",
+                    rel.log2()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_window_operands_match_oracle() {
+        let mut rng = SmallRng::seed_from_u64(405);
+        check_out_of_window::<2>(&mut rng, -101);
+        check_out_of_window::<3>(&mut rng, -152);
+        check_out_of_window::<4>(&mut rng, -203);
+        let p = <f64 as FloatBase>::exp2i;
+        // 2^-100 / 2^-1040: the Newton seed 1/2^-1040 overflowed.
+        let q = MultiFloat::<f64, 2>::from(p(-100)).div_scalar(p(-1040));
+        assert_eq!(q.components(), [p(940), 0.0]);
+        // Out-of-range results saturate instead of collapsing to NaN.
+        assert_eq!(recip(&[p(-1040), 0.0])[0], f64::INFINITY);
+        assert_eq!(recip(&[-p(-1074), 0.0, 0.0])[0], f64::NEG_INFINITY);
+        // Exact powers: sqrt(2^-1074) = 2^-537, rsqrt(2^-1024) = 2^512.
+        assert_eq!(sqrt(&[p(-1074), 0.0]), [p(-537), 0.0]);
+        assert_eq!(rsqrt(&[p(-1024), 0.0]), [p(512), 0.0]);
     }
 
     #[test]

@@ -1,36 +1,31 @@
-//! Guarded evaluation: collapse-regime detectors with rescale-and-retry and
-//! oracle fallback recovery paths.
+//! Guarded evaluation: collapse-regime detectors with an oracle fallback
+//! recovery path.
 //!
-//! The conformance harness (PR 2) documented two regimes where the
-//! branch-free kernels silently collapse:
+//! The division and square-root kernels are range-safe (they shift
+//! out-of-window operands by exact powers of two, see [`crate::division`]),
+//! but the addition and multiplication networks still collapse in two
+//! regimes the conformance harness documents:
 //!
-//! 1. **Reciprocal-seed overflow** — `div`/`recip` with a divisor head below
-//!    `~2^(MIN_EXP+2)` (tiny divisor), and `sqrt`/`rsqrt` with an operand
-//!    head below the same threshold (deep subnormal): the Newton seed
-//!    `1/b0` or `1/sqrt(a0)` overflows and the NaN cascades through every
-//!    gate.
-//! 2. **Residual-reconstruction overflow** — operand heads at or above
-//!    `2^MAX_EXP`: Karp–Markstein rebuilds `divisor * q0 ≈ dividend` (sqrt
-//!    rebuilds `s² ≈ x`) and the reconstruction rounds past `MAX` even
-//!    though the true result is representable.
+//! 1. **Top-binade sums** — an `add`/`sub` operand head at or above
+//!    `2^MAX_EXP`: the error-free sums round past `MAX` and the NaN of
+//!    `inf - inf` cascades through every gate, even when the true sum is
+//!    representable.
+//! 2. **Product range** — a `mul` whose product head is near overflow, or
+//!    low enough that the expansion's tail products flush to zero.
 //!
 //! The detectors here are *branch-free-friendly*: each pre-condition is a
 //! handful of integer exponent compares combined with bitwise or, so a
 //! vectorized caller can evaluate them across a lane without reintroducing
 //! data-dependent control flow on the hot path. Only the (rare) recovery
-//! path branches.
+//! path branches. Post-conditions (a non-finite result from finite inputs,
+//! a noncanonical expansion) apply to every operation.
 //!
-//! Recovery comes in two flavors, selected by [`GuardPolicy`]:
-//!
-//! * [`GuardPolicy::RescaleRetry`] — scale the operands by an exact power of
-//!   two so their heads sit near `2^0`, rerun the *same* branch-free kernel
-//!   (the retry is branch-free too), and scale the result back. Exact
-//!   except where the true result itself falls outside the base type's
-//!   range.
-//! * [`GuardPolicy::OracleFallback`] — route the operation through the
-//!   [`MpFloat`] software oracle at the format's equivalent precision and
-//!   round back. Correct by construction, but allocation-heavy and orders
-//!   of magnitude slower.
+//! [`GuardPolicy`] selects what a detection does: [`GuardPolicy::FastOnly`]
+//! reports it and ships the kernel's result, and
+//! [`GuardPolicy::OracleFallback`] routes the operation through the
+//! [`MpFloat`] software oracle at the format's equivalent precision and
+//! rounds back — correct by construction, but allocation-heavy and orders
+//! of magnitude slower.
 //!
 //! Every checked operation returns a [`Guarded`] value carrying the result,
 //! the [`GuardPath`] that produced it, and the [`GuardFlags`] raised by the
@@ -45,8 +40,6 @@ use mf_telemetry::Counter;
 static GUARD_CHECKS: Counter = Counter::new("core.guard.checks");
 static GUARD_PRE_DETECTED: Counter = Counter::new("core.guard.pre_detected");
 static GUARD_POST_DETECTED: Counter = Counter::new("core.guard.post_detected");
-static GUARD_RESCALE_RETRIES: Counter = Counter::new("core.guard.rescale_retries");
-static GUARD_RESCALE_RECOVERED: Counter = Counter::new("core.guard.rescale_recovered");
 static GUARD_ORACLE_FALLBACKS: Counter = Counter::new("core.guard.oracle_fallbacks");
 // Per-flag and per-policy trip breakdown for the live observability hub:
 // scraping two snapshots and dividing the counter deltas by the
@@ -89,9 +82,6 @@ pub enum GuardPolicy {
     /// result is whatever the fast path produced — possibly collapsed.
     #[default]
     FastOnly,
-    /// Rescale the operands by an exact power of two, rerun the same
-    /// branch-free kernel, and scale the result back.
-    RescaleRetry,
     /// Route the operation through the [`MpFloat`] oracle at equivalent
     /// precision.
     OracleFallback,
@@ -102,8 +92,6 @@ pub enum GuardPolicy {
 pub enum GuardPath {
     /// The unmodified branch-free kernel.
     Fast,
-    /// The branch-free kernel rerun on rescaled operands.
-    Rescaled,
     /// The [`MpFloat`] software oracle.
     Oracle,
 }
@@ -112,7 +100,6 @@ impl core::fmt::Display for GuardPath {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(match self {
             GuardPath::Fast => "fast",
-            GuardPath::Rescaled => "rescaled",
             GuardPath::Oracle => "oracle",
         })
     }
@@ -126,7 +113,8 @@ impl GuardFlags {
     /// No detector fired.
     pub const NONE: Self = GuardFlags(0);
     /// Pre-condition: an operand exponent sits in a documented collapse
-    /// regime (tiny divisor / deep subnormal / huge head / product range).
+    /// regime (an add/sub head at the top binade, a product head near
+    /// overflow or low enough that its tail products flush).
     pub const PRE_RANGE: Self = GuardFlags(1);
     /// Post-condition: a non-finite component was produced from finite
     /// inputs.
@@ -168,7 +156,7 @@ pub struct Guarded<V> {
 }
 
 impl<V> Guarded<V> {
-    /// True if a recovery path (rescale or oracle) produced the value.
+    /// True if the oracle recovery path produced the value.
     pub fn recovered(&self) -> bool {
         self.path != GuardPath::Fast
     }
@@ -332,38 +320,14 @@ pub fn head_inconsistent<T: FloatBase>(inputs: &[T], out: &[T], tol_bits: u32) -
 }
 
 impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
-    /// Exponent threshold below which `1/b0` (or `1/sqrt(a0)`) risks
-    /// overflow: `MIN_EXP + 2` (`2^-1020` for f64), matching the collapse
-    /// regime documented by the conformance harness.
-    const TINY_EXP: i32 = T::MIN_EXP + 2;
-
     /// Branch-free finiteness of every component of both operands.
     #[inline(always)]
     fn both_finite(&self, rhs: &Self) -> bool {
         max_abs_bits(&self.c).max(max_abs_bits(&rhs.c)) < T::INF_BITS
     }
-    /// Head exponent at which residual reconstruction overflows: `MAX_EXP`
+    /// Head exponent at which the error-free sums overflow: `MAX_EXP`
     /// (`2^1023` for f64).
     const HUGE_EXP: i32 = T::MAX_EXP;
-
-    #[inline(always)]
-    fn pre_div(&self, rhs: &Self) -> bool {
-        let ba = self.hi().abs_bits();
-        let bb = rhs.hi().abs_bits();
-        // Tiny divisor (regime 1), reciprocal tail flush near MAX (the
-        // recip of a huge divisor has subnormal tails), huge dividend head
-        // (regime 2).
-        ((bb < exp_bits::<T>(Self::TINY_EXP + 1)) & (bb != 0))
-            | (bb >= exp_bits::<T>(Self::HUGE_EXP - 3))
-            | (ba >= exp_bits::<T>(Self::HUGE_EXP))
-    }
-
-    #[inline(always)]
-    fn pre_sqrt(&self) -> bool {
-        let ba = self.hi().abs_bits();
-        ((ba < exp_bits::<T>(Self::TINY_EXP + 1)) & (ba != 0))
-            | (ba >= exp_bits::<T>(Self::HUGE_EXP))
-    }
 
     fn pre_mul(&self, rhs: &Self) -> bool {
         let s = self.hi().exponent() + rhs.hi().exponent();
@@ -384,27 +348,14 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
     /// on clean results the whole computation is a handful of integer ops
     /// running in the shadow of the kernel's FP latency.
     #[inline(always)]
-    fn post_flags(inputs_finite: bool, r: &Self) -> GuardFlags {
+    fn post_flags(r: &Self) -> GuardFlags {
         let finite = max_abs_bits(&r.c) < T::INF_BITS;
-        let nonfinite = inputs_finite & !finite;
+        let nonfinite = !finite;
         let noncanon = noncanonical(&r.c) & finite;
         GuardFlags(
             (nonfinite as u8) * GuardFlags::POST_NONFINITE.0
                 + (noncanon as u8) * GuardFlags::POST_NONCANONICAL.0,
         )
-    }
-
-    /// Exact power-of-two scaling whose total shift may exceed the base
-    /// type's exponent range: applied in in-range steps, all of the same
-    /// sign, so intermediates never overshoot the final magnitude.
-    fn scale_wide(mut self, mut e: i32) -> Self {
-        let step = T::MAX_EXP - 2;
-        while e != 0 {
-            let s = e.clamp(-step, step);
-            self = self.scale_exp2(s);
-            e -= s;
-        }
-        self
     }
 
     /// Oracle working precision equivalent to this format.
@@ -418,20 +369,19 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
     }
 
     /// Shared driver: evaluate pre-conditions, run the fast kernel when
-    /// allowed, and dispatch to the policy's recovery path on detection.
+    /// allowed, and fall back to the oracle on detection under
+    /// [`GuardPolicy::OracleFallback`].
     ///
     /// Split so the clean-input path — no pre-condition, clean post-flags —
     /// inlines as a short straight-line sequence; everything that can only
-    /// run after a detection (including the rescale/oracle closure bodies,
-    /// which drag in the whole `MpFloat` conversion machinery) lives in the
+    /// run after a detection (including the oracle closure body, which
+    /// drags in the whole `MpFloat` conversion machinery) lives in the
     /// outlined `#[cold]` half and never pollutes the hot path's code.
     #[inline]
     fn drive(
         policy: GuardPolicy,
         pre: bool,
-        inputs_finite: bool,
         fast: impl FnOnce() -> Self,
-        rescale: impl FnOnce() -> Self,
         oracle: impl FnOnce() -> Self,
     ) -> Guarded<Self> {
         record(&GUARD_CHECKS);
@@ -443,7 +393,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         // loop-invariant in any realistic caller — perfectly predicted.)
         if policy == GuardPolicy::FastOnly {
             let r = fast();
-            let mut flags = Self::post_flags(inputs_finite, &r);
+            let mut flags = Self::post_flags(&r);
             if pre {
                 flags.set(GuardFlags::PRE_RANGE);
             }
@@ -470,11 +420,11 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags,
             };
         }
-        // Recovery policies skip the kernel when a pre-condition already
+        // The oracle path skips the kernel when a pre-condition already
         // names the collapse regime.
         if !pre {
             let r = fast();
-            let post = Self::post_flags(inputs_finite, &r);
+            let post = Self::post_flags(&r);
             if !post.any() {
                 return Guarded {
                     value: r,
@@ -483,68 +433,27 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 };
             }
             record(&GUARD_POST_DETECTED);
-            return Self::recover(policy, post, inputs_finite, rescale, oracle);
+            return Self::recover(post, oracle);
         }
         record(&GUARD_PRE_DETECTED);
-        let mut flags = GuardFlags::NONE;
-        flags.set(GuardFlags::PRE_RANGE);
-        Self::recover(policy, flags, inputs_finite, rescale, oracle)
+        Self::recover(GuardFlags::PRE_RANGE, oracle)
     }
 
     /// Recovery half of [`Self::drive`]: only ever entered after a
-    /// detection under a recovery policy.
+    /// detection under [`GuardPolicy::OracleFallback`].
     #[cold]
     #[inline(never)]
-    fn recover(
-        policy: GuardPolicy,
-        mut flags: GuardFlags,
-        inputs_finite: bool,
-        rescale: impl FnOnce() -> Self,
-        oracle: impl FnOnce() -> Self,
-    ) -> Guarded<Self> {
+    fn recover(flags: GuardFlags, oracle: impl FnOnce() -> Self) -> Guarded<Self> {
         // Slow-path excursions are rare enough to afford a span each: the
         // timeline then shows exactly when a benchmark left the branch-free
         // kernel (arg = detector bit-set at entry).
         let _sp = mf_telemetry::trace::span("core.guard.recover", flags.bits() as u64);
-        match policy {
-            GuardPolicy::FastOnly => unreachable!("FastOnly returned in drive"),
-            GuardPolicy::RescaleRetry => {
-                record(&GUARD_RESCALE_RETRIES);
-                // Renormalize finite results: per-component rounding on the
-                // scale-back can leave marginal overlap at the subnormal
-                // floor. A non-finite result must pass through untouched —
-                // renorm's TwoSum gates would turn a saturated ±inf
-                // (the correctly rounded out-of-range answer) into NaN.
-                let raw = rescale();
-                let r = if raw.is_finite() {
-                    Self::from_components_renorm(raw.components())
-                } else {
-                    raw
-                };
-                let post = Self::post_flags(inputs_finite, &r);
-                // A non-finite rescaled result means the true value is out
-                // of the base type's range (the flag is still reported so
-                // callers can escalate to the oracle if they disagree).
-                flags.set(post);
-                if !post.any() {
-                    record(&GUARD_RESCALE_RECOVERED);
-                }
-                record_flags(flags);
-                Guarded {
-                    value: r,
-                    path: GuardPath::Rescaled,
-                    flags,
-                }
-            }
-            GuardPolicy::OracleFallback => {
-                record(&GUARD_ORACLE_FALLBACKS);
-                record_flags(flags);
-                Guarded {
-                    value: oracle(),
-                    path: GuardPath::Oracle,
-                    flags,
-                }
-            }
+        record(&GUARD_ORACLE_FALLBACKS);
+        record_flags(flags);
+        Guarded {
+            value: oracle(),
+            path: GuardPath::Oracle,
+            flags,
         }
     }
 
@@ -564,12 +473,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         let g = Self::drive(
             policy,
             self.pre_addsub(&rhs),
-            true,
             || self.add(rhs),
-            // Quartering both operands clears transient overflow in the
-            // error-free sums; only dust below 2^-1072 (relative ~2^-2095
-            // against the near-MAX heads this regime implies) is lost.
-            || self.scale_exp2(-2).add(rhs.scale_exp2(-2)).scale_wide(2),
             || Self::oracle_binary(&self, &rhs, MpFloat::add),
         );
         // Shadow-oracle audit: an occasional sample (default ~1/1024, see
@@ -601,14 +505,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         let g = Self::drive(
             policy,
             self.pre_mul(&rhs),
-            true,
             || self.mul(rhs),
-            || {
-                let ea = self.hi().exponent();
-                let eb = rhs.hi().exponent();
-                let p = self.scale_wide(-ea).mul(rhs.scale_wide(-eb));
-                p.scale_wide(ea + eb)
-            },
             || Self::oracle_binary(&self, &rhs, MpFloat::mul),
         );
         if audit::should_sample() {
@@ -618,7 +515,8 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
     }
 
     /// Guarded division. Division by zero keeps the fast path's documented
-    /// NaN semantics.
+    /// NaN semantics. The kernel is range-safe, so only the post-conditions
+    /// apply (a quotient out of the base type's range).
     #[inline]
     pub fn checked_div(self, rhs: Self, policy: GuardPolicy) -> Guarded<Self> {
         let finite = self.both_finite(&rhs);
@@ -631,15 +529,8 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         }
         let g = Self::drive(
             policy,
-            self.pre_div(&rhs),
-            true,
+            false,
             || self.div(rhs),
-            || {
-                let ea = self.hi().exponent();
-                let eb = rhs.hi().exponent();
-                let q = self.scale_wide(-ea).div(rhs.scale_wide(-eb));
-                q.scale_wide(ea - eb)
-            },
             || Self::oracle_binary(&self, &rhs, MpFloat::div),
         );
         if audit::should_sample() {
@@ -648,7 +539,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         g
     }
 
-    /// Guarded reciprocal.
+    /// Guarded reciprocal (post-conditions only, like [`Self::checked_div`]).
     #[inline]
     pub fn checked_recip(self, policy: GuardPolicy) -> Guarded<Self> {
         let finite = max_abs_bits(&self.c) < T::INF_BITS;
@@ -659,18 +550,10 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags: GuardFlags::NONE,
             };
         }
-        let bb = self.hi().abs_bits();
-        let pre = ((bb < exp_bits::<T>(Self::TINY_EXP + 1)) & (bb != 0))
-            | (bb >= exp_bits::<T>(Self::HUGE_EXP - 3));
         let g = Self::drive(
             policy,
-            pre,
-            true,
+            false,
             || self.recip(),
-            || {
-                let eb = self.hi().exponent();
-                self.scale_wide(-eb).recip().scale_wide(-eb)
-            },
             || {
                 let prec = Self::oracle_prec();
                 let one = MpFloat::from_f64(1.0, prec);
@@ -684,7 +567,8 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
     }
 
     /// Guarded square root. Negative operands keep the fast path's
-    /// documented NaN semantics.
+    /// documented NaN semantics. Post-conditions only, like
+    /// [`Self::checked_div`].
     #[inline]
     pub fn checked_sqrt(self, policy: GuardPolicy) -> Guarded<Self> {
         if !self.is_finite() || self.is_zero() || self.is_negative() {
@@ -696,14 +580,8 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         }
         let g = Self::drive(
             policy,
-            self.pre_sqrt(),
-            true,
+            false,
             || self.sqrt(),
-            || {
-                // Even shift so the scale factor has an exact square root.
-                let m = self.hi().exponent().div_euclid(2);
-                self.scale_wide(-2 * m).sqrt().scale_wide(m)
-            },
             || {
                 let prec = Self::oracle_prec();
                 Self::from_mp(&self.to_mp(prec).sqrt(prec))
@@ -719,7 +597,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{F32x2, F64x2, F64x3, F64x4};
+    use crate::{F32x2, F64x2, F64x3};
 
     fn pow2(e: i32) -> f64 {
         <f64 as FloatBase>::exp2i(e)
@@ -734,11 +612,7 @@ mod tests {
     fn clean_inputs_stay_fast() {
         let a = F64x3::from(1.0) / F64x3::from(3.0);
         let b = F64x3::from(7.0) / F64x3::from(11.0);
-        for policy in [
-            GuardPolicy::FastOnly,
-            GuardPolicy::RescaleRetry,
-            GuardPolicy::OracleFallback,
-        ] {
+        for policy in [GuardPolicy::FastOnly, GuardPolicy::OracleFallback] {
             for g in [
                 a.checked_add(b, policy),
                 a.checked_sub(b, policy),
@@ -753,119 +627,76 @@ mod tests {
             }
         }
         // Values equal the unchecked kernels bit-for-bit.
-        let g = a.checked_div(b, GuardPolicy::RescaleRetry);
+        let g = a.checked_div(b, GuardPolicy::OracleFallback);
         assert_eq!(g.value.components(), (a / b).components());
     }
 
+    /// The old reciprocal-seed and residual-reconstruction regimes (a
+    /// divisor or radicand head below 2^-1019, a dividend head at 2^1023)
+    /// raise no flag and are exact on the fast path under either policy; a
+    /// top-binade sum, which still collapses, is the negative control.
     #[test]
-    fn tiny_divisor_detected_and_recovered() {
-        // Regime 1: |b0| < 2^-1020 overflows the reciprocal Newton seed.
-        let a = F64x2::from(pow2(-100));
-        let b = F64x2::from(pow2(-1040));
-        // Fast path collapses and FastOnly reports it.
-        let fast = a.checked_div(b, GuardPolicy::FastOnly);
-        assert_eq!(fast.path, GuardPath::Fast);
-        assert!(fast.flags.contains(GuardFlags::PRE_RANGE));
-        assert!(fast.value.is_nan(), "expected the documented collapse");
-        // Both recovery policies produce the exact quotient 2^940.
-        let exact =
-            MpFloat::from_f64(pow2(-100), 200).div(&MpFloat::from_f64(pow2(-1040), 200), 200);
-        for policy in [GuardPolicy::RescaleRetry, GuardPolicy::OracleFallback] {
-            let g = a.checked_div(b, policy);
-            assert!(g.recovered());
-            assert!(rel_err(&g, &exact) < pow2(-99), "policy {policy:?}");
-        }
-        assert_eq!(
-            a.checked_div(b, GuardPolicy::RescaleRetry).path,
-            GuardPath::Rescaled
-        );
-        assert_eq!(
-            a.checked_div(b, GuardPolicy::OracleFallback).path,
-            GuardPath::Oracle
-        );
-    }
-
-    #[test]
-    fn zero_over_tiny_divisor_is_zero() {
-        // 0 / tiny runs through 0 * inf = NaN on the fast path.
-        let z = F64x3::ZERO;
-        let b = F64x3::from(pow2(-1060));
-        assert!(z.checked_div(b, GuardPolicy::FastOnly).value.is_nan());
-        let g = z.checked_div(b, GuardPolicy::RescaleRetry);
-        assert!(g.value.is_zero(), "rescale must recover exact zero");
-    }
-
-    #[test]
-    fn deep_subnormal_sqrt_recovered_exactly() {
-        // sqrt(2^-1074) = 2^-537 exactly.
-        let a = F64x2::from(pow2(-1074));
-        assert!(a.checked_sqrt(GuardPolicy::FastOnly).flags.any());
-        for policy in [GuardPolicy::RescaleRetry, GuardPolicy::OracleFallback] {
-            let g = a.checked_sqrt(policy);
-            assert!(g.recovered());
-            assert_eq!(g.value.to_f64(), pow2(-537), "policy {policy:?}");
-        }
-    }
-
-    #[test]
-    fn huge_head_sqrt_recovered() {
-        // Regime 2 for sqrt: s^2 reconstruction overflows for heads >= 2^1023.
-        let a = F64x4::from(f64::MAX);
-        let fast = a.checked_sqrt(GuardPolicy::FastOnly);
-        assert!(fast.flags.contains(GuardFlags::PRE_RANGE));
-        let exact = MpFloat::from_f64(f64::MAX, 400).sqrt(400);
-        for policy in [GuardPolicy::RescaleRetry, GuardPolicy::OracleFallback] {
-            let g = a.checked_sqrt(policy);
-            assert!(g.recovered());
-            assert!(rel_err(&g, &exact) < pow2(-200), "policy {policy:?}");
-        }
-    }
-
-    #[test]
-    fn huge_head_division_recovered() {
-        // Regime 2 for div: Karp–Markstein residual reconstruction rounds
-        // past MAX for dividend heads at the top binade.
-        let a = F64x2::from_components([f64::MAX, pow2(969)]);
+    fn old_div_sqrt_regimes_need_no_recovery() {
+        let tiny = F64x2::from(pow2(-1040));
+        let huge = F64x2::from_components([f64::MAX, pow2(969)]);
         let b = F64x2::from_components([pow2(996), -pow2(942)]);
-        let exact = a.to_mp(512).div(&b.to_mp(512), 512);
-        for policy in [GuardPolicy::RescaleRetry, GuardPolicy::OracleFallback] {
-            let g = a.checked_div(b, policy);
-            assert!(g.recovered());
-            assert!(
-                g.value.is_finite(),
-                "policy {policy:?} left the ~2^28 quotient collapsed"
-            );
-            assert!(rel_err(&g, &exact) < pow2(-99), "policy {policy:?}");
+        let exact = huge.to_mp(512).div(&b.to_mp(512), 512);
+        for policy in [GuardPolicy::FastOnly, GuardPolicy::OracleFallback] {
+            let g = [
+                F64x2::from(pow2(-100)).checked_div(tiny, policy),
+                F64x2::ZERO.checked_div(tiny, policy),
+                F64x2::from(pow2(-1074)).checked_sqrt(policy),
+                huge.checked_div(b, policy),
+            ];
+            for g in &g {
+                assert_eq!((g.path, g.flags), (GuardPath::Fast, GuardFlags::NONE));
+            }
+            assert_eq!(g[0].value.components(), [pow2(940), 0.0]);
+            assert!(g[1].value.is_zero(), "0 / tiny ran through 0 * inf = NaN");
+            assert_eq!(g[2].value.components(), [pow2(-537), 0.0]);
+            assert!(rel_err(&g[3], &exact) < pow2(-99));
         }
+        // MAX + 2^970 rounds to inf in the head TwoSum, but the tail pulls
+        // the true sum back below the rounding tie.
+        let x = F64x2::from_components([f64::MAX, -pow2(960)]);
+        let y = F64x2::from(pow2(970));
+        let fast = x.checked_add(y, GuardPolicy::FastOnly);
+        assert!(fast.flags.contains(GuardFlags::PRE_RANGE));
+        assert!(fast.value.is_nan(), "expected the top-binade collapse");
+        let g = x.checked_add(y, GuardPolicy::OracleFallback);
+        assert_eq!(g.path, GuardPath::Oracle);
+        assert_eq!(g.value.components(), [f64::MAX, pow2(970) - pow2(960)]);
     }
 
     #[test]
     fn genuinely_out_of_range_results_saturate() {
-        // recip(2^-1040) = 2^1040 > MAX: both recovery paths must signal
-        // with infinity (better than the fast path's NaN).
+        // recip(2^-1040) = 2^1040 > MAX: the fast path signals with
+        // infinity (the collapsed seed used to give NaN), flagged as a
+        // non-finite result; the oracle agrees.
         let b = F64x2::from(pow2(-1040));
-        assert!(b.checked_recip(GuardPolicy::FastOnly).value.is_nan());
-        for policy in [GuardPolicy::RescaleRetry, GuardPolicy::OracleFallback] {
-            let g = b.checked_recip(policy);
-            assert!(g.recovered());
-            assert_eq!(g.value.to_f64(), f64::INFINITY, "policy {policy:?}");
-        }
+        let fast = b.checked_recip(GuardPolicy::FastOnly);
+        assert_eq!(fast.value.to_f64(), f64::INFINITY);
+        assert!(fast.flags.contains(GuardFlags::POST_NONFINITE));
+        let g = b.checked_recip(GuardPolicy::OracleFallback);
+        assert_eq!(g.path, GuardPath::Oracle);
+        assert_eq!(g.value.to_f64(), f64::INFINITY);
         // In-range tiny reciprocal stays finite and exact.
         let c = F64x2::from(pow2(-1022));
-        let g = c.checked_recip(GuardPolicy::RescaleRetry);
+        let g = c.checked_recip(GuardPolicy::FastOnly);
         assert_eq!(g.value.to_f64(), pow2(1022));
+        assert_eq!(g.flags, GuardFlags::NONE);
     }
 
     #[test]
     fn underflow_range_multiplication_keeps_precision() {
         // Product head near 2^-964: the fast kernel's tail products flush;
-        // the rescaled retry computes at full precision.
+        // the oracle computes at full precision.
         let third = F64x2::from(1.0) / F64x2::from(3.0);
         let seventh = F64x2::from(1.0) / F64x2::from(7.0);
         let a = third.scale_exp2(-480);
         let b = seventh.scale_exp2(-482);
-        let g = a.checked_mul(b, GuardPolicy::RescaleRetry);
-        assert_eq!(g.path, GuardPath::Rescaled);
+        let g = a.checked_mul(b, GuardPolicy::OracleFallback);
+        assert_eq!(g.path, GuardPath::Oracle);
         let exact = a.to_mp(512).mul(&b.to_mp(512), 512);
         assert!(
             rel_err(&g, &exact) < pow2(-95),
@@ -879,12 +710,12 @@ mod tests {
         let a = F64x3::from(f64::MAX);
         let b = F64x3::from(f64::MAX * 0.5);
         // True sum 1.5*MAX overflows: the guarded result must be inf (the
-        // correctly rounded answer), flagged as out of range.
-        let g = a.checked_add(b, GuardPolicy::RescaleRetry);
+        // correctly rounded answer).
+        let g = a.checked_add(b, GuardPolicy::OracleFallback);
         assert_eq!(g.value.to_f64(), f64::INFINITY);
-        assert!(g.flags.contains(GuardFlags::POST_NONFINITE));
+        assert!(g.flags.contains(GuardFlags::PRE_RANGE));
         // A representable near-MAX sum stays finite and exact.
-        let g2 = a.checked_add(b.neg(), GuardPolicy::RescaleRetry);
+        let g2 = a.checked_add(b.neg(), GuardPolicy::OracleFallback);
         assert_eq!(g2.value.to_f64(), f64::MAX * 0.5);
     }
 
@@ -893,7 +724,7 @@ mod tests {
         let nan = F64x2::from(f64::NAN);
         let inf = F64x2::from(f64::INFINITY);
         let one = F64x2::ONE;
-        for policy in [GuardPolicy::RescaleRetry, GuardPolicy::OracleFallback] {
+        for policy in [GuardPolicy::FastOnly, GuardPolicy::OracleFallback] {
             assert!(one.checked_div(nan, policy).value.is_nan());
             assert!(!inf.checked_add(one, policy).recovered());
             assert!(one.checked_div(F64x2::ZERO, policy).value.is_nan());
@@ -904,13 +735,21 @@ mod tests {
 
     #[test]
     fn f32_base_guard_is_generic() {
-        // Tiny divisor in the f32 exponent range: 2^-140 < 2^-124.
-        let a = F32x2::from_scalar(<f32 as FloatBase>::exp2i(-20));
-        let b = F32x2::from_scalar(<f32 as FloatBase>::exp2i(-140));
-        assert!(a.checked_div(b, GuardPolicy::FastOnly).flags.any());
-        let g = a.checked_div(b, GuardPolicy::RescaleRetry);
-        assert!(g.recovered());
+        let p = <f32 as FloatBase>::exp2i;
+        // Tiny divisor in the f32 exponent range (2^-140 < 2^-123): exact
+        // on the fast path.
+        let a = F32x2::from_scalar(p(-20));
+        let b = F32x2::from_scalar(p(-140));
+        let g = a.checked_div(b, GuardPolicy::FastOnly);
+        assert_eq!(g.flags, GuardFlags::NONE);
         assert_eq!(g.value.to_f64(), 2.0f64.powi(120));
+        // A head at the f32 top binade trips the add detector, and the
+        // oracle recovers the representable sum.
+        let (x, y) = (F32x2::from_scalar(p(127)), F32x2::from_scalar(p(100)));
+        assert!(x.checked_add(y, GuardPolicy::FastOnly).flags.any());
+        let g = x.checked_add(y, GuardPolicy::OracleFallback);
+        assert!(g.recovered());
+        assert_eq!(g.value.components(), [p(127), p(100)]);
     }
 
     /// Tentpole end-to-end: at rate 1.0 every guarded op is sampled, the
@@ -924,17 +763,18 @@ mod tests {
         audit::set_rate(1.0);
         let before = mf_telemetry::snapshot();
 
-        // Clean ops under a recovery policy: audited, never violating.
+        // Clean ops: audited, never violating.
         let a = F64x2::from(1.0) / F64x2::from(3.0);
         let b = F64x2::from(7.0) / F64x2::from(11.0);
         for _ in 0..16 {
-            let _ = a.checked_mul(b, GuardPolicy::RescaleRetry);
-            let _ = a.checked_add(b, GuardPolicy::RescaleRetry);
-            let _ = a.checked_sqrt(GuardPolicy::RescaleRetry);
+            let _ = a.checked_mul(b, GuardPolicy::OracleFallback);
+            let _ = a.checked_add(b, GuardPolicy::OracleFallback);
+            let _ = a.checked_sqrt(GuardPolicy::OracleFallback);
         }
-        // Hostile: tiny divisor under FastOnly ships the collapsed NaN.
-        let tiny = F64x2::from(pow2(-1040));
-        let g = F64x2::from(pow2(-100)).checked_div(tiny, GuardPolicy::FastOnly);
+        // Hostile: a top-binade sum under FastOnly ships the collapsed NaN
+        // although the true sum is representable.
+        let x = F64x2::from_components([f64::MAX, -pow2(960)]);
+        let g = x.checked_add(F64x2::from(pow2(970)), GuardPolicy::FastOnly);
         assert!(g.value.is_nan());
         assert!(audit::flush(Duration::from_secs(10)), "auditor stalled");
         audit::set_rate(saved);
@@ -966,15 +806,7 @@ mod tests {
                 .unwrap_or(0);
             assert!(n >= 16, "audit.ulp.{class} count {n}");
         }
-        assert!(audit::min_margin(audit::OpClass::Div).unwrap() < 0);
-    }
-
-    #[test]
-    fn scale_wide_roundtrips_beyond_exponent_range() {
-        let x = F64x2::from(pow2(-1074));
-        let up = x.scale_wide(2000);
-        assert_eq!(up.to_f64(), pow2(926));
-        assert_eq!(up.scale_wide(-2000).to_f64(), pow2(-1074));
+        assert!(audit::min_margin(audit::OpClass::Add).unwrap() < 0);
     }
 
     #[test]

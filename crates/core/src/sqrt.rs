@@ -8,21 +8,16 @@
 //! fused correction step `s <- s + (a - s²)·(½·y)` — the square-root
 //! analogue of the Karp–Markstein fusion, which restores the last couple of
 //! bits lost in the final multiply.
+//!
+//! Both kernels are range-safe like the division kernels: a radicand head
+//! below `2^(MIN_EXP+3)` (where `a·x²` overflows) or at `2^MAX_EXP` (where
+//! `s²` does) is scaled by an even power of two `2^-2m`, and the result by
+//! `2^m` (`2^-m` for the inverse root). Inside the window the shift is 0.
 
 use crate::addition::{add, sub};
+use crate::division::{recip_iters, scale, window_shift};
 use crate::multiplication::{mul, sqr};
 use mf_eft::FloatBase;
-
-/// Newton iteration count for the inverse square root at width `N`
-/// (one more than strictly needed for bit doubling, for safety margin).
-#[inline(always)]
-const fn rsqrt_iters(n: usize) -> usize {
-    match n {
-        1 => 0,
-        2 | 3 => 2,
-        _ => 3,
-    }
-}
 
 /// `1 / sqrt(a)` as an `N`-term expansion. NaN for negative input (the
 /// scalar seed is NaN and propagates, paper §4.4); zero input produces an
@@ -34,27 +29,34 @@ pub fn rsqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         out[0] = a[0].sqrt().recip();
         return out;
     }
+    let s = radicand_shift(a[0]);
+    rsqrt_newton(&scale(a, T::exp2i(-s)), T::exp2i(-s / 2))
+}
+
+/// Even shift for a radicand head: its [`window_shift`] for the window
+/// `[2^(MIN_EXP+3), 2^MAX_EXP)`, rounded down to even.
+#[inline(always)]
+fn radicand_shift<T: FloatBase>(h: T) -> i32 {
+    window_shift(h, T::MIN_EXP + 3, T::MAX_EXP - 1) & !1
+}
+
+/// The inverse-root Newton iteration, for radicand heads inside the window,
+/// times `up` (applied to the terms of the last sum, as in the division
+/// kernels; the scaled root is never near overflow).
+#[inline(always)]
+fn rsqrt_newton<T: FloatBase, const N: usize>(a: &[T; N], up: T) -> [T; N] {
     let mut x = [T::ZERO; N];
     x[0] = a[0].sqrt().recip();
-    let one = {
-        let mut o = [T::ZERO; N];
-        o[0] = T::ONE;
-        o
-    };
-    for _ in 0..rsqrt_iters(N) {
+    let mut one = [T::ZERO; N];
+    one[0] = T::ONE;
+    for i in 0..recip_iters(N) {
         // x <- x + 0.5 * x * (1 - a * x^2)
         let x2 = sqr(&x);
         let ax2 = mul(a, &x2);
         let e = sub(&one, &ax2);
-        let half_x = {
-            let mut h = x;
-            for v in &mut h {
-                *v = *v * T::HALF; // exact
-            }
-            h
-        };
-        let corr = mul(&half_x, &e);
-        x = add(&x, &corr);
+        let corr = mul(&scale(&x, T::HALF), &e);
+        let u = if i + 1 == recip_iters(N) { up } else { T::ONE };
+        x = add(&scale(&x, u), &scale(&corr, u));
     }
     x
 }
@@ -74,20 +76,21 @@ pub fn sqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         // the result with 0·∞ = NaN).
         return [T::ZERO; N];
     }
-    let y = rsqrt(a);
+    let s = radicand_shift(a[0]);
+    sqrt_newton(&scale(a, T::exp2i(-s)), T::exp2i(s / 2))
+}
+
+/// Square root with the fused final correction, for radicand heads inside
+/// the window, times `up` (as in [`rsqrt_newton`]).
+#[inline(always)]
+fn sqrt_newton<T: FloatBase, const N: usize>(a: &[T; N], up: T) -> [T; N] {
+    let y = rsqrt_newton(a, T::ONE);
     let s = mul(a, &y);
     // Fused final correction: s <- s + (a - s²)·(y/2).
     let s2 = sqr(&s);
     let r = sub(a, &s2);
-    let half_y = {
-        let mut h = y;
-        for v in &mut h {
-            *v = *v * T::HALF;
-        }
-        h
-    };
-    let corr = mul(&r, &half_y);
-    add(&s, &corr)
+    let corr = mul(&r, &scale(&y, T::HALF));
+    add(&scale(&s, up), &scale(&corr, up))
 }
 
 /// `sqrt` of a base-precision scalar, widened to an expansion (more accurate
