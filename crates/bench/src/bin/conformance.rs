@@ -8,20 +8,21 @@
 //! found, 0 means the sweep was clean.
 //!
 //! `--guarded` adds a lockstep sweep of the `checked_*` API under the
-//! oracle fallback policy; `--adaptive` adds a lockstep sweep of the `Adaptive`
-//! ladder engine, whose escalated results must match the MpFloat oracle.
+//! oracle fallback policy: kernel results must meet the documented bounds,
+//! and recovered results the `N`-component representation bound (2^-103 at
+//! `N = 2`).
 //!
 //! Usage:
 //! ```text
 //!   cargo run --release -p mf-bench --bin conformance -- \
 //!       [--ops arith,cmp,convert,io,blas,soft] [--cases N] [--seed S] \
-//!       [--guarded] [--adaptive] [--corpus <dir>] [--manifest <json>] \
+//!       [--guarded] [--corpus <dir>] [--manifest <json>] \
 //!       [--trace <json>] [--profile <folded>]
 //! ```
 
 use mf_bench::cli::{self, Flag};
 use mf_bench::history;
-use mf_conformance::{corpus, run_adaptive, run_class, run_guarded, OpClass};
+use mf_conformance::{corpus, run_class, run_guarded, OpClass};
 use mf_core::GuardPolicy;
 use mf_telemetry::json::Json;
 use std::time::Instant;
@@ -33,7 +34,6 @@ const TOOL: cli::Tool = cli::Tool {
         Flag::value("--cases", "N"),
         Flag::value("--seed", "S"),
         Flag::switch("--guarded"),
-        Flag::switch("--adaptive"),
         Flag::value("--corpus", "<dir>"),
     ],
     positional: None,
@@ -51,7 +51,6 @@ fn main() {
     };
     let mut seed: u64 = 0x5EED_CAFE;
     let mut guarded = false;
-    let mut adaptive = false;
     let mut corpus_dir = String::from("results/conformance");
     for a in args {
         match a.flag {
@@ -71,7 +70,6 @@ fn main() {
             "--cases" => cases = run.count(&a),
             "--seed" => seed = run.seed(&a),
             "--guarded" => guarded = true,
-            "--adaptive" => adaptive = true,
             "--corpus" => corpus_dir = a.value,
             _ => unreachable!("flag not declared in TOOL"),
         }
@@ -101,52 +99,27 @@ fn main() {
     }
 
     // Guarded lockstep: the same adversarial generator, but every arith
-    // case runs through `checked_*` under the oracle fallback and must
-    // match the oracle unless the exact result is out of range.
+    // case runs through `checked_*` under the oracle fallback. Kernel
+    // results must meet the documented bounds, recovered results the
+    // representation bound, and nothing may be non-finite unless the exact
+    // result is out of range.
+    let mut guarded_extra: Option<Json> = None;
     if guarded {
         let t = Instant::now();
-        let divs = run_guarded(cases, seed, GuardPolicy::OracleFallback);
+        let (divs, recovered) = run_guarded(cases, seed, GuardPolicy::OracleFallback);
         let label = "g-oracle";
         println!(
-            "{:<10} {:>10} {:>12} {:>10.1}",
+            "{:<10} {:>10} {:>12} {:>10.1}   ({recovered} recovered)",
             label,
             cases,
             divs.len(),
             t.elapsed().as_secs_f64()
         );
         counts.push((label.to_string(), Json::u64(divs.len() as u64)));
-        all.extend(divs);
-    }
-
-    // Adaptive lockstep: the same adversarial generator drives the
-    // `Adaptive` ladder engine; escalated results must land on the MpFloat
-    // oracle at the F64x2 representation bound, with no collapse excuses
-    // short of genuine overflow.
-    let mut adaptive_extra: Option<Json> = None;
-    if adaptive {
-        let t = Instant::now();
-        let (divs, stats) = run_adaptive(cases, seed);
-        println!(
-            "{:<10} {:>10} {:>12} {:>10.1}   ({} escalations, {} oracle, rate {:.4})",
-            "adaptive",
-            cases,
-            divs.len(),
-            t.elapsed().as_secs_f64(),
-            stats.escalations,
-            stats.oracle_falls,
-            stats.escalation_rate(),
-        );
-        counts.push(("adaptive".to_string(), Json::u64(divs.len() as u64)));
-        adaptive_extra = Some(Json::Obj(vec![
-            ("ops".to_string(), Json::u64(stats.ops)),
-            ("escalations".to_string(), Json::u64(stats.escalations)),
-            ("oracle_falls".to_string(), Json::u64(stats.oracle_falls)),
-            ("degraded_ops".to_string(), Json::u64(stats.degraded_ops)),
-            (
-                "escalation_rate".to_string(),
-                Json::Num(stats.escalation_rate()),
-            ),
-        ]));
+        guarded_extra = Some(Json::Obj(vec![(
+            "recovered".to_string(),
+            Json::u64(recovered),
+        )]));
         all.extend(divs);
     }
 
@@ -180,13 +153,8 @@ fn main() {
         }
     }
 
-    let config = match (guarded, adaptive) {
-        (true, true) => "sweep+guarded+adaptive",
-        (true, false) => "sweep+guarded",
-        (false, true) => "sweep+adaptive",
-        (false, false) => "sweep",
-    };
-    // Drain the shadow auditor (the guarded/adaptive sweeps sample at the
+    let config = if guarded { "sweep+guarded" } else { "sweep" };
+    // Drain the shadow auditor (the guarded sweep samples at the
     // ambient rate) so the recorded health verdict covers every submitted
     // sample, then score the run against the alert rules.
     let _ = mf_telemetry::audit::flush(std::time::Duration::from_secs(5));
@@ -198,8 +166,8 @@ fn main() {
         .with_extra("divergences", Json::Obj(counts))
         .with_extra("health", health)
         .with_extra("registry", mf_telemetry::registry::snapshot_json());
-    if let Some(extra) = adaptive_extra {
-        manifest = manifest.with_extra("adaptive", extra);
+    if let Some(extra) = guarded_extra {
+        manifest = manifest.with_extra("guarded", extra);
     }
     run.finish(Some(manifest), &history::platform_label());
 

@@ -135,16 +135,17 @@ fn render(
         }
     }
 
-    // Adaptive ladder: escalation rates derived from the engine counters
-    // (cumulative, plus the per-interval rate over escalation deltas).
+    // Escalation rates: guard-layer oracle fallbacks per check and
+    // adaptive BLAS escalations per chunk (cumulative, plus the
+    // per-interval rate over escalation deltas).
     let val = |name: &str| counters.get(name).copied();
     let mut adaptive = String::new();
     for (layer, ops_key, esc_key, oracle_key) in [
         (
             "core",
-            "mf_core_adaptive_ops_total",
-            "mf_core_adaptive_escalations_total",
-            "mf_core_adaptive_oracle_falls_total",
+            "mf_core_guard_checks_total",
+            "mf_core_guard_oracle_fallbacks_total",
+            "mf_core_guard_oracle_fallbacks_total",
         ),
         (
             "blas",
@@ -153,10 +154,12 @@ fn render(
             "mf_blas_adaptive_oracle_falls_total",
         ),
     ] {
-        if let (Some(ops), Some(esc)) = (val(ops_key), val(esc_key)) {
+        // A counter that never incremented is not exported: read it as 0.
+        if let Some(ops) = val(ops_key) {
             if ops > 0.0 {
+                let esc = val(esc_key).unwrap_or(0.0);
                 let d_ops = prev.get(ops_key).map(|p| (ops - p).max(0.0));
-                let d_esc = prev.get(esc_key).map(|p| (esc - p).max(0.0));
+                let d_esc = d_ops.map(|_| (esc - prev.get(esc_key).unwrap_or(&0.0)).max(0.0));
                 let interval = match (d_ops, d_esc) {
                     (Some(o), Some(e)) if o > 0.0 => format!("{:.4}", e / o),
                     _ => "-".into(),
@@ -175,7 +178,7 @@ fn render(
     }
     if !adaptive.is_empty() {
         out.push_str(
-            "adaptive                  ops/chunks    escalations     oracle       rate   interval\n",
+            "escalation            checks/chunks    escalations     oracle       rate   interval\n",
         );
         out.push_str(&adaptive);
     }

@@ -221,8 +221,9 @@ fn main() {
         print!("{}", mf_bench::digest::render(&merged_sections));
     }
 
-    // Escalation view: any manifest whose counters carry the adaptive
-    // engines' tallies gets a rate row (escalations per op / per chunk).
+    // Escalation view: any manifest whose counters carry guard-layer or
+    // adaptive BLAS tallies gets a rate row (oracle fallbacks per guarded
+    // check, escalations per chunk).
     let mut adaptive_rows: Vec<(String, &str, u64, u64, u64)> = Vec::new();
     for (_, m) in &manifests {
         let get = |name: &str| {
@@ -235,9 +236,9 @@ fn main() {
         for (layer, ops_key, esc_key, oracle_key) in [
             (
                 "core",
-                "core.adaptive.ops",
-                "core.adaptive.escalations",
-                "core.adaptive.oracle_falls",
+                "core.guard.checks",
+                "core.guard.oracle_fallbacks",
+                "core.guard.oracle_fallbacks",
             ),
             (
                 "blas",
@@ -246,21 +247,20 @@ fn main() {
                 "blas.adaptive.oracle_falls",
             ),
         ] {
-            if let (Some(ops), Some(esc)) = (get(ops_key), get(esc_key)) {
-                if ops > 0 {
-                    adaptive_rows.push((
-                        m.tool.clone(),
-                        layer,
-                        ops,
-                        esc,
-                        get(oracle_key).unwrap_or(0),
-                    ));
-                }
+            // A counter that never incremented is absent: read it as 0.
+            if let Some(ops) = get(ops_key).filter(|&ops| ops > 0) {
+                adaptive_rows.push((
+                    m.tool.clone(),
+                    layer,
+                    ops,
+                    get(esc_key).unwrap_or(0),
+                    get(oracle_key).unwrap_or(0),
+                ));
             }
         }
     }
     if !adaptive_rows.is_empty() {
-        println!("\nAdaptive escalation rates:");
+        println!("\nEscalation rates:");
         println!(
             "  {:<16} {:<6} {:>12} {:>12} {:>10} {:>8}",
             "tool", "layer", "ops", "escalations", "oracle", "rate"

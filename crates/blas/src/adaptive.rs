@@ -1,8 +1,8 @@
 //! Adaptive BLAS entry points: per-chunk precision escalation.
 //!
-//! The scalar engine (`mf_core::adaptive`) escalates one operation at a
-//! time; at BLAS granularity that would put a ladder decision on every
-//! element. These entry points instead treat a **fixed-size chunk**
+//! The scalar guard layer (`checked_*` under `GuardPolicy::OracleFallback`)
+//! recovers one operation at a time; at BLAS granularity that would put a
+//! recovery decision on every element. These entry points instead treat a **fixed-size chunk**
 //! ([`ADAPTIVE_CHUNK`] elements, or one matrix row for GEMV) as the
 //! escalation unit: each chunk runs the plain branch-free `N=2` kernel
 //! first, is judged by the guard layer's slice detectors
@@ -12,7 +12,7 @@
 //! one naive `f64` pass of overhead per chunk, and a single hostile chunk
 //! pays for precision without slowing its neighbours.
 //!
-//! The ladder has two rungs, `N=2 → exact`, like the scalar engine's. The
+//! The ladder has two rungs, `N=2 → exact`, like the scalar guard's. The
 //! chunks that trip are range collapses (transient overflow, flushed
 //! tails), and a `MultiFloat` has only its base type's exponent range
 //! (paper §4.4): rerunning such a chunk at `N=3` or `N=4` trips again, so
@@ -32,12 +32,10 @@
 //! panic degrade-to-serial contract (a panicking worker chunk is restored
 //! from its snapshot and rerun, adaptively, on the calling thread).
 //!
-//! Only the `max_rung` and `tol_bits` knobs of
-//! [`EscalationPolicy`] apply here: residency (`sticky`/`decay`) and the
-//! escalation budget are properties of the scalar engine's per-value
-//! ladder, while a chunk's rung is decided fresh on every call. A
-//! `max_rung` below [`Rung::Oracle`] switches escalation off: every chunk
-//! keeps its base result, tripped or not.
+//! [`EscalationPolicy`] has two knobs, and both apply here: a chunk's
+//! rung is decided fresh on every call against the `tol_bits` head bound,
+//! and a `max_rung` below [`Rung::Oracle`] switches escalation off: every
+//! chunk keeps its base result, tripped or not.
 
 use mf_core::adaptive::{EscalationPolicy, Rung};
 use mf_core::guard::{escalated_nonfinite, noncanonical};

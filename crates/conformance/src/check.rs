@@ -8,7 +8,7 @@ use core::cmp::Ordering;
 use mf_baselines::{campary::Expansion, dd::DoubleDouble, qd::QuadDouble};
 use mf_blas::soa::{SoaMatrix, SoaVec};
 use mf_blas::{kernels, parallel, simd, soa, tile, Matrix};
-use mf_core::{Adaptive, FloatBase, GuardPolicy, MultiFloat};
+use mf_core::{FloatBase, GuardPolicy, MultiFloat};
 use mf_mpsoft::MpFloat;
 use mf_softfloat::SoftFloat;
 
@@ -254,31 +254,53 @@ pub fn guard_impl_name(policy: GuardPolicy) -> &'static str {
     }
 }
 
+/// log2 of the bound for results the guard recovered: the oracle rounds
+/// the exact result once to `N` components, so a recovered result must sit
+/// at the representation precision `2^-53N` with three bits of slack —
+/// tighter than any kernel bound in [`rel_bound_exp`]. `-103` at `N = 2`.
+pub fn recovered_bound_exp(n: usize) -> i32 {
+    [-103, -156, -209][n - 2]
+}
+
 /// Lockstep entry point for the guarded API: like [`run_case`], but the
-/// case runs through `checked_*` under `policy` and is held to the same
-/// documented accuracy bound, so neither the detectors nor a recovery may
-/// make a result worse. The only excuse for a non-finite result is an
-/// exact result that is itself out of range. Non-arithmetic ops have no
-/// guarded form and return no findings.
+/// case runs through `checked_*` under `policy`. A result the kernel
+/// produced is held to the documented accuracy bound, so the detectors may
+/// not make it worse; a result the oracle produced is held to
+/// [`recovered_bound_exp`], so the recovery lands on the exact result. The
+/// only excuse for a non-finite result is an exact result that is itself
+/// out of range. Non-arithmetic ops have no guarded form and return no
+/// findings.
 pub fn run_case_guarded(case: &Case, policy: GuardPolicy) -> Vec<Divergence> {
+    check_guarded(case, policy).0
+}
+
+/// [`run_case_guarded`], also reporting whether the oracle produced the
+/// result.
+pub(crate) fn check_guarded(case: &Case, policy: GuardPolicy) -> (Vec<Divergence>, bool) {
     match case.op.as_str() {
-        "add" | "sub" | "mul" | "div" | "sqrt" => match case.n {
+        "add" | "sub" | "mul" | "div" | "recip" | "sqrt" => match case.n {
             2 => check_arith_guarded::<2>(case, policy),
             3 => check_arith_guarded::<3>(case, policy),
             4 => check_arith_guarded::<4>(case, policy),
-            other => vec![diverge(case, "harness", format!("unsupported N={other}"))],
+            other => (
+                vec![diverge(case, "harness", format!("unsupported N={other}"))],
+                false,
+            ),
         },
-        _ => Vec::new(),
+        _ => (Vec::new(), false),
     }
 }
 
-fn check_arith_guarded<const N: usize>(case: &Case, policy: GuardPolicy) -> Vec<Divergence> {
+fn check_arith_guarded<const N: usize>(
+    case: &Case,
+    policy: GuardPolicy,
+) -> (Vec<Divergence>, bool) {
     let op = case.op.as_str();
     let a = &case.operands[0];
     let b = &case.operands[case.operands.len() - 1];
-    let unary = op == "sqrt";
+    let unary = matches!(op, "sqrt" | "recip");
     if !valid_expansion(a) || (!unary && !valid_expansion(b)) {
-        return Vec::new();
+        return (Vec::new(), false);
     }
     let name = guard_impl_name(policy);
     let xa = mf::<N>(a);
@@ -288,35 +310,40 @@ fn check_arith_guarded<const N: usize>(case: &Case, policy: GuardPolicy) -> Vec<
         "sub" => xa.checked_sub(xb, policy),
         "mul" => xa.checked_mul(xb, policy),
         "div" => xa.checked_div(xb, policy),
+        "recip" => xa.checked_recip(policy),
         _ => xa.checked_sqrt(policy),
     };
     let result = g.value;
-    let mut out = Vec::new();
+    let recovered = g.recovered();
+    let fail = |detail: String| (vec![diverge(case, name, detail)], recovered);
+    let clean = (Vec::new(), recovered);
 
     // Documented special-value semantics pass through the guard unchanged.
     let nonfinite_in =
         !a.iter().all(|v| v.is_finite()) || (!unary && !b.iter().all(|v| v.is_finite()));
     if nonfinite_in {
         if result.is_finite() {
-            out.push(diverge(
-                case,
-                name,
-                format!("non-finite input produced finite {:?}", result.components()),
-            ));
+            let c = result.components();
+            return fail(format!("non-finite input produced finite {c:?}"));
         }
-        return out;
+        return clean;
     }
-    if unary && xa.is_negative() && !xa.is_zero() {
+    if op == "sqrt" && xa.is_negative() && !xa.is_zero() {
         if !result.is_nan() {
-            out.push(diverge(case, name, "sqrt(negative) not NaN".into()));
+            return fail("sqrt(negative) not NaN".into());
         }
-        return out;
+        return clean;
     }
-    if op == "div" && xb.is_zero() {
+    let divisor_zero = match op {
+        "div" => xb.is_zero(),
+        "recip" => xa.is_zero(),
+        _ => false,
+    };
+    if divisor_zero {
         if result.is_finite() {
-            out.push(diverge(case, name, "x/0 produced a finite value".into()));
+            return fail(format!("{op} by zero produced a finite value"));
         }
-        return out;
+        return clean;
     }
 
     let a_mp = slice_to_mp(a);
@@ -324,186 +351,45 @@ fn check_arith_guarded<const N: usize>(case: &Case, policy: GuardPolicy) -> Vec<
     let exact = exact_arith(op, &a_mp, &b_mp);
     if exact.is_zero() {
         if !result.is_zero() {
-            out.push(diverge(
-                case,
-                name,
-                format!(
-                    "exact zero result, got {:?} via {:?}",
-                    result.components(),
-                    g.path
-                ),
-            ));
+            let c = result.components();
+            return fail(format!("exact zero result, got {c:?} via {:?}", g.path));
         }
-        return out;
+        return clean;
     }
 
     // The only excuse for a non-finite result: the true result itself
     // rounds out of the representable range (the saturated non-finite
     // answer is then the *correct* report, and stays flagged in `g.flags`).
     let e_exact = exact.exp2().unwrap_or(0);
-    let may_overflow = e_exact >= OVERFLOW_EXP;
-    let bexp = rel_bound_exp(op, N);
     if !result.is_finite() {
         if MultiFloat::<f64, N>::from_mp(&exact).is_finite() {
-            out.push(diverge(
-                case,
-                name,
-                format!(
-                    "unrecovered collapse: {:?} via {:?} (exact exp2 {e_exact})",
-                    result.components(),
-                    g.path
-                ),
-            ));
-        }
-        return out;
-    }
-    let got = result.to_mp(ORACLE_PREC);
-    let (ok, rel) = within(&got, &exact, bexp);
-    if !ok && !may_overflow && !flush_excused(op, &got, &exact, &a_mp, &b_mp) {
-        out.push(diverge(
-            case,
-            name,
-            format!(
-                "rel err 2^{:.1} exceeds bound 2^{bexp} via {:?}",
-                rel.log2(),
+            let c = result.components();
+            return fail(format!(
+                "unrecovered collapse: {c:?} via {:?} (exact exp2 {e_exact})",
                 g.path
-            ),
-        ));
-    }
-    out
-}
-
-/// Accuracy bound for results the `Adaptive` ladder escalated: the ladder
-/// escalates straight to the oracle rung, which rounds the exact result
-/// correctly to two components (representation error ~2^-107) — so
-/// escalated results must sit at the N = 2 representation precision with a
-/// couple of bits of slack, tighter than any base-rung operation bound.
-pub const ADAPTIVE_ESCALATED_BOUND_EXP: i32 = -103;
-
-/// Lockstep entry point for the adaptive engine: the case runs through
-/// [`Adaptive`]'s `checked_*` ladder and is held to [`rel_bound_exp`] when
-/// it stayed on the base rung and to [`ADAPTIVE_ESCALATED_BOUND_EXP`] when
-/// it escalated — proving escalated results match the MpFloat oracle. The
-/// add/mul collapse regimes (top-binade sums, products near overflow) are
-/// exactly what the ladder exists to fix, so an unrecovered collapse is a
-/// divergence unless the exact result itself is unrepresentable. The
-/// engine's base format is
-/// `F64x2`, so wider cases check the two-component truncation of their
-/// operands. Non-arithmetic ops return no findings.
-pub fn run_case_adaptive(case: &Case, engine: &Adaptive<f64>) -> Vec<Divergence> {
-    match case.op.as_str() {
-        "add" | "sub" | "mul" | "div" | "sqrt" => check_arith_adaptive(case, engine),
-        _ => Vec::new(),
-    }
-}
-
-fn check_arith_adaptive(case: &Case, engine: &Adaptive<f64>) -> Vec<Divergence> {
-    let op = case.op.as_str();
-    let name = "mf-adaptive";
-    let af = &case.operands[0];
-    let bf = &case.operands[case.operands.len() - 1];
-    if af.len() < 2 || bf.len() < 2 {
-        return Vec::new();
-    }
-    let (a, b) = (&af[..2], &bf[..2]);
-    let unary = op == "sqrt";
-    if !valid_expansion(a) || (!unary && !valid_expansion(b)) {
-        return Vec::new();
-    }
-    let xa = mf::<2>(a);
-    let xb = mf::<2>(b);
-    let ev = match op {
-        "add" => engine.checked_add(xa, xb),
-        "sub" => engine.checked_sub(xa, xb),
-        "mul" => engine.checked_mul(xa, xb),
-        "div" => engine.checked_div(xa, xb),
-        _ => engine.checked_sqrt(xa),
-    };
-    let result = ev.value;
-    let mut out = Vec::new();
-
-    // Documented special-value semantics bypass the ladder unchanged.
-    let nonfinite_in =
-        !a.iter().all(|v| v.is_finite()) || (!unary && !b.iter().all(|v| v.is_finite()));
-    if nonfinite_in {
-        if result.is_finite() {
-            out.push(diverge(
-                case,
-                name,
-                format!("non-finite input produced finite {:?}", result.components()),
             ));
         }
-        return out;
+        return clean;
     }
-    if unary && xa.is_negative() && !xa.is_zero() {
-        if !result.is_nan() {
-            out.push(diverge(case, name, "sqrt(negative) not NaN".into()));
-        }
-        return out;
-    }
-    if op == "div" && xb.is_zero() {
-        if result.is_finite() {
-            out.push(diverge(case, name, "x/0 produced a finite value".into()));
-        }
-        return out;
-    }
-
-    let a_mp = slice_to_mp(a);
-    let b_mp = slice_to_mp(b);
-    let exact = exact_arith(op, &a_mp, &b_mp);
-    if exact.is_zero() {
-        if !result.is_zero() {
-            out.push(diverge(
-                case,
-                name,
-                format!(
-                    "exact zero result, got {:?} at rung {}",
-                    result.components(),
-                    ev.rung
-                ),
-            ));
-        }
-        return out;
-    }
-
-    // The ladder tops out at the exact oracle, so the only excuse for a
-    // non-finite result is a truly unrepresentable magnitude.
-    let e_exact = exact.exp2().unwrap_or(0);
-    let may_overflow = e_exact >= OVERFLOW_EXP;
-    if !result.is_finite() {
-        if !may_overflow {
-            out.push(diverge(
-                case,
-                name,
-                format!(
-                    "unrecovered collapse: {:?} at rung {} (exact exp2 {e_exact})",
-                    result.components(),
-                    ev.rung
-                ),
-            ));
-        }
-        return out;
-    }
-    let bexp = if ev.escalated() {
-        ADAPTIVE_ESCALATED_BOUND_EXP
-    } else {
-        rel_bound_exp(op, 2)
-    };
+    // A recovered result is correctly rounded: no overflow or flush excuse
+    // applies to it.
     let got = result.to_mp(ORACLE_PREC);
+    let bexp = if recovered {
+        recovered_bound_exp(N)
+    } else {
+        rel_bound_exp(op, N)
+    };
     let (ok, rel) = within(&got, &exact, bexp);
-    if !ok && !may_overflow && !flush_excused(op, &got, &exact, &a_mp, &b_mp) {
-        out.push(diverge(
-            case,
-            name,
-            format!(
-                "rel err 2^{:.1} exceeds bound 2^{bexp} at rung {} ({} escalations)",
-                rel.log2(),
-                ev.rung,
-                ev.escalations
-            ),
+    let excused =
+        !recovered && (e_exact >= OVERFLOW_EXP || flush_excused(op, &got, &exact, &a_mp, &b_mp));
+    if !ok && !excused {
+        return fail(format!(
+            "rel err 2^{:.1} exceeds bound 2^{bexp} via {:?}",
+            rel.log2(),
+            g.path
         ));
     }
-    out
+    clean
 }
 
 /// Newton-refined ops lose their correction when the residual flushes:
@@ -530,13 +416,8 @@ fn flush_excused(op: &str, got: &MpFloat, exact: &MpFloat, a: &MpFloat, b: &MpFl
         // The reciprocal is the quotient 1 / a; the inverse root shares the
         // square root's flushes.
         "recip" => flush_excused("div", got, exact, &MpFloat::from_f64(1.0, 53), a),
-        "sqrt" | "rsqrt" => {
-            // Small x: the residual x - y*y flushes.
-            e(&diff.mul(&exact.abs(), 64)) <= -1055
-                // Large x: tails of r*r in the rsqrt iteration flush
-                // (r^2 ~ 1/x), costing up to |x| * 2^-1074 relative.
-                || e(&diff) <= e(&exact.abs()) + e(&a.abs()) - 1050
-        }
+        // Small x: the residual x - y*y flushes.
+        "sqrt" | "rsqrt" => e(&diff.mul(&exact.abs(), 64)) <= -1055,
         _ => false,
     }
 }

@@ -152,43 +152,25 @@ impl OpClass {
 /// `policy` in lockstep with the oracle (see [`check::run_case_guarded`]).
 /// The generator seed is offset from [`run_class`]'s so the guarded sweep
 /// explores different draws than the fast-path sweep at the same seed.
-pub fn run_guarded(cases: usize, seed: u64, policy: mf_core::GuardPolicy) -> Vec<Divergence> {
+/// Returns the divergences and how many cases the oracle recovered.
+pub fn run_guarded(
+    cases: usize,
+    seed: u64,
+    policy: mf_core::GuardPolicy,
+) -> (Vec<Divergence>, u64) {
     let mut g = gen::CaseGen::new(seed ^ 0x6a72_6465_6427_5eed);
     let mut out = Vec::new();
+    let mut recovered = 0;
     for _ in 0..cases {
         let case = g.next_case(OpClass::Arith);
-        out.extend(check::run_case_guarded(&case, policy));
+        let (divs, r) = check::check_guarded(&case, policy);
+        out.extend(divs);
+        recovered += u64::from(r);
         if out.len() >= 32 {
             break; // enough evidence; don't flood the report
         }
     }
-    out
-}
-
-/// Run `cases` generated arithmetic cases through the [`mf_core::Adaptive`]
-/// ladder engine in lockstep with the oracle (see
-/// [`check::run_case_adaptive`]): results that stayed on the base rung are
-/// held to the base bounds, escalated results to the `N = 2` representation
-/// bound — proving escalation lands on the MpFloat oracle. The engine runs
-/// in per-op (non-sticky) mode so every case is judged from the base rung
-/// and replays deterministically in isolation. Returns the divergences and
-/// the engine's escalation tally for the sweep.
-pub fn run_adaptive(cases: usize, seed: u64) -> (Vec<Divergence>, mf_core::AdaptiveStats) {
-    let policy = mf_core::EscalationPolicy {
-        sticky: false,
-        ..Default::default()
-    };
-    let engine = mf_core::Adaptive::<f64>::new(policy);
-    let mut g = gen::CaseGen::new(seed ^ 0xada7_d1ff_5eed_0ca1);
-    let mut out = Vec::new();
-    for _ in 0..cases {
-        let case = g.next_case(OpClass::Arith);
-        out.extend(check::run_case_adaptive(&case, &engine));
-        if out.len() >= 32 {
-            break; // enough evidence; don't flood the report
-        }
-    }
-    (out, engine.stats())
+    (out, recovered)
 }
 
 /// Run `cases` generated cases of one class and return every divergence

@@ -76,7 +76,7 @@ fn lockstep_checker_sees_the_collapse_under_fast_only() {
 #[test]
 fn generated_guard_regime_sweep_is_clean() {
     let policy = GuardPolicy::OracleFallback;
-    let divs = run_guarded(4_000, 0x6a72_64ed, policy);
+    let (divs, _) = run_guarded(4_000, 0x6a72_64ed, policy);
     assert!(
         divs.is_empty(),
         "[{}] {} divergence(s), first: {}",

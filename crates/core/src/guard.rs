@@ -17,15 +17,27 @@
 //! handful of integer exponent compares combined with bitwise or, so a
 //! vectorized caller can evaluate them across a lane without reintroducing
 //! data-dependent control flow on the hot path. Only the (rare) recovery
-//! path branches. Post-conditions (a non-finite result from finite inputs,
-//! a noncanonical expansion) apply to every operation.
+//! path branches. Post-conditions apply to every operation: a non-finite
+//! result from finite inputs, a noncanonical expansion, and a result head
+//! that strays more than `2^-RESIDUAL_TOL_BITS` from a naive base-precision
+//! evaluation of the same operation (`a+b` vs `r`, `q·b` vs `a`, `s·s` vs
+//! `a`, …).
 //!
 //! [`GuardPolicy`] selects what a detection does: [`GuardPolicy::FastOnly`]
 //! reports it and ships the kernel's result, and
-//! [`GuardPolicy::OracleFallback`] routes the operation through the
-//! [`MpFloat`] software oracle at the format's equivalent precision and
-//! rounds back — correct by construction, but allocation-heavy and orders
-//! of magnitude slower.
+//! [`GuardPolicy::OracleFallback`] recomputes the operation exactly and
+//! rounds once. Sums and products are exact sums of base-format products,
+//! accumulated in an [`mf_mpsoft::LongAccumulator`] as mf-blas's exact rung
+//! does; quotients and roots go through [`MpFloat`] at
+//! `max(N, 4)·(P+1)+64` bits. This is the cheap-common-case /
+//! exact-rare-case shape of de Fine Licht et al.: clean operands pay the
+//! detector cost only, a detection pays for the exact evaluation. It is the
+//! one scalar recovery path; mf-blas and mf-solve escalate whole chunks and
+//! residuals on their own ladders (see [`crate::adaptive`]).
+//!
+//! Special values (§4.4) bypass detection and recovery: non-finite
+//! operands, division by zero, `recip(0)` and the square root of a
+//! negative value or of zero ship the kernel's documented result.
 //!
 //! Every checked operation returns a [`Guarded`] value carrying the result,
 //! the [`GuardPath`] that produced it, and the [`GuardFlags`] raised by the
@@ -33,7 +45,7 @@
 //! fallback rates land in run manifests.
 
 use crate::{FloatBase, MultiFloat};
-use mf_mpsoft::MpFloat;
+use mf_mpsoft::{LongAccumulator, MpFloat};
 use mf_telemetry::audit::{self, OpClass};
 use mf_telemetry::Counter;
 
@@ -47,6 +59,7 @@ static GUARD_ORACLE_FALLBACKS: Counter = Counter::new("core.guard.oracle_fallbac
 static GUARD_FLAG_PRE_RANGE: Counter = Counter::new("core.guard.flag.pre_range");
 static GUARD_FLAG_POST_NONFINITE: Counter = Counter::new("core.guard.flag.post_nonfinite");
 static GUARD_FLAG_POST_NONCANONICAL: Counter = Counter::new("core.guard.flag.post_noncanonical");
+static GUARD_FLAG_POST_RESIDUAL: Counter = Counter::new("core.guard.flag.post_residual");
 static GUARD_FAST_ONLY_TRIPS: Counter = Counter::new("core.guard.trips.fast_only");
 
 #[inline]
@@ -72,7 +85,18 @@ fn record_flags(flags: GuardFlags) {
     if flags.contains(GuardFlags::POST_NONCANONICAL) {
         GUARD_FLAG_POST_NONCANONICAL.incr();
     }
+    if flags.contains(GuardFlags::POST_RESIDUAL) {
+        GUARD_FLAG_POST_RESIDUAL.incr();
+    }
 }
+
+/// Head-residual tolerance in bits: [`GuardFlags::POST_RESIDUAL`] fires when
+/// a result head strays from a naive base-precision evaluation of the same
+/// operation by more than `2^-RESIDUAL_TOL_BITS` of the operation's
+/// magnitude scale. Clean results sit near `2^-(P-1)`, far inside the
+/// bound, so it fires only on corrupted or collapsed heads. The default
+/// `tol_bits` of [`crate::EscalationPolicy`] reads it too.
+pub const RESIDUAL_TOL_BITS: u32 = 40;
 
 /// What to do when a detector flags an operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,8 +106,8 @@ pub enum GuardPolicy {
     /// result is whatever the fast path produced — possibly collapsed.
     #[default]
     FastOnly,
-    /// Route the operation through the [`MpFloat`] oracle at equivalent
-    /// precision.
+    /// Recompute a flagged operation exactly and round once (see the
+    /// module docs).
     OracleFallback,
 }
 
@@ -92,7 +116,7 @@ pub enum GuardPolicy {
 pub enum GuardPath {
     /// The unmodified branch-free kernel.
     Fast,
-    /// The [`MpFloat`] software oracle.
+    /// The exact oracle recomputation.
     Oracle,
 }
 
@@ -122,6 +146,10 @@ impl GuardFlags {
     /// Post-condition: the output expansion violates the nonoverlapping
     /// canonical form.
     pub const POST_NONCANONICAL: Self = GuardFlags(1 << 2);
+    /// Post-condition: the result head strays more than
+    /// `2^-`[`RESIDUAL_TOL_BITS`] from a naive base-precision evaluation of
+    /// the same operation.
+    pub const POST_RESIDUAL: Self = GuardFlags(1 << 3);
 
     /// True if any detector fired.
     pub fn any(self) -> bool {
@@ -319,6 +347,19 @@ pub fn head_inconsistent<T: FloatBase>(inputs: &[T], out: &[T], tol_bits: u32) -
     (naive - head).abs() > mag * T::exp2i(-(tol_bits as i32))
 }
 
+/// The head-residual check of one operation as pure data: is
+/// `|naive - reference|` above `2^-RESIDUAL_TOL_BITS · mag`? The caller
+/// passes a naive base-precision evaluation, the value it must match, and
+/// the magnitude scale of the operation (the same backward-style bound as
+/// [`head_inconsistent`]). Every caller's `mag` bounds `|naive|`, so a
+/// `naive` that overflows makes `mag` infinite and the check false; a
+/// non-finite result is masked out in `post_flags`. Range collapse is the
+/// other detectors' job.
+#[inline(always)]
+fn residual<T: FloatBase>(naive: T, reference: T, mag: T) -> bool {
+    (naive - reference).abs() > mag * T::exp2i(-(RESIDUAL_TOL_BITS as i32))
+}
+
 impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
     /// Branch-free finiteness of every component of both operands.
     #[inline(always)]
@@ -347,30 +388,46 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
     /// Post-condition detectors as pure data: no data-dependent branch, so
     /// on clean results the whole computation is a handful of integer ops
     /// running in the shadow of the kernel's FP latency.
+    /// `residual` is the operation's head-residual check on `r`.
     #[inline(always)]
-    fn post_flags(r: &Self) -> GuardFlags {
+    fn post_flags(r: &Self, residual: bool) -> GuardFlags {
         let finite = max_abs_bits(&r.c) < T::INF_BITS;
         let nonfinite = !finite;
         let noncanon = noncanonical(&r.c) & finite;
+        let residual = residual & finite;
         GuardFlags(
             (nonfinite as u8) * GuardFlags::POST_NONFINITE.0
-                + (noncanon as u8) * GuardFlags::POST_NONCANONICAL.0,
+                + (noncanon as u8) * GuardFlags::POST_NONCANONICAL.0
+                + (residual as u8) * GuardFlags::POST_RESIDUAL.0,
         )
     }
 
-    /// Oracle working precision equivalent to this format.
-    fn oracle_prec() -> u32 {
-        N as u32 * (T::PRECISION + 1) + 64
+    /// The exact sum `Σ x·y` over `products` as an [`MpFloat`]: every
+    /// base-format product is exact in a [`LongAccumulator`] (both hardware
+    /// bases widen to `f64` without rounding).
+    fn exact(products: impl IntoIterator<Item = (T, T)>) -> MpFloat {
+        let mut acc = LongAccumulator::new();
+        for (x, y) in products {
+            acc.add_product(x.to_f64(), y.to_f64());
+        }
+        acc.to_mp()
     }
 
-    fn oracle_binary(a: &Self, b: &Self, op: fn(&MpFloat, &MpFloat, u32) -> MpFloat) -> Self {
-        let prec = Self::oracle_prec();
-        Self::from_mp(&op(&a.to_mp(prec), &b.to_mp(prec), prec))
+    /// The exact value of this expansion.
+    fn exact_value(&self) -> MpFloat {
+        Self::exact(self.c.map(|x| (x, T::ONE)))
+    }
+
+    /// Working precision of the quotient and root oracles: at least
+    /// `4·(P+1)+64` bits, `N·(P+1)+64` for wider formats.
+    fn oracle_prec() -> u32 {
+        N.max(4) as u32 * (T::PRECISION + 1) + 64
     }
 
     /// Shared driver: evaluate pre-conditions, run the fast kernel when
-    /// allowed, and fall back to the oracle on detection under
-    /// [`GuardPolicy::OracleFallback`].
+    /// allowed, judge its result with the post-conditions (`residual` is the
+    /// operation's head-residual check), and fall back to the oracle on
+    /// detection under [`GuardPolicy::OracleFallback`].
     ///
     /// Split so the clean-input path — no pre-condition, clean post-flags —
     /// inlines as a short straight-line sequence; everything that can only
@@ -382,6 +439,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         policy: GuardPolicy,
         pre: bool,
         fast: impl FnOnce() -> Self,
+        residual: impl FnOnce(&Self) -> bool,
         oracle: impl FnOnce() -> Self,
     ) -> Guarded<Self> {
         record(&GUARD_CHECKS);
@@ -393,7 +451,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         // loop-invariant in any realistic caller — perfectly predicted.)
         if policy == GuardPolicy::FastOnly {
             let r = fast();
-            let mut flags = Self::post_flags(&r);
+            let mut flags = Self::post_flags(&r, residual(&r));
             if pre {
                 flags.set(GuardFlags::PRE_RANGE);
             }
@@ -401,9 +459,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 if pre {
                     record(&GUARD_PRE_DETECTED);
                 }
-                if flags.contains(GuardFlags::POST_NONFINITE)
-                    || flags.contains(GuardFlags::POST_NONCANONICAL)
-                {
+                if flags != GuardFlags::NONE && flags != GuardFlags::PRE_RANGE {
                     record(&GUARD_POST_DETECTED);
                 }
                 record_flags(flags);
@@ -424,7 +480,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         // names the collapse regime.
         if !pre {
             let r = fast();
-            let post = Self::post_flags(&r);
+            let post = Self::post_flags(&r, residual(&r));
             if !post.any() {
                 return Guarded {
                     value: r,
@@ -470,11 +526,17 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags: GuardFlags::NONE,
             };
         }
+        let (a0, b0) = (self.hi(), rhs.hi());
         let g = Self::drive(
             policy,
             self.pre_addsub(&rhs),
             || self.add(rhs),
-            || Self::oracle_binary(&self, &rhs, MpFloat::add),
+            |r| residual(a0 + b0, r.hi(), a0.abs() + b0.abs()),
+            || {
+                Self::from_mp(&Self::exact(
+                    self.c.into_iter().chain(rhs.c).map(|x| (x, T::ONE)),
+                ))
+            },
         );
         // Shadow-oracle audit: an occasional sample (default ~1/1024, see
         // MF_AUDIT_RATE) is recomputed exactly on a background thread. Note
@@ -502,11 +564,17 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags: GuardFlags::NONE,
             };
         }
+        let p = self.hi() * rhs.hi();
         let g = Self::drive(
             policy,
             self.pre_mul(&rhs),
             || self.mul(rhs),
-            || Self::oracle_binary(&self, &rhs, MpFloat::mul),
+            |r| residual(p, r.hi(), p.abs()),
+            || {
+                Self::from_mp(&Self::exact(
+                    self.c.into_iter().flat_map(|x| rhs.c.map(|y| (x, y))),
+                ))
+            },
         );
         if audit::should_sample() {
             crate::audit_hook::submit_binary(OpClass::Mul, &self, &rhs, &g.value);
@@ -516,7 +584,8 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
 
     /// Guarded division. Division by zero keeps the fast path's documented
     /// NaN semantics. The kernel is range-safe, so only the post-conditions
-    /// apply (a quotient out of the base type's range).
+    /// apply (a quotient out of the base type's range, or one whose head
+    /// fails `q·b ≈ a`).
     #[inline]
     pub fn checked_div(self, rhs: Self, policy: GuardPolicy) -> Guarded<Self> {
         let finite = self.both_finite(&rhs);
@@ -527,11 +596,20 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags: GuardFlags::NONE,
             };
         }
+        // The quotient is judged by reconstructing the dividend: q·b ≈ a.
+        let (a0, b0) = (self.hi(), rhs.hi());
         let g = Self::drive(
             policy,
             false,
             || self.div(rhs),
-            || Self::oracle_binary(&self, &rhs, MpFloat::div),
+            |r| {
+                let p = r.hi() * b0;
+                residual(p, a0, a0.abs() + p.abs())
+            },
+            || {
+                let prec = Self::oracle_prec();
+                Self::from_mp(&self.exact_value().div(&rhs.exact_value(), prec))
+            },
         );
         if audit::should_sample() {
             crate::audit_hook::submit_binary(OpClass::Div, &self, &rhs, &g.value);
@@ -539,7 +617,8 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
         g
     }
 
-    /// Guarded reciprocal (post-conditions only, like [`Self::checked_div`]).
+    /// Guarded reciprocal (post-conditions only, like [`Self::checked_div`];
+    /// the residual check is `r·a ≈ 1`).
     #[inline]
     pub fn checked_recip(self, policy: GuardPolicy) -> Guarded<Self> {
         let finite = max_abs_bits(&self.c) < T::INF_BITS;
@@ -550,14 +629,19 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags: GuardFlags::NONE,
             };
         }
+        let a0 = self.hi();
         let g = Self::drive(
             policy,
             false,
             || self.recip(),
+            |r| {
+                let p = r.hi() * a0;
+                residual(p, T::ONE, T::ONE + p.abs())
+            },
             || {
                 let prec = Self::oracle_prec();
                 let one = MpFloat::from_f64(1.0, prec);
-                Self::from_mp(&one.div(&self.to_mp(prec), prec))
+                Self::from_mp(&one.div(&self.exact_value(), prec))
             },
         );
         if audit::should_sample() {
@@ -568,7 +652,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
 
     /// Guarded square root. Negative operands keep the fast path's
     /// documented NaN semantics. Post-conditions only, like
-    /// [`Self::checked_div`].
+    /// [`Self::checked_div`]; the residual check is `s·s ≈ a`.
     #[inline]
     pub fn checked_sqrt(self, policy: GuardPolicy) -> Guarded<Self> {
         if !self.is_finite() || self.is_zero() || self.is_negative() {
@@ -578,14 +662,16 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
                 flags: GuardFlags::NONE,
             };
         }
+        let a0 = self.hi();
         let g = Self::drive(
             policy,
             false,
             || self.sqrt(),
-            || {
-                let prec = Self::oracle_prec();
-                Self::from_mp(&self.to_mp(prec).sqrt(prec))
+            |r| {
+                let p = r.hi() * r.hi();
+                residual(p, a0, a0.abs() + p.abs())
             },
+            || Self::from_mp(&self.exact_value().sqrt(Self::oracle_prec())),
         );
         if audit::should_sample() {
             crate::audit_hook::submit_unary(OpClass::Sqrt, &self, &g.value);
@@ -597,7 +683,7 @@ impl<T: GuardBase, const N: usize> MultiFloat<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{F32x2, F64x2, F64x3};
+    use crate::{F32x2, F64x2, F64x3, F64x4};
 
     fn pow2(e: i32) -> f64 {
         <f64 as FloatBase>::exp2i(e)
@@ -631,6 +717,152 @@ mod tests {
         assert_eq!(g.value.components(), (a / b).components());
     }
 
+    fn lcg(s: &mut u64) -> u64 {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *s
+    }
+
+    /// A random full-tail F64x2: the product of two f64 with mantissas in
+    /// [1, 2), exponents in [-40, 40] and random signs.
+    fn rand_val(s: &mut u64) -> F64x2 {
+        let mut f = || {
+            let m = 1.0 + (lcg(s) >> 11) as f64 * pow2(-53);
+            let sign = if lcg(s) & 1 == 0 { 1.0 } else { -1.0 };
+            sign * m * pow2((lcg(s) % 81) as i32 - 40)
+        };
+        F64x2::from_scalar(f()) * F64x2::from_scalar(f())
+    }
+
+    /// No detector, the head residual included, fires on well-scaled
+    /// operands: every op ships the kernel's own bits.
+    #[test]
+    fn random_clean_operands_never_recover() {
+        let mut s = 0x5EED_u64;
+        for i in 0..2000 {
+            let (a, b) = (rand_val(&mut s), rand_val(&mut s));
+            let (g, fast) = match i % 6 {
+                0 => (a.checked_add(b, GuardPolicy::OracleFallback), a + b),
+                1 => (a.checked_sub(b, GuardPolicy::OracleFallback), a - b),
+                2 => (a.checked_mul(b, GuardPolicy::OracleFallback), a * b),
+                3 => (a.checked_div(b, GuardPolicy::OracleFallback), a / b),
+                4 => (a.checked_recip(GuardPolicy::OracleFallback), a.recip()),
+                _ => (
+                    a.abs().checked_sqrt(GuardPolicy::OracleFallback),
+                    a.abs().sqrt(),
+                ),
+            };
+            assert_eq!(
+                (g.path, g.flags),
+                (GuardPath::Fast, GuardFlags::NONE),
+                "op {i}"
+            );
+            assert_eq!(g.value.components(), fast.components(), "op {i}");
+        }
+    }
+
+    /// Top-binade sums and differences recover to exactly `from_mp` of the
+    /// exact result, tails the old fixed-precision oracle dropped included.
+    #[test]
+    fn top_binade_sums_recover_the_exact_result() {
+        let exact = |a: &MpFloat, b: &MpFloat, sub: bool| {
+            if sub {
+                a.sub(b, 4096)
+            } else {
+                a.add(b, 4096)
+            }
+        };
+        let top = pow2(1023);
+        let g = F64x2::from(top).checked_add(F64x2::from(pow2(851)), GuardPolicy::OracleFallback);
+        assert_eq!(g.value.components(), [top, pow2(851)]);
+        let g = F64x2::from(top).checked_add(F64x2::from(pow2(-50)), GuardPolicy::OracleFallback);
+        assert_eq!(g.value.components(), [top, pow2(-50)]);
+        let g = F64x3::from(top).checked_add(F64x3::from(pow2(780)), GuardPolicy::OracleFallback);
+        assert_eq!(g.value.components(), [top, pow2(780), 0.0]);
+        // The add detector's boundary: a head at 2^1023 recovers, 2^1022
+        // stays on the kernel.
+        let g = F64x2::from(top).checked_add(F64x2::ONE, GuardPolicy::OracleFallback);
+        assert_eq!(
+            (g.path, g.value.components()),
+            (GuardPath::Oracle, [top, 1.0])
+        );
+        let g = F64x2::from(pow2(1022)).checked_add(F64x2::ONE, GuardPolicy::OracleFallback);
+        assert_eq!(g.path, GuardPath::Fast);
+
+        let mut s = 0xC0_11A9_u64;
+        for k in 0..40 {
+            let m = 1.0 + (lcg(&mut s) >> 12) as f64 * pow2(-52);
+            let huge = F64x2::from_scalar(m * top);
+            let x = rand_val(&mut s);
+            let tail = F64x4::from_scalar(pow2(1000 - 40 * k));
+            for sub in [false, true] {
+                let g = if sub {
+                    huge.checked_sub(x, GuardPolicy::OracleFallback)
+                } else {
+                    huge.checked_add(x, GuardPolicy::OracleFallback)
+                };
+                let want = F64x2::from_mp(&exact(&huge.to_mp(128), &x.to_mp(128), sub));
+                assert_eq!(g.path, GuardPath::Oracle, "k={k} sub={sub}");
+                assert_eq!(g.value.components(), want.components(), "k={k} sub={sub}");
+
+                let h4 = F64x4::from_scalar(m * top);
+                let g = if sub {
+                    h4.checked_sub(tail, GuardPolicy::OracleFallback)
+                } else {
+                    h4.checked_add(tail, GuardPolicy::OracleFallback)
+                };
+                let want = F64x4::from_mp(&exact(&h4.to_mp(64), &tail.to_mp(64), sub));
+                assert_eq!(
+                    g.value.components(),
+                    want.components(),
+                    "N=4 k={k} sub={sub}"
+                );
+            }
+        }
+    }
+
+    /// A kernel result whose head is corrupted but finite and canonical
+    /// raises only the head-residual flag, and the fallback recovers it.
+    #[test]
+    fn corrupted_head_trips_the_residual_check() {
+        let (a, b) = (F64x2::ONE, F64x2::from(pow2(-30)));
+        let (a0, b0) = (a.hi(), b.hi());
+        let check = |r: &F64x2| residual(a0 + b0, r.hi(), a0.abs() + b0.abs());
+        let good = a + b;
+        let bad = F64x2::from_components([1.5 + pow2(-30), 0.0]);
+        assert!(!check(&good));
+        assert_eq!(
+            F64x2::post_flags(&bad, check(&bad)),
+            GuardFlags::POST_RESIDUAL
+        );
+        // A head off by 2^-39 of the magnitude trips; 2^-41 does not.
+        let off = |d: f64| F64x2::from_components([1.0 + pow2(-30) + d, 0.0]);
+        assert!(check(&off(pow2(-39))) && !check(&off(pow2(-41))));
+        // A non-finite result is the other detectors' business, and an
+        // overflowing naive sum carries an infinite magnitude scale.
+        let inf = F64x2::from(f64::INFINITY);
+        assert_eq!(
+            F64x2::post_flags(&inf, check(&inf)),
+            GuardFlags::POST_NONFINITE
+        );
+        assert!(!residual(f64::INFINITY, f64::MAX, f64::INFINITY));
+
+        let oracle = || F64x2::from_mp(&F64x2::exact([(a0, 1.0), (b0, 1.0)]));
+        let g = F64x2::drive(GuardPolicy::FastOnly, false, || bad, check, oracle);
+        assert_eq!(
+            (g.path, g.flags),
+            (GuardPath::Fast, GuardFlags::POST_RESIDUAL)
+        );
+        assert_eq!(g.value.components(), bad.components());
+        let g = F64x2::drive(GuardPolicy::OracleFallback, false, || bad, check, oracle);
+        assert_eq!(
+            (g.path, g.flags),
+            (GuardPath::Oracle, GuardFlags::POST_RESIDUAL)
+        );
+        assert_eq!(g.value.components(), good.components());
+    }
+
     /// The old reciprocal-seed and residual-reconstruction regimes (a
     /// divisor or radicand head below 2^-1019, a dividend head at 2^1023)
     /// raise no flag and are exact on the fast path under either policy; a
@@ -655,6 +887,20 @@ mod tests {
             assert!(g[1].value.is_zero(), "0 / tiny ran through 0 * inf = NaN");
             assert_eq!(g[2].value.components(), [pow2(-537), 0.0]);
             assert!(rel_err(&g[3], &exact) < pow2(-99));
+            // Divisor heads at and near the former 2^-1019 detector
+            // boundary, a radicand and a reciprocal near the range ends.
+            let edge = pow2(-1020).to_bits();
+            for bits in [edge, edge + 1, pow2(-1019).to_bits() - 1] {
+                let b = F64x2::from(f64::from_bits(bits));
+                let g = F64x2::from(pow2(-100)).checked_div(b, policy);
+                assert_eq!((g.path, g.flags), (GuardPath::Fast, GuardFlags::NONE));
+            }
+            for g in [
+                F64x2::from(pow2(-1021)).checked_sqrt(policy),
+                F64x2::from(pow2(1021)).checked_recip(policy),
+            ] {
+                assert_eq!((g.path, g.flags), (GuardPath::Fast, GuardFlags::NONE));
+            }
         }
         // MAX + 2^970 rounds to inf in the head TwoSum, but the tail pulls
         // the true sum back below the rounding tie.
@@ -730,6 +976,10 @@ mod tests {
             assert!(one.checked_div(F64x2::ZERO, policy).value.is_nan());
             assert!(F64x2::from(-2.0).checked_sqrt(policy).value.is_nan());
             assert!(F64x2::ZERO.checked_sqrt(policy).value.is_zero());
+            let g = F64x2::ZERO.checked_recip(policy);
+            assert!(!g.value.is_finite() && !g.recovered() && !g.flags.any());
+            let g = nan.checked_mul(F64x2::from(pow2(1023)), policy);
+            assert!(g.value.is_nan() && !g.recovered() && !g.flags.any());
         }
     }
 

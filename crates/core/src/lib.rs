@@ -64,7 +64,7 @@ pub mod rounding;
 pub mod sqrt;
 pub mod trig;
 
-pub use adaptive::{Adaptive, AdaptiveStats, EscalationPolicy, Evaluated, Rung};
+pub use adaptive::{EscalationPolicy, Rung};
 pub use guard::{GuardFlags, GuardPath, GuardPolicy, Guarded};
 pub use mf_eft::FloatBase;
 

@@ -10,9 +10,12 @@
 //! bits lost in the final multiply.
 //!
 //! Both kernels are range-safe like the division kernels: a radicand head
-//! below `2^(MIN_EXP+3)` (where `a·x²` overflows) or at `2^MAX_EXP` (where
-//! `s²` does) is scaled by an even power of two `2^-2m`, and the result by
-//! `2^m` (`2^-m` for the inverse root). Inside the window the shift is 0.
+//! below `2^(MIN_EXP+3)` (where `a·x²` overflows) or at and above
+//! `2^(-MIN_EXP-(N-1)·P-7)` (where the tails of the `N`-term `x² ≈ 1/a`
+//! lose bits at the subnormal floor; for `f64` that is `2^962`, `2^909`
+//! and `2^856` at `N = 2, 3, 4`) is scaled by an even power of two
+//! `2^-2m`, and the result by `2^m` (`2^-m` for the inverse root). Inside
+//! the window the shift is 0.
 
 use crate::addition::{add, sub};
 use crate::division::{recip_iters, scale, window_shift};
@@ -29,15 +32,18 @@ pub fn rsqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         out[0] = a[0].sqrt().recip();
         return out;
     }
-    let s = radicand_shift(a[0]);
+    let s = radicand_shift::<T, N>(a[0]);
     rsqrt_newton(&scale(a, T::exp2i(-s)), T::exp2i(-s / 2))
 }
 
 /// Even shift for a radicand head: its [`window_shift`] for the window
-/// `[2^(MIN_EXP+3), 2^MAX_EXP)`, rounded down to even.
+/// `[2^(MIN_EXP+3), 2^(-MIN_EXP-(N-1)·P-7))`, rounded down to even. At the
+/// window top the last term of `x² ≈ 1/a` sits 8 binades above the normal
+/// range's floor, so every term keeps its full precision.
 #[inline(always)]
-fn radicand_shift<T: FloatBase>(h: T) -> i32 {
-    window_shift(h, T::MIN_EXP + 3, T::MAX_EXP - 1) & !1
+fn radicand_shift<T: FloatBase, const N: usize>(h: T) -> i32 {
+    let top = -T::MIN_EXP - (N as i32 - 1) * T::PRECISION as i32 - 8;
+    window_shift(h, T::MIN_EXP + 3, top) & !1
 }
 
 /// The inverse-root Newton iteration, for radicand heads inside the window,
@@ -76,7 +82,7 @@ pub fn sqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         // the result with 0·∞ = NaN).
         return [T::ZERO; N];
     }
-    let s = radicand_shift(a[0]);
+    let s = radicand_shift::<T, N>(a[0]);
     sqrt_newton(&scale(a, T::exp2i(-s)), T::exp2i(s / 2))
 }
 
@@ -164,6 +170,52 @@ pub(crate) mod tests {
         let mut rng = SmallRng::seed_from_u64(502);
         let w = check_sqrt::<4>(&mut rng, -205, 4_000);
         eprintln!("sqrt4 worst rel error: 2^{:.2}", w.log2());
+    }
+
+    /// Worst log2 relative errors of `sqrt` and `rsqrt` over radicand heads
+    /// `2^850..2^1023`, `draws` full expansions per exponent.
+    fn large_radicand_errors<const N: usize>(rng: &mut SmallRng, draws: usize) -> (f64, f64) {
+        let (mut w_sqrt, mut w_rsqrt) = (f64::MIN, f64::MIN);
+        for e in 850..=1023 {
+            for _ in 0..draws {
+                let mut a = rand_expansion::<N>(rng, 1);
+                if a[0].abs() < 1.0 {
+                    continue; // keep the head in [1, 2), so it lands at 2^e
+                }
+                if a[0] < 0.0 {
+                    a = crate::renorm::renorm(a.map(|v| -v));
+                }
+                let a = a.map(|v| v * 2.0f64.powi(e));
+                let x = MpFloat::exact_sum(&a);
+                let root = x.sqrt(1200);
+                let inv = MpFloat::from_f64(1.0, 53).div(&root, 1200);
+                let err = |got: [f64; N], want: &MpFloat| {
+                    MpFloat::exact_sum(&got).rel_error_vs(want).log2()
+                };
+                w_sqrt = w_sqrt.max(err(sqrt(&a), &root));
+                w_rsqrt = w_rsqrt.max(err(rsqrt(&a), &inv));
+            }
+        }
+        (w_sqrt, w_rsqrt)
+    }
+
+    /// Large radicands keep the full-precision bound: the window top moves
+    /// down with `N`, so the `N`-term `x² ≈ 1/a` never reaches the
+    /// subnormal floor.
+    #[test]
+    fn large_radicands_keep_full_precision() {
+        let mut rng = SmallRng::seed_from_u64(505);
+        for (n, (ws, wr), bound) in [
+            (2, large_radicand_errors::<2>(&mut rng, 6), -102.0),
+            (3, large_radicand_errors::<3>(&mut rng, 6), -154.0),
+            (4, large_radicand_errors::<4>(&mut rng, 6), -205.0),
+        ] {
+            eprintln!("N={n}: sqrt 2^{ws:.1}, rsqrt 2^{wr:.1}");
+            assert!(
+                ws <= bound && wr <= bound,
+                "N={n}: sqrt 2^{ws:.1}, rsqrt 2^{wr:.1}"
+            );
+        }
     }
 
     #[test]

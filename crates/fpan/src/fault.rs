@@ -369,8 +369,9 @@ pub fn merge_adaptive_stats(parts: &[AdaptiveFaultStats]) -> AdaptiveFaultStats 
 }
 
 /// Round the exact sum into an `n_terms` nonoverlapping expansion — the
-/// oracle rung of the recovery ladder (what `Adaptive`'s `Rung::Oracle`
-/// does for scalar ops, applied to a network output).
+/// oracle rung of the recovery ladder (what the guard layer's
+/// `GuardPolicy::OracleFallback` does for scalar ops, applied to a network
+/// output).
 fn oracle_reconstruct(exact: &MpFloat, n_terms: usize) -> Vec<f64> {
     const P: u32 = 600;
     let mut out = Vec::with_capacity(n_terms);
@@ -394,9 +395,11 @@ fn oracle_reconstruct(exact: &MpFloat, n_terms: usize) -> Vec<f64> {
 /// Closed-loop fault campaign: inject → detect (tier 1 ∨ re-execution
 /// cross-check) → escalate → recover (re-run, then exact-oracle
 /// reconstruction) → verify the recovered output against the network's
-/// bound. This is the fault-model mirror of the `Adaptive` scalar engine:
-/// the detectors that gate its ladder are the same ones that trigger
-/// escalation here, and the top rung is the same exact evaluation.
+/// bound. This is the fault-model mirror of the guard layer's scalar
+/// recovery path (`checked_*` under `GuardPolicy::OracleFallback`): the
+/// detectors that gate its recovery — non-finite, noncanonical and
+/// head-residual — are the ones that trigger escalation here, and the top
+/// rung is the same exact evaluation.
 pub fn adaptive_campaign(
     net: &Fpan,
     cases: &[Vec<f64>],

@@ -162,9 +162,9 @@ where
 // ---------------------------------------------------------------------------
 
 /// Residual-precision rungs for [`refine_adaptive`]. The refinement ladder
-/// has one rung below the scalar engine's (`f64` — the classical
-/// fixed-precision residual) and tops out at the exact residual instead of
-/// a rounded oracle evaluation.
+/// has one rung below [`Rung`]'s (`f64` — the classical fixed-precision
+/// residual) and tops out at the exact residual instead of a rounded
+/// oracle evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResidualRung {
     /// Plain `f64` residual (no extended precision).
@@ -194,7 +194,7 @@ impl ResidualRung {
         }
     }
 
-    /// Map the scalar engine's ladder cap onto residual rungs
+    /// Map an [`EscalationPolicy`] ladder cap onto residual rungs
     /// (`N2 → X2`, …, `Oracle → Exact`).
     pub fn from_cap(r: Rung) -> Self {
         match r {
@@ -284,8 +284,8 @@ const STALL_RATIO: f64 = 0.5;
 /// demands.
 ///
 /// Only the `max_rung` knob of [`EscalationPolicy`] applies here (mapped
-/// through [`ResidualRung::from_cap`]); the per-value residency and budget
-/// knobs belong to the scalar engine.
+/// through [`ResidualRung::from_cap`]); `tol_bits` is the adaptive BLAS
+/// chunks' head bound.
 pub fn refine_adaptive(
     a: &MatrixF64,
     b: &[f64],

@@ -22,7 +22,8 @@
 //! [`default_rules`] covers the numerical-health layer: shadow-oracle
 //! bound violations ([`crate::audit`]), negative bound margins, windowed
 //! ulp-p99 within 2 bits of the documented bound, guard fast-only trip
-//! rates, adaptive escalation rates, and degraded (panic-recovered) work.
+//! and oracle-fallback rates, adaptive BLAS escalation rates, and degraded
+//! (panic-recovered) pool work.
 //! `MF_ALERT_RULES` tunes the set: `off` disables all rules,
 //! `+rule;rule` appends to the defaults, and a bare `rule;rule` list
 //! replaces them.
@@ -212,12 +213,11 @@ pub fn default_rules() -> Vec<Rule> {
     let mut rules = vec![
         // A shadow-oracle bound violation is the hard signal: sticky.
         Rule::parse("total:audit.violations>0").unwrap(),
-        // Degraded work (panic-recovered chunks / ops) per window.
-        Rule::parse("delta:core.adaptive.degraded_ops>0").unwrap(),
+        // Degraded work (panic-recovered chunks) per window.
         Rule::parse("delta:blas.parallel.degraded_chunks>0").unwrap(),
-        // Escalation and unrecovered-trip rates. The scalar engine counts
-        // one escalation per escalated op: fire above one in six.
-        Rule::parse("rate:core.adaptive.escalations/core.adaptive.ops>0.16666666666666666")
+        // Escalation and unrecovered-trip rates. The guard layer counts one
+        // oracle fallback per recovered op: fire above one in six checks.
+        Rule::parse("rate:core.guard.oracle_fallbacks/core.guard.checks>0.16666666666666666")
             .unwrap(),
         Rule::parse("rate:blas.adaptive.escalations/blas.adaptive.chunks>0.5").unwrap(),
         Rule::parse("rate:core.guard.trips.fast_only/core.guard.checks>0.25").unwrap(),
@@ -438,7 +438,7 @@ mod tests {
             "total:audit.violations>0",
             "gauge:audit.margin.div<0",
             "p99:audit.ulp.mul>64",
-            "rate:core.adaptive.escalations/core.adaptive.ops>0.16666666666666666",
+            "rate:core.guard.oracle_fallbacks/core.guard.checks>0.16666666666666666",
         ] {
             let r = Rule::parse(spec).expect(spec);
             assert_eq!(r.render(), spec, "round trip");
@@ -458,15 +458,14 @@ mod tests {
     #[test]
     fn default_rules_are_well_formed() {
         let rules = default_rules();
-        assert!(rules.len() >= 6 + 16);
+        assert!(rules.len() >= 5 + 16);
         for r in &rules {
             assert_eq!(Rule::parse(&r.render()).unwrap(), r.clone());
         }
-        // One escalated op in six, as strict as the 0.5 threshold was when
-        // every op that reached the oracle counted three escalations.
+        // One recovered op in six guarded checks.
         let core = Source::Rate(
-            "core.adaptive.escalations".into(),
-            "core.adaptive.ops".into(),
+            "core.guard.oracle_fallbacks".into(),
+            "core.guard.checks".into(),
         );
         let rule = rules.iter().find(|r| r.source == core).unwrap();
         assert_eq!(rule.threshold, 0.5 / 3.0);

@@ -30,7 +30,7 @@
 //! | [`blas`] | `mf-blas` | extended-precision AXPY/DOT/GEMV/GEMM (AoS, SoA, parallel, tiled) |
 //! | [`solve`] | `mf-solve` | f64 LU/QR + mixed-precision iterative refinement |
 
-pub use mf_core::{Adaptive, AdaptiveStats, EscalationPolicy, Evaluated, Rung};
+pub use mf_core::{EscalationPolicy, Rung};
 pub use mf_core::{F32x2, F32x3, F32x4, F64x2, F64x3, F64x4, FloatBase, MultiFloat};
 pub use mf_core::{GuardFlags, GuardPath, GuardPolicy, Guarded};
 
