@@ -33,31 +33,27 @@
 //! any other Prometheus-compatible exporter.
 
 use mf_bench::{cli, promtext};
+use mf_telemetry::expose;
 use mf_telemetry::json::Json;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
+use std::net::ToSocketAddrs;
 use std::time::Duration;
 
 const USAGE: &str = "<host:port> [--period <secs>] [--once] [--raw] [--retries N]";
 
+/// One GET of `path` from `addr` (`host:port`) through the telemetry
+/// crate's scrape helper, trying each resolved address in turn.
 fn scrape(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(2))).ok();
-    stream.set_write_timeout(Some(Duration::from_secs(2))).ok();
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| format!("send {addr}: {e}"))?;
-    let mut text = String::new();
-    stream
-        .read_to_string(&mut text)
-        .map_err(|e| format!("read {addr}: {e}"))?;
-    Ok(text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or(text))
+    let failed = |e: std::io::Error| format!("connect {addr}: {e}");
+    let mut last = format!("connect {addr}: no address resolved");
+    for sock in addr.to_socket_addrs().map_err(failed)? {
+        match expose::scrape(&sock, path) {
+            Ok(body) => return Ok(body),
+            Err(e) => last = failed(e),
+        }
+    }
+    Err(last)
 }
 
 /// Render the numerical-health panel from a `/health` verdict body. A

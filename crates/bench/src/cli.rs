@@ -243,13 +243,6 @@ impl Run {
         &self.cmd.positional
     }
 
-    /// Run under another tool name with another default manifest path (an
-    /// explicit `--manifest` still wins).
-    pub fn rename(&mut self, name: &'static str, default_manifest: &'static str) {
-        self.name = name;
-        self.default_manifest = Some(default_manifest);
-    }
-
     /// Write a result file (see [`write_output`]). A failed write does not
     /// stop the run: [`Run::finish`] still writes the manifest and the
     /// history record, then reports the error and exits with status 1.

@@ -25,13 +25,12 @@
 //!
 //! **Parallelism & degrade:** one pool job per C-tile through the crate's
 //! one chunk executor ([`crate::parallel::run_chunks`]), like every other
-//! dispatch. Each tile task computes into a thread-local packed C buffer
-//! and touches the shared matrix only in its final write-back, after all
-//! of its arithmetic. A panicking scalar therefore leaves its tile of
-//! `C` untouched, and the executor degrades that tile to a rerun on the
-//! calling thread (`blas.parallel.degraded_*` telemetry, same contract as
-//! `parallel.rs`; a second panic propagates with the kernel name and tile
-//! row range). Telemetry: `blas.tile.dispatches`/`blas.tile.tiles`
+//! dispatch. Each tile task only reads `C` and returns its tile as a
+//! packed buffer; `gemm_tiled` writes the tiles back after the dispatch.
+//! A panicking scalar therefore leaves `C` untouched, and the executor
+//! degrades that tile to a rerun on the calling thread
+//! (`blas.parallel.degraded_*` telemetry, same contract as `parallel.rs`;
+//! a second panic propagates with the kernel name and tile row range). Telemetry: `blas.tile.dispatches`/`blas.tile.tiles`
 //! counters, one `par.gemm.tile` span per tile (arg = tile element count)
 //! under a `par.gemm.tiled` dispatch span, and the `blas.tile.queue_wait`
 //! section sketching dispatch-to-tile-start latency.
@@ -59,48 +58,6 @@ pub const KC: usize = 128;
 /// Register-block width: columns of one C row accumulated on the stack
 /// across a whole k-panel (JB independent accumulation chains per sweep).
 const JB: usize = 8;
-
-/// Per-component raw view of a SoA matrix's storage, allowing concurrent
-/// disjoint-tile mutation from pool threads. The pool hands out tile
-/// *indices*; distinct tile indices map to disjoint row/col rectangles
-/// of `C`, so no two concurrently live accesses alias.
-struct SoaTiles<'a, T> {
-    comps: Vec<*mut T>,
-    cols: usize,
-    len: usize,
-    _life: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: distinct tile indices address disjoint element rectangles (the
-// only way the pointers are used), so concurrent access from pool
-// threads is data-race-free for any `Send` component type.
-unsafe impl<T: Send> Sync for SoaTiles<'_, T> {}
-
-impl<'a, T: FloatBase> SoaTiles<'a, T> {
-    fn new<const N: usize>(c: &'a mut SoaMatrix<T, N>) -> Self {
-        let cols = c.cols;
-        let len = c.rows * c.cols;
-        SoaTiles {
-            comps: c.comps.iter_mut().map(|v| v.as_mut_ptr()).collect(),
-            cols,
-            len,
-            _life: std::marker::PhantomData,
-        }
-    }
-
-    /// Mutable view of component `q` of row `i`, columns `j0..j1`.
-    ///
-    /// # Safety
-    ///
-    /// The (row, column-range) rectangle must be in bounds and disjoint
-    /// from every other live view; each tile index runs at most once per
-    /// dispatch (the pool guarantees this).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(&self, q: usize, i: usize, j0: usize, j1: usize) -> &'a mut [T] {
-        debug_assert!(j0 <= j1 && i * self.cols + j1 <= self.len);
-        std::slice::from_raw_parts_mut(self.comps[q].add(i * self.cols + j0), j1 - j0)
-    }
-}
 
 /// One C-tile: half-open row and column ranges.
 #[derive(Clone, Copy, Debug)]
@@ -131,14 +88,15 @@ fn tiles_of(rows: usize, cols: usize) -> Vec<Tile> {
 /// ([`simd::fma_frame`]), where `two_prod`'s `mul_add` is one `vfmadd`
 /// instead of a soft-float libm call (bit-identical: both are correctly
 /// rounded), worth several× on the fused extended-precision kernels.
+/// Returns the finished tile, packed row-major.
 fn compute_tile<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
     a: &SoaMatrix<T, N>,
     b: &SoaMatrix<T, N>,
     beta: MultiFloat<T, N>,
-    c: &SoaTiles<'_, T>,
+    c: &SoaMatrix<T, N>,
     t: Tile,
-) {
+) -> Vec<MultiFloat<T, N>> {
     simd::fma_frame(
         #[inline(always)]
         || compute_tile_body(alpha, a, b, beta, c, t),
@@ -154,16 +112,16 @@ fn compute_tile<T: FloatBase, const N: usize>(
 /// Per element this performs the flat kernels' exact op sequence —
 /// `beta*c_ij` (or the `beta == 0` overwrite) first, then
 /// `c_ij.s_mul_acc(alpha*a_ik, b_kj)` in ascending `k` — so the result is
-/// bit-identical to `soa::gemm` / `kernels::gemm`.
+/// bit-identical to `soa::gemm` / `kernels::gemm`. `c` is only read.
 #[inline(always)]
 fn compute_tile_body<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
     a: &SoaMatrix<T, N>,
     b: &SoaMatrix<T, N>,
     beta: MultiFloat<T, N>,
-    c: &SoaTiles<'_, T>,
+    c: &SoaMatrix<T, N>,
     t: Tile,
-) {
+) -> Vec<MultiFloat<T, N>> {
     let (ih, jw) = (t.i1 - t.i0, t.j1 - t.j0);
     let kdim = a.cols;
     let full = jw / JB; // full JB-wide column blocks; then a `tail`-wide one
@@ -174,12 +132,8 @@ fn compute_tile_body<T: FloatBase, const N: usize>(
     let mut ct: Vec<MultiFloat<T, N>> = vec![MultiFloat::ZERO; ih * jw];
     if !beta.is_zero() {
         for r in 0..ih {
-            // SAFETY: this tile's rectangle; disjoint from other tiles.
-            let rows: [&[T]; N] =
-                core::array::from_fn(|q| &*unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
             for (x, cij) in ct[r * jw..(r + 1) * jw].iter_mut().enumerate() {
-                let v: [T; N] = core::array::from_fn(|q| rows[q][x]);
-                *cij = beta.s_mul(MultiFloat::from_components(v));
+                *cij = beta.s_mul(c.get(t.i0 + r, t.j0 + x));
             }
         }
     }
@@ -251,22 +205,7 @@ fn compute_tile_body<T: FloatBase, const N: usize>(
         }
         k0 = k1;
     }
-
-    // Write the finished tile back: the only shared-matrix mutation. It
-    // runs after every scalar op, so a panic in this tile's arithmetic
-    // leaves its rectangle of C untouched and the executor's rerun needs
-    // nothing restored.
-    for r in 0..ih {
-        // SAFETY: this tile's rectangle; disjoint from other tiles.
-        let rows: [&mut [T]; N] =
-            core::array::from_fn(|q| unsafe { c.row_mut(q, t.i0 + r, t.j0, t.j1) });
-        for (x, cij) in ct[r * jw..(r + 1) * jw].iter().enumerate() {
-            let comps = cij.components();
-            for q in 0..N {
-                rows[q][x] = comps[q];
-            }
-        }
-    }
+    ct
 }
 
 /// `C <- alpha*A*B + beta*C`, cache-blocked, one pool job per C-tile.
@@ -310,12 +249,12 @@ pub fn gemm_tiled<T: FloatBase, const N: usize>(
         renorm_probes::record_ops(N, adds as u64, muls as u64);
     }
     let _sp = trace::span("par.gemm.tiled", (c.rows * c.cols) as u64);
-    let shared = SoaTiles::new(c);
     // One tile runs serially, with no dispatch.
     let threads = if tiles.len() == 1 { 1 } else { threads };
     let dispatched = Instant::now();
     let ranges: Vec<_> = tiles.iter().map(|t| (t.i0, t.i1)).collect();
-    run_chunks(
+    let shared = &*c;
+    let (finished, _) = run_chunks(
         "gemm_tiled",
         None,
         threads,
@@ -328,9 +267,17 @@ pub fn gemm_tiled<T: FloatBase, const N: usize>(
                 TILE_QUEUE_WAIT.add_ns(dispatched.elapsed().as_nanos() as u64);
             }
             let _tsp = trace::span("par.gemm.tile", ((t.i1 - t.i0) * (t.j1 - t.j0)) as u64);
-            compute_tile(alpha, a, b, beta, &shared, t)
+            compute_tile(alpha, a, b, beta, shared, t)
         },
     );
+    // Write the finished tiles back, after every tile's arithmetic.
+    for (t, ct) in tiles.iter().zip(finished) {
+        for (r, row) in ct.chunks_exact(t.j1 - t.j0).enumerate() {
+            for (x, &cij) in row.iter().enumerate() {
+                c.set(t.i0 + r, t.j0 + x, cij);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

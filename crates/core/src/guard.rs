@@ -933,22 +933,34 @@ mod tests {
         assert_eq!(g.flags, GuardFlags::NONE);
     }
 
+    /// Products in both `pre_mul` ranges — a head near overflow, and one
+    /// low enough that the tail products flush — take the oracle and
+    /// recover exactly `from_mp` of the exact product at N = 2..4.
     #[test]
-    fn underflow_range_multiplication_keeps_precision() {
-        // Product head near 2^-964: the fast kernel's tail products flush;
-        // the oracle computes at full precision.
-        let third = F64x2::from(1.0) / F64x2::from(3.0);
-        let seventh = F64x2::from(1.0) / F64x2::from(7.0);
-        let a = third.scale_exp2(-480);
-        let b = seventh.scale_exp2(-482);
-        let g = a.checked_mul(b, GuardPolicy::OracleFallback);
-        assert_eq!(g.path, GuardPath::Oracle);
-        let exact = a.to_mp(512).mul(&b.to_mp(512), 512);
-        assert!(
-            rel_err(&g, &exact) < pow2(-95),
-            "err {:e}",
-            rel_err(&g, &exact)
-        );
+    fn range_multiplication_recovers_the_exact_product() {
+        fn check<const N: usize>(ka: i32, kb: i32) {
+            let one = MultiFloat::<f64, N>::ONE;
+            let a = (one / MultiFloat::from(3.0)).scale_exp2(ka);
+            let b = (one / MultiFloat::from(7.0)).scale_exp2(kb);
+            let g = a.checked_mul(b, GuardPolicy::OracleFallback);
+            assert_eq!(g.path, GuardPath::Oracle, "N={N} 2^{ka} x 2^{kb}");
+            let exact = a.to_mp(512).mul(&b.to_mp(512), 1100);
+            let want = MultiFloat::<f64, N>::from_mp(&exact);
+            assert_eq!(
+                g.value.components(),
+                want.components(),
+                "N={N} 2^{ka} x 2^{kb}"
+            );
+        }
+        // The heads' exponents are ka-2 and kb-3, so the low pairs' sum is
+        // at most MIN_EXP + N·PRECISION + 8 and 514/513 gives MAX_EXP - 1
+        // (a finite product near 2^1022.6).
+        check::<2>(-480, -482);
+        check::<3>(-440, -441);
+        check::<4>(-400, -401);
+        check::<2>(514, 513);
+        check::<3>(514, 513);
+        check::<4>(514, 513);
     }
 
     #[test]

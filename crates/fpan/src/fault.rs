@@ -27,6 +27,12 @@
 //! Both rates are reported; the combined stack is what the ≥99% detection
 //! target in EXPERIMENTS.md refers to. Tier-1-only coverage is honestly
 //! lower and recorded as such.
+//!
+//! **Recovery.** The campaign also checks each case's clean output against
+//! the same bound. A transient fault is gone on re-execution, so when the
+//! clean run meets the bound every detected fault recovers by running the
+//! network again; a clean output past the bound (`clean_violations`) means
+//! the network itself breaks its verified contract on that input.
 
 use crate::Fpan;
 use mf_core::guard;
@@ -41,8 +47,6 @@ static FAULT_MASKED: Counter = Counter::new("fpan.fault.masked");
 static FAULT_EFFECTIVE: Counter = Counter::new("fpan.fault.effective");
 static FAULT_DETECTED_T1: Counter = Counter::new("fpan.fault.detected_tier1");
 static FAULT_DETECTED: Counter = Counter::new("fpan.fault.detected");
-static FAULT_ESCALATED: Counter = Counter::new("fpan.fault.adaptive.escalated");
-static FAULT_RECOVERED: Counter = Counter::new("fpan.fault.adaptive.recovered");
 
 /// Which output wire of the faulted gate is corrupted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +147,9 @@ pub struct FaultStats {
     /// Clean (un-faulted) runs on which a tier-1 detector fired — false
     /// positives.
     pub clean_alarms: u64,
+    /// Clean runs whose output deviates past the bound: the network is
+    /// wrong on these inputs, so re-execution cannot recover a fault there.
+    pub clean_violations: u64,
     /// Faults injected (cases x faults).
     pub injected: u64,
     /// Output stayed within the network's error bound: benign by the
@@ -190,6 +197,7 @@ impl FaultStats {
     fn merge(&mut self, o: FaultStats) {
         self.cases += o.cases;
         self.clean_alarms += o.clean_alarms;
+        self.clean_violations += o.clean_violations;
         self.injected += o.injected;
         self.masked += o.masked;
         self.effective += o.effective;
@@ -217,7 +225,9 @@ fn deviates(sum_f: &MpFloat, exact: &MpFloat, mag: &MpFloat, q: i32) -> bool {
 /// Run every fault in `faults` against every input vector in `cases`,
 /// classifying each injection as masked or effective (against the
 /// network's verified bound `2^-q`) and testing both detector tiers on the
-/// effective ones. `tol_bits` is the tier-1 head-consistency tolerance.
+/// effective ones. The clean output of each case is judged against the
+/// same bound (`clean_violations`). `tol_bits` is the tier-1
+/// head-consistency tolerance.
 pub fn campaign(
     net: &Fpan,
     cases: &[Vec<f64>],
@@ -235,17 +245,19 @@ pub fn campaign(
         let exact = MpFloat::exact_sum(inputs);
         let abs_in: Vec<f64> = inputs.iter().map(|v| v.abs()).collect();
         let mag = MpFloat::exact_sum(&abs_in);
+        // Non-finite output from finite inputs is a collapse by definition
+        // (exact_sum cannot even represent it).
+        let violates = |out: &[f64]| {
+            !out.iter().all(|v| FloatBase::is_finite(*v))
+                || deviates(&MpFloat::exact_sum(out), &exact, &mag, q)
+        };
+        if violates(&clean) {
+            st.clean_violations += 1;
+        }
         for &f in faults {
             st.injected += 1;
             let faulted = run_faulted(net, inputs, f);
-            let finite = faulted.iter().all(|v| FloatBase::is_finite(*v));
-            let effective = if finite {
-                deviates(&MpFloat::exact_sum(&faulted), &exact, &mag, q)
-            } else {
-                // Non-finite output from finite inputs is a collapse by
-                // definition (exact_sum cannot even represent it).
-                true
-            };
+            let effective = violates(&faulted);
             if !effective {
                 st.masked += 1;
                 continue;
@@ -283,183 +295,6 @@ pub fn merge_stats(parts: &[FaultStats]) -> FaultStats {
         total.merge(p);
     }
     total
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive campaign: detect-escalate-recover
-// ---------------------------------------------------------------------------
-
-/// Tally of one closed-loop (detect → escalate → recover) campaign. The
-/// classification per injection is exclusive:
-/// `injected = masked + missed + escalated`, and
-/// `escalated = recovered + unrecovered`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveFaultStats {
-    /// Input vectors exercised.
-    pub cases: u64,
-    /// Clean runs on which a detector fired — **false escalations**; the
-    /// acceptance bar is zero.
-    pub clean_escalations: u64,
-    /// Faults injected (cases × faults).
-    pub injected: u64,
-    /// Output stayed within the bound: benign, no escalation owed.
-    pub masked: u64,
-    /// Effective faults that slipped both detector tiers — never escalated,
-    /// silently wrong. The ≥99% target counts these as failures.
-    pub missed: u64,
-    /// Effective faults that tripped a detector and entered the recovery
-    /// ladder.
-    pub escalated: u64,
-    /// Escalated faults whose re-execution (transient gone) already met the
-    /// bound.
-    pub rerun_recovered: u64,
-    /// Escalated faults that needed the exact-oracle reconstruction rung.
-    pub oracle_recovered: u64,
-    /// Escalated faults recovered (rerun or oracle) to within the bound.
-    pub recovered: u64,
-    /// Escalated but the full ladder still failed the bound.
-    pub unrecovered: u64,
-}
-
-impl AdaptiveFaultStats {
-    /// Combined detect-and-recover rate over effective faults: the share
-    /// that ended within the verified bound after the closed loop. This is
-    /// the campaign's headline number (target ≥ 0.99).
-    pub fn recovery_rate(&self) -> f64 {
-        let effective = self.missed + self.escalated;
-        if effective == 0 {
-            1.0
-        } else {
-            self.recovered as f64 / effective as f64
-        }
-    }
-
-    /// Share of effective faults that escalated at all (the detection
-    /// half of the loop).
-    pub fn escalation_rate(&self) -> f64 {
-        let effective = self.missed + self.escalated;
-        if effective == 0 {
-            1.0
-        } else {
-            self.escalated as f64 / effective as f64
-        }
-    }
-
-    fn merge(&mut self, o: AdaptiveFaultStats) {
-        self.cases += o.cases;
-        self.clean_escalations += o.clean_escalations;
-        self.injected += o.injected;
-        self.masked += o.masked;
-        self.missed += o.missed;
-        self.escalated += o.escalated;
-        self.rerun_recovered += o.rerun_recovered;
-        self.oracle_recovered += o.oracle_recovered;
-        self.recovered += o.recovered;
-        self.unrecovered += o.unrecovered;
-    }
-}
-
-/// Merge per-network adaptive stats into a campaign total.
-pub fn merge_adaptive_stats(parts: &[AdaptiveFaultStats]) -> AdaptiveFaultStats {
-    let mut total = AdaptiveFaultStats::default();
-    for &p in parts {
-        total.merge(p);
-    }
-    total
-}
-
-/// Round the exact sum into an `n_terms` nonoverlapping expansion — the
-/// oracle rung of the recovery ladder (what the guard layer's
-/// `GuardPolicy::OracleFallback` does for scalar ops, applied to a network
-/// output).
-fn oracle_reconstruct(exact: &MpFloat, n_terms: usize) -> Vec<f64> {
-    const P: u32 = 600;
-    let mut out = Vec::with_capacity(n_terms);
-    let mut rem = exact.clone();
-    for _ in 0..n_terms {
-        let h = rem.to_f64();
-        out.push(h);
-        if h == 0.0 || !h.is_finite() {
-            // Remaining mass is below f64 range (or saturated): the
-            // expansion is as good as representable.
-            break;
-        }
-        rem = rem.sub(&MpFloat::from_f64(h, P), P);
-    }
-    while out.len() < n_terms {
-        out.push(0.0);
-    }
-    out
-}
-
-/// Closed-loop fault campaign: inject → detect (tier 1 ∨ re-execution
-/// cross-check) → escalate → recover (re-run, then exact-oracle
-/// reconstruction) → verify the recovered output against the network's
-/// bound. This is the fault-model mirror of the guard layer's scalar
-/// recovery path (`checked_*` under `GuardPolicy::OracleFallback`): the
-/// detectors that gate its recovery — non-finite, noncanonical and
-/// head-residual — are the ones that trigger escalation here, and the top
-/// rung is the same exact evaluation.
-pub fn adaptive_campaign(
-    net: &Fpan,
-    cases: &[Vec<f64>],
-    faults: &[Fault],
-    q: i32,
-    tol_bits: u32,
-) -> AdaptiveFaultStats {
-    let mut st = AdaptiveFaultStats::default();
-    for inputs in cases {
-        st.cases += 1;
-        let clean = net.run(inputs);
-        if tier1_detects(inputs, &clean, tol_bits) {
-            st.clean_escalations += 1;
-        }
-        let exact = MpFloat::exact_sum(inputs);
-        let abs_in: Vec<f64> = inputs.iter().map(|v| v.abs()).collect();
-        let mag = MpFloat::exact_sum(&abs_in);
-        let out_ok = |out: &[f64]| -> bool {
-            out.iter().all(|v| FloatBase::is_finite(*v))
-                && !deviates(&MpFloat::exact_sum(out), &exact, &mag, q)
-        };
-        for &f in faults {
-            st.injected += 1;
-            let faulted = run_faulted(net, inputs, f);
-            if out_ok(&faulted) {
-                st.masked += 1;
-                continue;
-            }
-            let t1 = tier1_detects(inputs, &faulted, tol_bits);
-            let dmr = faulted != clean;
-            if !(t1 || dmr) {
-                st.missed += 1;
-                continue;
-            }
-            st.escalated += 1;
-            // Recovery rung 1: re-execute (the transient is gone).
-            if out_ok(&clean) {
-                st.rerun_recovered += 1;
-                st.recovered += 1;
-                continue;
-            }
-            // Recovery rung 2: exact-oracle reconstruction of the output
-            // expansion (reached only if the *network itself* violates its
-            // bound on these inputs — cannot fail the verification).
-            let oracle = oracle_reconstruct(&exact, net.outputs.len());
-            if out_ok(&oracle) {
-                st.oracle_recovered += 1;
-                st.recovered += 1;
-            } else {
-                st.unrecovered += 1;
-            }
-        }
-    }
-    if mf_telemetry::ENABLED {
-        FAULT_INJECTED.add(st.injected);
-        FAULT_MASKED.add(st.masked);
-        FAULT_ESCALATED.add(st.escalated);
-        FAULT_RECOVERED.add(st.recovered);
-    }
-    st
 }
 
 #[cfg(test)]
@@ -546,9 +381,10 @@ mod tests {
         for (n, q) in [(2usize, 104i32), (3, 156)] {
             let net = networks::add_n(n);
             let cases: Vec<Vec<f64>> = (0..8).map(|_| add_case(&mut rng, n)).collect();
-            let faults = sample_bit_flips(&net, 64, 99);
+            let mut faults = sample_bit_flips(&net, 64, 99);
+            faults.extend(all_dropouts(&net));
             let st = campaign(&net, &cases, &faults, q, 40);
-            assert_eq!(st.injected, 8 * 64);
+            assert_eq!(st.injected, 8 * faults.len() as u64);
             assert_eq!(st.masked + st.effective, st.injected);
             assert_eq!(
                 st.detected, st.effective,
@@ -556,75 +392,27 @@ mod tests {
             );
             assert!(st.t1_detected <= st.effective);
             assert_eq!(st.clean_alarms, 0, "add_{n}: tier 1 fired on clean runs");
+            // Every clean output meets the bound, so re-execution recovers
+            // every detected fault.
+            assert_eq!(st.clean_violations, 0, "add_{n}: clean output past 2^-{q}");
             assert!(st.detection_rate() >= 0.99);
+            assert!(st.effective > 0, "add_{n}: campaign exercised nothing");
         }
     }
 
+    /// The §2.3 termwise addition (`x0⊕y0, x1⊕y1`, no error propagation)
+    /// is wrong on clean inputs: the campaign counts its clean outputs as
+    /// bound violations, where re-execution recovers nothing.
     #[test]
-    fn adaptive_campaign_recovers_all_effective_faults() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        for (n, q) in [(2usize, 104i32), (3, 156)] {
-            let net = networks::add_n(n);
-            let cases: Vec<Vec<f64>> = (0..8).map(|_| add_case(&mut rng, n)).collect();
-            let mut faults = sample_bit_flips(&net, 48, 77);
-            faults.extend(all_dropouts(&net));
-            let st = adaptive_campaign(&net, &cases, &faults, q, 40);
-            assert_eq!(st.injected, 8 * faults.len() as u64);
-            assert_eq!(
-                st.masked + st.missed + st.escalated,
-                st.injected,
-                "add_{n}: classification must be exclusive and exhaustive"
-            );
-            assert_eq!(st.escalated, st.recovered + st.unrecovered);
-            assert_eq!(st.clean_escalations, 0, "add_{n}: false escalations");
-            assert_eq!(st.missed, 0, "add_{n}: faults slipped both tiers");
-            assert_eq!(st.unrecovered, 0, "add_{n}: recovery ladder failed");
-            // Transient model: the re-run rung recovers everything; the
-            // oracle rung is a backstop.
-            assert_eq!(st.rerun_recovered, st.recovered);
-            assert!(st.recovery_rate() >= 0.99);
-            assert!(st.escalated > 0, "add_{n}: campaign exercised nothing");
-        }
-    }
-
-    #[test]
-    fn adaptive_stats_merge_and_rates() {
-        let a = AdaptiveFaultStats {
-            cases: 4,
-            clean_escalations: 0,
-            injected: 20,
-            masked: 8,
-            missed: 1,
-            escalated: 11,
-            rerun_recovered: 10,
-            oracle_recovered: 1,
-            recovered: 11,
-            unrecovered: 0,
-        };
-        let total = merge_adaptive_stats(&[a, a]);
-        assert_eq!(total.injected, 40);
-        assert_eq!(total.escalated, 22);
-        assert!((total.recovery_rate() - 22.0 / 24.0).abs() < 1e-12);
-        assert!((total.escalation_rate() - 22.0 / 24.0).abs() < 1e-12);
-        assert_eq!(AdaptiveFaultStats::default().recovery_rate(), 1.0);
-    }
-
-    #[test]
-    fn oracle_reconstruct_rounds_to_valid_expansion() {
-        let inputs = [1.0, 2.0f64.powi(-53), 2.0f64.powi(-108), 2.0f64.powi(-160)];
-        let exact = MpFloat::exact_sum(&inputs);
-        let out = oracle_reconstruct(&exact, 2);
-        assert_eq!(out.len(), 2);
-        // 1 + 2^-53 alone would tie-to-even back to 1.0; the 2^-108 term
-        // breaks the tie upward, so the correctly rounded head is the next
-        // float up.
-        assert_eq!(out[0], f64::from_bits(1.0f64.to_bits() + 1));
-        // Residual after two correctly rounded terms sits below the
-        // two-term representation precision (~2^-107 here), inside the
-        // add_2 bound of 2^-104.
-        let back = MpFloat::exact_sum(&out);
-        let err = back.sub(&exact, 600);
-        assert!(err.exp2().unwrap() <= -107);
+    fn network_wrong_on_clean_inputs_is_a_clean_violation() {
+        let mut b = crate::Builder::new(4);
+        b.add(0, 1).add(2, 3);
+        let net = b.finish(vec![0, 2]);
+        let mut rng = SmallRng::seed_from_u64(31);
+        let cases: Vec<Vec<f64>> = (0..8).map(|_| add_case(&mut rng, 2)).collect();
+        let st = campaign(&net, &cases, &all_dropouts(&net), 104, 40);
+        assert!(st.clean_violations > 0, "termwise add passed its bound");
+        assert!(st.clean_violations <= st.cases);
     }
 
     #[test]
@@ -632,6 +420,7 @@ mod tests {
         let a = FaultStats {
             cases: 2,
             clean_alarms: 0,
+            clean_violations: 1,
             injected: 10,
             masked: 4,
             effective: 6,
@@ -642,6 +431,7 @@ mod tests {
         let total = merge_stats(&[a, a]);
         assert_eq!(total.injected, 20);
         assert_eq!(total.effective, 12);
+        assert_eq!(total.clean_violations, 2);
         assert!((total.detection_rate() - 1.0).abs() < 1e-12);
         assert!((total.t1_rate() - 0.5).abs() < 1e-12);
         assert_eq!(FaultStats::default().detection_rate(), 1.0);
