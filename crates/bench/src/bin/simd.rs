@@ -20,11 +20,13 @@
 //! odd tails included; the row engine through AoS `kernels::gemv` and
 //! `mf_solve`'s extended residual; AoS `kernels::dot`/`axpy`/`gemm`;
 //! `f32` SoA dot/axpy; adaptive dot/axpy over one clean and one escalating
-//! chunk; the pooled `parallel` kernels at 2 and 3 threads, two-tile
-//! `gemm_tiled` and adaptive dot/axpy/gemv at 2 threads) and writes the
-//! result bits as hex lines. Each adaptive call also writes its full
-//! `AdaptiveReport` (chunks, escalated, n3, n4, oracle, degraded), so the
-//! dump pins the rung every hostile chunk settled on. The forced-ISA CI
+//! chunk; `mf_solve`'s blocked `f64` LU at n = 97 and 256, one digest per
+//! packed row plus the permutation; the pooled `parallel` kernels at 2 and
+//! 3 threads, two-tile `gemm_tiled` and adaptive dot/axpy/gemv at 2
+//! threads) and writes the result bits as hex lines. Each adaptive call
+//! also writes its full `AdaptiveReport` (chunks, escalated, n3, n4,
+//! oracle, degraded), so the dump pins the rung every hostile chunk
+//! settled on. The forced-ISA CI
 //! matrix `cmp`s dumps across `MF_SIMD` values: any realization-dependent
 //! bit is a hard diff, with the file as artifact.
 //!
@@ -46,7 +48,7 @@ use mf_blas::{kernels, parallel, tile, Matrix};
 use mf_core::adaptive::EscalationPolicy;
 use mf_core::{F64x2, MultiFloat};
 use mf_solve::refine::residual_extended;
-use mf_solve::MatrixF64;
+use mf_solve::{lu_factor, MatrixF64};
 use std::fmt::Write as _;
 
 const TOOL: cli::Tool = cli::Tool {
@@ -339,6 +341,26 @@ fn dump_bits(path: &str) {
     dump_f32::<2>(&mut out);
     dump_f32::<3>(&mut out);
     dump_f32::<4>(&mut out);
+
+    // The blocked f64 LU in mf-solve's frame: one FNV-1a digest of each
+    // packed row's bits plus the permutation, at a size with ragged panel
+    // and tile edges and at the refinement benchmark's largest size.
+    for (n, seed) in [(97usize, 131u64), (256, 137)] {
+        let a = MatrixF64 {
+            rows: n,
+            cols: n,
+            data: rand_f64s(seed, n * n),
+        };
+        let f = lu_factor(&a).expect("seeded random matrix is nonsingular");
+        for i in 0..n {
+            let h = f.lu.row(i).iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            writeln!(out, "lu/{n}/row/{i} = {h:016x}").unwrap();
+        }
+        let perm: Vec<String> = f.perm.iter().map(|p| p.to_string()).collect();
+        writeln!(out, "lu/{n}/perm = {}", perm.join(" ")).unwrap();
+    }
 
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);

@@ -1,7 +1,7 @@
-//! Tiled-vs-flat GEMM ablation and mixed-precision iterative-refinement
-//! benchmarks (DESIGN.md §10).
+//! Tiled-vs-flat GEMM ablation, `f64` LU and mixed-precision
+//! iterative-refinement benchmarks (DESIGN.md §10).
 //!
-//! Two workloads:
+//! Three workloads:
 //!
 //! 1. `MultiFloat<f64, 2>` GEMM at n ∈ {64, 256}: the flat row-parallel
 //!    AoS path (`parallel::gemm`) against the cache-blocked SoA path
@@ -10,7 +10,10 @@
 //!    compared *in-process* with the bootstrap machinery (flat as
 //!    baseline, tile as current — an `improvement` verdict means tiling is
 //!    confidently faster at that size).
-//! 2. Mixed-precision iterative refinement on the n = 64 Hilbert system:
+//! 2. The blocked `f64` LU (`mf_solve::lu_factor`) at n ∈ {192, 256}, the
+//!    refinement benchmark's size range (`LU/<n>/f64`): the O(n³) layer
+//!    under every refinement solve.
+//! 3. Mixed-precision iterative refinement on the n = 64 Hilbert system:
 //!    fixed-step `mf_solve::refine_with_factors` with `F64x2` and `F64x4`
 //!    residuals (`IR/hilbert64/x2`, `IR/hilbert64/x4`) — the O(n²)
 //!    extended-precision residual sweep is the part the paper's kernels
@@ -28,7 +31,7 @@ use mf_bench::{history, measure_kernel, sink, trend};
 use mf_blas::soa::SoaMatrix;
 use mf_blas::{parallel, tile, Matrix};
 use mf_core::F64x2;
-use mf_solve::{hilbert, lu_factor, refine::refine_with_factors, RefineOptions};
+use mf_solve::{hilbert, lu_factor, refine::refine_with_factors, MatrixF64, RefineOptions};
 
 const TOOL: cli::Tool = cli::Tool {
     name: "solve",
@@ -38,6 +41,7 @@ const TOOL: cli::Tool = cli::Tool {
     history: true,
 };
 const GEMM_SIZES: [usize; 2] = [64, 256];
+const LU_SIZES: [usize; 2] = [192, 256];
 const IR_N: usize = 64;
 /// Fixed refinement steps per timed call (tol 0 disables the convergence
 /// early-out so every iteration does identical work).
@@ -101,6 +105,22 @@ fn main() {
         });
         eprintln!("GEMM n={n:>4} tile {:>9.4} Gop/s", m.gops);
         tiled.push((format!("GEMM/{n}"), m));
+    }
+
+    // The f64 LU that every refinement solve starts with, at the
+    // refinement benchmark's smallest and largest sizes (seeded random
+    // systems). One op is one multiply-subtract: n³/3 per factorization.
+    for n in LU_SIZES {
+        let a = MatrixF64 {
+            rows: n,
+            cols: n,
+            data: rand_f64s(17 + n as u64, n * n),
+        };
+        let ops = (n * n * n) as f64 / 3.0;
+        let m = measure_kernel(&format!("LU/{n}/f64"), ops, min_secs, || {
+            sink(lu_factor(&a).expect("seeded random matrix is nonsingular"));
+        });
+        eprintln!("LU   n={n:>4} f64  {:>9.4} Gop/s", m.gops);
     }
 
     // Mixed-precision refinement: factor once, time the fixed-step

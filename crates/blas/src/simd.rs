@@ -49,9 +49,9 @@
 //! enters them through one of two functions:
 //!
 //! - [`fma_frame`] runs a scalar body (the flat, SoA, tiled and adaptive
-//!   kernels) in the AVX2+FMA frame when the active realization is an x86
-//!   vector ISA, so its `mul_add`s lower to `vfmadd`, and portably
-//!   otherwise. `MF_SIMD=scalar` thus pins every layer to portable codegen
+//!   kernels, and mf-solve's blocked `f64` LU) in the AVX2+FMA frame when
+//!   the active realization is an x86 vector ISA, so its `mul_add`s lower
+//!   to `vfmadd`, and portably otherwise. `MF_SIMD=scalar` thus pins every layer to portable codegen
 //!   with one env var, which makes the forced-ISA CI matrix a like-for-like
 //!   bit comparison.
 //! - [`on_isa`] runs a [`LaneKernel`] — a body generic over the lane type —
@@ -887,8 +887,14 @@ unsafe fn avx512_frame<R>(f: impl FnOnce() -> R) -> R {
 /// `mul_add`s then lower to `vfmadd`; both lowerings are correctly rounded,
 /// so the bits do not change. Pass `#[inline(always)] || body(..)` (module
 /// docs).
+///
+/// Public so that downstream crates enter the same frame instead of
+/// declaring their own `#[target_feature]`: `mf_solve::lu_factor` runs
+/// its blocked `f64` factorization here. A body with no `mul_add` still
+/// gains the frame's 256-bit vectorization; plain `*` and `-` are never
+/// contracted, so its bits do not change either.
 #[inline(always)]
-pub(crate) fn fma_frame<R>(f: impl FnOnce() -> R) -> R {
+pub fn fma_frame<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     if fma_frame_allowed() {
         // SAFETY: `fma_frame_allowed` holds only for ISA selections whose

@@ -89,6 +89,27 @@ where
     r
 }
 
+/// The operands of a `*_with_factors` refinement must agree: `A` square,
+/// `b` and the factors of its size. A mismatch is a [`SolveError::Shape`],
+/// not a panic in the triangular solves or the residual's row engine.
+fn check_shapes(
+    what: &str,
+    a: &MatrixF64,
+    factors: &LuFactors,
+    b: &[f64],
+) -> Result<(), SolveError> {
+    let n = factors.lu.rows;
+    if a.rows != a.cols || a.rows != b.len() || a.rows != n {
+        return Err(SolveError::Shape(format!(
+            "{what}: A is {}x{}, b has {} elements and the factors are {n}x{n}",
+            a.rows,
+            a.cols,
+            b.len()
+        )));
+    }
+    Ok(())
+}
+
 /// Solve `A x = b` by `f64` LU + mixed-precision iterative refinement with
 /// `MultiFloat<f64, N>` residuals. `N = 1` degrades to plain `f64`
 /// refinement (useful as the ablation baseline); `N = 2` (quad) already
@@ -117,14 +138,7 @@ pub fn refine_with_factors<const N: usize>(
 where
     MultiFloat<f64, N>: mf_blas::Scalar,
 {
-    if a.rows != b.len() {
-        return Err(SolveError::Shape(format!(
-            "refine: A is {}x{} but b has {} elements",
-            a.rows,
-            a.cols,
-            b.len()
-        )));
-    }
+    check_shapes("refine", a, factors, b)?;
     let n = a.rows;
     let mut x = factors.solve(b);
     let mut residual_norms = Vec::new();
@@ -304,14 +318,7 @@ pub fn refine_adaptive_with_factors(
     opts: RefineOptions,
     policy: &EscalationPolicy,
 ) -> Result<AdaptiveRefinement, SolveError> {
-    if a.rows != b.len() {
-        return Err(SolveError::Shape(format!(
-            "refine_adaptive: A is {}x{} but b has {} elements",
-            a.rows,
-            a.cols,
-            b.len()
-        )));
-    }
+    check_shapes("refine_adaptive", a, factors, b)?;
     let n = a.rows;
     let max_rung = ResidualRung::from_cap(policy.max_rung);
     let mut rung = ResidualRung::F64;
@@ -630,6 +637,39 @@ mod tests {
         let b = vec![1.0; 5];
         assert!(matches!(
             refine_lu::<2>(&h, &b, RefineOptions::default()),
+            Err(SolveError::Shape(_))
+        ));
+    }
+
+    /// Factors of another size, or a non-square `A`, are a shape error
+    /// from both `*_with_factors` entry points, not a panic.
+    #[test]
+    fn refine_with_factors_rejects_mismatched_factors() {
+        let f3 = lu_factor(&hilbert(3)).unwrap();
+        let h4 = hilbert(4);
+        assert!(matches!(
+            refine_with_factors::<2>(&h4, &f3, &[1.0; 4], RefineOptions::default()),
+            Err(SolveError::Shape(_))
+        ));
+        let wide = MatrixF64::from_fn(3, 4, |i, j| (i + j) as f64);
+        assert!(matches!(
+            refine_with_factors::<2>(&wide, &f3, &[1.0; 3], RefineOptions::default()),
+            Err(SolveError::Shape(_))
+        ));
+    }
+
+    #[test]
+    fn refine_adaptive_with_factors_rejects_mismatched_factors() {
+        let f3 = lu_factor(&hilbert(3)).unwrap();
+        let policy = EscalationPolicy::default();
+        let h4 = hilbert(4);
+        assert!(matches!(
+            refine_adaptive_with_factors(&h4, &f3, &[1.0; 4], RefineOptions::default(), &policy),
+            Err(SolveError::Shape(_))
+        ));
+        let wide = MatrixF64::from_fn(3, 4, |i, j| (i + j) as f64);
+        assert!(matches!(
+            refine_adaptive_with_factors(&wide, &f3, &[1.0; 3], RefineOptions::default(), &policy),
             Err(SolveError::Shape(_))
         ));
     }
