@@ -22,7 +22,7 @@
 //! `f32` SoA dot/axpy; adaptive dot/axpy over one clean and one escalating
 //! chunk; `mf_solve`'s blocked `f64` LU at n = 97 and 256, one digest per
 //! packed row plus the permutation; the pooled `parallel` kernels at 2 and
-//! 3 threads, two-tile `gemm_tiled` and adaptive dot/axpy/gemv at 2
+//! 3 threads, two-chunk `gemm_tiled` and adaptive dot/axpy/gemv at 2
 //! threads) and writes the result bits as hex lines. Each adaptive call
 //! also writes its full `AdaptiveReport` (chunks, escalated, n3, n4,
 //! oracle, degraded), so the dump pins the rung every hostile chunk
@@ -257,8 +257,8 @@ fn dump_bits(path: &str) {
     dump_par::<3>(&mut out);
     dump_par::<4>(&mut out);
 
-    // Pooled tiled GEMM: two row tiles on two threads.
-    let (m, k, p) = (tile::MC + 5, 11usize, 6usize);
+    // Pooled tiled GEMM: two row chunks on two threads.
+    let (m, k, p) = (37usize, 11usize, 6usize);
     let a = SoaMatrix::<f64, 2>::from_fn(m, k, |i, j| F64x2::from(((i * k + j) as f64).cos()));
     let b = SoaMatrix::<f64, 2>::from_fn(k, p, |i, j| F64x2::from(((i * p + j) as f64).sin()));
     let mut ct = SoaMatrix::<f64, 2>::from_fn(m, p, |i, j| F64x2::from((i + j) as f64 * 0.25));

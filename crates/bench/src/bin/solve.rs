@@ -4,12 +4,12 @@
 //! Three workloads:
 //!
 //! 1. `MultiFloat<f64, 2>` GEMM at n ∈ {64, 256}: the flat row-parallel
-//!    AoS path (`parallel::gemm`) against the cache-blocked SoA path
+//!    AoS path (`parallel::gemm`) against the pooled SoA row-block path
 //!    (`tile::gemm_tiled`). History kernels `GEMM/<n>/mf/flat` and
 //!    `GEMM/<n>/mf/tile` feed the trend gate; the two variants are also
 //!    compared *in-process* with the bootstrap machinery (flat as
-//!    baseline, tile as current — an `improvement` verdict means tiling is
-//!    confidently faster at that size).
+//!    baseline, tile as current — an `improvement` verdict means the SoA
+//!    path is confidently faster at that size).
 //! 2. The blocked `f64` LU (`mf_solve::lu_factor`) at n ∈ {192, 256}, the
 //!    refinement benchmark's size range (`LU/<n>/f64`): the O(n³) layer
 //!    under every refinement solve.
@@ -72,7 +72,7 @@ fn main() {
         let va = rand_f64s(11, n * n);
         let vb = rand_f64s(12, n * n);
 
-        // Flat: row-parallel AoS GEMM (the pre-tiling path).
+        // Flat: row-parallel AoS GEMM.
         let a = Matrix {
             rows: n,
             cols: n,
@@ -95,7 +95,7 @@ fn main() {
         eprintln!("GEMM n={n:>4} flat {:>9.4} Gop/s", m.gops);
         flat.push((format!("GEMM/{n}"), m));
 
-        // Tiled: cache-blocked SoA GEMM.
+        // Tiled: pooled SoA row-block GEMM.
         let sa = SoaMatrix::<f64, 2>::from_fn(n, n, |i, j| F64x2::from(va[i * n + j]));
         let sb = SoaMatrix::<f64, 2>::from_fn(n, n, |i, j| F64x2::from(vb[i * n + j]));
         let mut sc = SoaMatrix::<f64, 2>::zeros(n, n);

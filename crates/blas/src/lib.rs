@@ -27,7 +27,7 @@
 //!   baseline, with its allocation and branching costs included, as in the
 //!   real libraries);
 //! * [`parallel`] — chunked thread-parallel wrappers of the AoS kernels.
-//!   They, the cache-blocked [`tile`] GEMM and the [`adaptive`]
+//!   They, the pooled SoA [`tile`] GEMM and the [`adaptive`]
 //!   precision-escalating entry points run their chunks through one
 //!   executor on the persistent worker [`pool`]. The paper runs
 //!   thread-per-core; this reproduction is measured on 2 vCPUs, so the

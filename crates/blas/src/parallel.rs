@@ -11,7 +11,7 @@
 //!
 //! Every pooled kernel in the crate — the wrappers here,
 //! [`crate::tile::gemm_tiled`] and the [`crate::adaptive`] entry points —
-//! runs its chunks through one executor, [`run_chunks`]. On the pool
+//! runs its chunks through one executor, `run_chunks`. On the pool
 //! ([`crate::pool`]) workers claim chunk indices from a shared atomic
 //! cursor, amortizing thread creation across calls and rebalancing
 //! stragglers. The dispatching thread claims chunks too, so a dispatch
@@ -47,7 +47,7 @@ static PAR_DEGRADED_CHUNKS: Counter = Counter::new("blas.parallel.degraded_chunk
 
 /// `chunk_ranges(len, threads)` for one parallel dispatch, recorded as
 /// one task per chunk.
-fn dispatch_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
+pub(crate) fn dispatch_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
     let ranges = chunk_ranges(len, threads);
     if !mf_telemetry::ENABLED {
         return ranges;

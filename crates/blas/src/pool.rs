@@ -9,7 +9,7 @@
 //! * **Sizing** — `MF_BLAS_THREADS` workers (via
 //!   [`crate::parallel::default_threads`]), re-checked on every dispatch:
 //!   raising the value spawns workers, lowering it retires the excess the
-//!   next time they wake (see [`reconfigure`]). Tests that flip the
+//!   next time they wake (see `reconfigure`). Tests that flip the
 //!   variable get a pool that follows it.
 //! * **Queue protocol** — a mutex-guarded `VecDeque` of jobs plus one
 //!   condvar. A job stays at the front of the queue while it still has

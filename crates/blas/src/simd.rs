@@ -48,13 +48,13 @@
 //! `avx512f,fma` (NEON is aarch64 baseline and needs none). Every kernel
 //! enters them through one of two functions:
 //!
-//! - [`fma_frame`] runs a scalar body (the flat, SoA, tiled and adaptive
+//! - [`fma_frame`] runs a scalar body (the flat, SoA and adaptive
 //!   kernels, and mf-solve's blocked `f64` LU) in the AVX2+FMA frame when
 //!   the active realization is an x86 vector ISA, so its `mul_add`s lower
 //!   to `vfmadd`, and portably otherwise. `MF_SIMD=scalar` thus pins every layer to portable codegen
 //!   with one env var, which makes the forced-ISA CI matrix a like-for-like
 //!   bit comparison.
-//! - [`on_isa`] runs a [`LaneKernel`] — a body generic over the lane type —
+//! - `on_isa` runs a `LaneKernel` — a body generic over the lane type —
 //!   on `Lanes`, `V8Avx2`, `V8Avx512` or `V8Neon`.
 //!
 //! A new kernel therefore adds a body, never a frame. A closure handed to

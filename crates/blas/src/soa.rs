@@ -25,6 +25,7 @@
 use crate::kernels;
 use crate::simd::{self, LANES};
 use mf_core::{addition, multiplication, renorm_probes, FloatBase, MultiFloat};
+use std::ops::Range;
 
 /// A vector of `MultiFloat<T, N>` in structure-of-arrays layout.
 #[derive(Debug, Clone)]
@@ -266,46 +267,64 @@ pub fn gemm<T: FloatBase, const N: usize>(
     beta: MultiFloat<T, N>,
     c: &mut SoaMatrix<T, N>,
 ) {
+    assert_eq!(a.cols, b.rows);
+    assert_eq!(c.rows, a.rows);
+    assert_eq!(c.cols, b.cols);
     let (adds, muls) = kernels::gemm_ops(a.rows, a.cols, b.cols, beta.is_zero());
     renorm_probes::record_ops(N, adds as u64, muls as u64);
+    gemm_rows(alpha, a, b, beta, &mut c.comps, 0..c.rows);
+}
+
+/// Rows `rows` of `C <- alpha*A*B + beta*C`, where `c` holds the
+/// components of exactly those rows of `C`: [`gemm_body`] inside the FMA
+/// frame. `soa::gemm` runs it over all rows in place; the pooled
+/// [`crate::tile::gemm_tiled`] runs it per row chunk. Reports no ops.
+pub(crate) fn gemm_rows<T: FloatBase, const N: usize>(
+    alpha: MultiFloat<T, N>,
+    a: &SoaMatrix<T, N>,
+    b: &SoaMatrix<T, N>,
+    beta: MultiFloat<T, N>,
+    c: &mut [Vec<T>],
+    rows: Range<usize>,
+) {
     simd::fma_frame(
         #[inline(always)]
-        || gemm_body(alpha, a, b, beta, c),
+        || gemm_body(alpha, a, b, beta, c, rows),
     )
 }
 
+/// Per element: `beta*c_ij` (or the `beta == 0` overwrite) first, then
+/// `c_ij += (alpha*a_ik)*b_kj` in ascending `k`, the AoS kernels' exact
+/// operation sequence.
 #[inline(always)]
 fn gemm_body<T: FloatBase, const N: usize>(
     alpha: MultiFloat<T, N>,
     a: &SoaMatrix<T, N>,
     b: &SoaMatrix<T, N>,
     beta: MultiFloat<T, N>,
-    c: &mut SoaMatrix<T, N>,
+    c: &mut [Vec<T>],
+    rows: Range<usize>,
 ) {
-    assert_eq!(a.cols, b.rows);
-    assert_eq!(c.rows, a.rows);
-    assert_eq!(c.cols, b.cols);
     let n = b.cols;
+    let cs: [&mut [T]; N] = slices_mut(c, 0, rows.len() * n);
     // Scale C by beta; beta == 0 overwrites (no read of possibly-garbage C).
     if beta.is_zero() {
-        for comp in c.comps.iter_mut() {
-            for v in comp.iter_mut() {
-                *v = T::ZERO;
-            }
+        for comp in cs {
+            comp.fill(T::ZERO);
         }
     } else {
-        for i in 0..c.rows {
-            for j in 0..n {
-                let v = c.get(i, j);
-                c.set(i, j, beta.mul(v));
+        for e in 0..rows.len() * n {
+            let cij = MultiFloat::from_components(core::array::from_fn(|k| cs[k][e]));
+            let s = beta.mul(cij).components();
+            for k in 0..N {
+                cs[k][e] = s[k];
             }
         }
     }
-    for i in 0..a.rows {
-        let cbase = i * n;
+    for (r, i) in rows.enumerate() {
         for k in 0..a.cols {
             let aik = alpha.mul(a.get(i, k));
-            axpy_at::<T, N>(aik, &b.comps, k * n, &mut c.comps, cbase, n);
+            axpy_at::<T, N>(aik, &b.comps, k * n, c, r * n, n);
         }
     }
 }
@@ -509,7 +528,7 @@ mod tests {
         let mut c_disp = c0.clone();
         gemm(al, &a, &b, be, &mut c_disp);
         let mut c_body = c0.clone();
-        gemm_body(al, &a, &b, be, &mut c_body);
+        gemm_body(al, &a, &b, be, &mut c_body.comps, 0..m);
         for k in 0..2 {
             assert_eq!(c_disp.comps[k], c_body.comps[k], "gemm comp {k}");
         }

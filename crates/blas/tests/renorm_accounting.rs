@@ -94,7 +94,7 @@ fn check_at<const N: usize>() {
     );
 
     // The wrappers that reach N >= 3 report the same closed forms: the
-    // SoA and tiled GEMMs (one tile at this size) and the pooled GEMM.
+    // SoA and tiled GEMMs (serial here) and the pooled GEMM.
     let sa = SoaMatrix::from_fn(m, k, |i, j| a.at(i, j));
     let sb = SoaMatrix::from_fn(k, n, |i, j| b.at(i, j));
     let mut sc = SoaMatrix::zeros(m, n);
@@ -119,24 +119,17 @@ fn check_at<const N: usize>() {
     let (sx, mut sy) = (SoaVec::from_slice(&x), SoaVec::from_slice(&y));
     assert_eq!(counted(|| soa::axpy(alpha, &sx, &mut sy)), want);
 
-    // Wider than one column tile: the tiled GEMM packs `alpha·a_ik` once
-    // per tile, so each column tile past the first adds `m·k` muls to the
-    // flat count.
-    let (m, k, n) = (2usize, 3usize, tile::NC + 2);
-    let col_tiles = n.div_ceil(tile::NC) as u64;
-    assert_eq!(col_tiles, 2);
+    // Over several pooled row chunks the tiled GEMM reports the flat
+    // closed form once, whatever the chunking.
+    let (m, k, n) = (7usize, 3usize, 5usize);
     let sa = SoaMatrix::from_fn(m, k, |i, j| val::<N>(i * k + j));
     let sb = SoaMatrix::from_fn(k, n, |i, j| val::<N>(i + j));
     let mut sc = SoaMatrix::zeros(m, n);
     let (mu, ku, nu) = (m as u64, k as u64, n as u64);
     assert_eq!(
-        counted(|| tile::gemm_tiled(alpha, &sa, &sb, beta, &mut sc, 1)),
-        closed_form(
-            N,
-            mu * ku * nu,
-            mu * ku * nu + mu * ku + mu * nu + (col_tiles - 1) * mu * ku
-        ),
-        "multi-tile gemm_tiled N={N}"
+        counted(|| tile::gemm_tiled(alpha, &sa, &sb, beta, &mut sc, 2)),
+        closed_form(N, mu * ku * nu, mu * ku * nu + mu * ku + mu * nu),
+        "pooled gemm_tiled N={N}"
     );
 }
 

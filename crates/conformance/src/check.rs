@@ -1255,7 +1255,7 @@ fn check_matrix_kernel<const N: usize>(case: &Case) -> Vec<Divergence> {
                 return out;
             }
         }
-        // Cache-blocked path: bit-identical to serial at any tiling.
+        // Pooled SoA path: bit-identical to serial at any row chunking.
         let sa = SoaMatrix::from_fn(m, k, |i, j| a[i * k + j]);
         let sb = SoaMatrix::from_fn(k, p, |i, j| b[i * p + j]);
         let mut sc = SoaMatrix::from_fn(m, p, |i, j| c0[i * p + j]);

@@ -19,8 +19,6 @@
 //!
 //! * [`lu`] — `f64` LU with partial pivoting ([`lu::LuFactors`]), forward/
 //!   back substitution, and the triangular solves they build on;
-//! * [`qr`] — Householder QR ([`qr::QrFactors`]) for square and
-//!   least-squares systems;
 //! * [`refine`] — mixed-precision iterative refinement
 //!   ([`refine::refine_lu`]) returning per-iteration residual norms, and
 //!   its adaptive form ([`refine::refine_adaptive`]) whose residual
@@ -33,11 +31,9 @@
 //! `solve.refine.step` span.
 
 pub mod lu;
-pub mod qr;
 pub mod refine;
 
 pub use lu::{lu_factor, LuFactors};
-pub use qr::{qr_factor, QrFactors};
 pub use refine::{
     refine_adaptive, refine_adaptive_with_factors, refine_lu, refine_with_factors,
     AdaptiveRefinement, RefineOptions, Refinement, ResidualRung,

@@ -291,7 +291,7 @@ const STALL_RATIO: f64 = 0.5;
 /// Solve `A x = b` by `f64` LU + iterative refinement whose residual
 /// precision climbs a ladder (`f64 → F64x2 → F64x3 → F64x4 → exact`)
 /// instead of being fixed up front. Each step starts at the resident rung;
-/// when the correction norm stalls ([`STALL_RATIO`]) before the
+/// when the correction norm stalls (`STALL_RATIO`) before the
 /// convergence test passes, the residual precision escalates one rung —
 /// so well-conditioned systems never pay for extended precision, and
 /// ill-conditioned ones climb exactly as high as their condition number
