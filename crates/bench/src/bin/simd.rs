@@ -47,8 +47,7 @@ use mf_blas::soa::{self, SoaMatrix, SoaVec};
 use mf_blas::{kernels, parallel, tile, Matrix};
 use mf_core::adaptive::EscalationPolicy;
 use mf_core::{F64x2, MultiFloat};
-use mf_solve::refine::residual_extended;
-use mf_solve::{lu_factor, MatrixF64};
+use mf_solve::{lu_factor, residual, MatrixF64, ResidualRung};
 use std::fmt::Write as _;
 
 const TOOL: cli::Tool = cli::Tool {
@@ -125,7 +124,7 @@ fn dump_bits(path: &str) {
 
     /// AoS GEMV and the extended residual: both run on the row engine
     /// (one full group of eight rows plus a tail at 13 rows).
-    fn dump_rows<const N: usize>(out: &mut String) {
+    fn dump_rows<const N: usize>(out: &mut String, rung: ResidualRung) {
         let (m, k) = (13usize, 9);
         let a = Matrix::from_fn(m, k, |i, j| {
             MultiFloat::<f64, N>::from(((i * k + j) as f64 + 0.25).sin())
@@ -149,13 +148,13 @@ fn dump_bits(path: &str) {
         let af = MatrixF64::from_fn(m, k, |i, j| 1.0 / ((i + j + 1) as f64));
         let b = rand_f64s(47, m);
         let xf = rand_f64s(53, k);
-        for (i, r) in residual_extended::<N>(&af, &b, &xf).into_iter().enumerate() {
+        for (i, r) in residual(&af, &b, &xf, rung).into_iter().enumerate() {
             writeln!(out, "residual/n{N}/{i} = {:016x}", r.to_bits()).unwrap();
         }
     }
-    dump_rows::<2>(&mut out);
-    dump_rows::<3>(&mut out);
-    dump_rows::<4>(&mut out);
+    dump_rows::<2>(&mut out, ResidualRung::X2);
+    dump_rows::<3>(&mut out, ResidualRung::X3);
+    dump_rows::<4>(&mut out, ResidualRung::X4);
 
     // Matrix shapes with non-multiple-of-lane dims.
     let (m, k, p) = (9usize, 13, 7);

@@ -14,8 +14,8 @@
 //!    refinement benchmark's size range (`LU/<n>/f64`): the O(n³) layer
 //!    under every refinement solve.
 //! 3. Mixed-precision iterative refinement on the n = 64 Hilbert system:
-//!    fixed-step `mf_solve::refine_with_factors` with `F64x2` and `F64x4`
-//!    residuals (`IR/hilbert64/x2`, `IR/hilbert64/x4`) — the O(n²)
+//!    fixed-step `mf_solve::refine_with_factors` with residuals pinned to
+//!    the `X2` and `X4` rungs (`IR/hilbert64/x2`, `IR/hilbert64/x4`) — the O(n²)
 //!    extended-precision residual sweep is the part the paper's kernels
 //!    accelerate, so its cost per step is what the history tracks.
 //!
@@ -31,7 +31,7 @@ use mf_bench::{history, measure_kernel, sink, trend};
 use mf_blas::soa::SoaMatrix;
 use mf_blas::{parallel, tile, Matrix};
 use mf_core::F64x2;
-use mf_solve::{hilbert, lu_factor, refine::refine_with_factors, MatrixF64, RefineOptions};
+use mf_solve::{hilbert, lu_factor, refine_with_factors, MatrixF64, RefineOptions, ResidualRung};
 
 const TOOL: cli::Tool = cli::Tool {
     name: "solve",
@@ -134,22 +134,14 @@ fn main() {
         tol_factor: 0.0,
     };
     let ir_ops = ((IR_STEPS + 1) * IR_N * IR_N) as f64;
-    for (label, nn) in [("x2", 2usize), ("x4", 4)] {
+    for (label, rung) in [("x2", ResidualRung::X2), ("x4", ResidualRung::X4)] {
         let name = format!("IR/hilbert{IR_N}/{label}");
         let m = measure_kernel(&name, ir_ops, min_secs, || {
-            let x0 = match nn {
-                2 => {
-                    refine_with_factors::<2>(&h, &factors, &bvec, opts)
-                        .unwrap()
-                        .x[0]
-                }
-                _ => {
-                    refine_with_factors::<4>(&h, &factors, &bvec, opts)
-                        .unwrap()
-                        .x[0]
-                }
-            };
-            sink(x0);
+            sink(
+                refine_with_factors(&h, &factors, &bvec, opts, rung)
+                    .unwrap()
+                    .x[0],
+            );
         });
         eprintln!("IR   n={IR_N:>4} {label:<4} {:>9.4} Gop/s", m.gops);
     }

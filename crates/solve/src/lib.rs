@@ -19,24 +19,27 @@
 //!
 //! * [`lu`] — `f64` LU with partial pivoting ([`lu::LuFactors`]), forward/
 //!   back substitution, and the triangular solves they build on;
-//! * [`refine`] — mixed-precision iterative refinement
-//!   ([`refine::refine_lu`]) returning per-iteration residual norms, and
-//!   its adaptive form ([`refine::refine_adaptive`]) whose residual
-//!   precision climbs a ladder (`f64 → F64x2 → F64x3 → F64x4 → exact`)
-//!   only when the correction norm stalls.
+//! * [`refine`] — mixed-precision iterative refinement from the LU
+//!   factors, one loop behind two entry points:
+//!   [`refine::refine_with_factors`] computes every residual at one
+//!   [`refine::ResidualRung`], and [`refine::refine_adaptive_with_factors`]
+//!   climbs the rungs (`f64 → F64x2 → F64x3 → F64x4 → exact`) only when
+//!   the correction norm stalls. Both return per-iteration residual norms
+//!   and the rung of each.
 //!
 //! Telemetry (feature-gated no-ops otherwise): the
 //! `solve.refine.iterations` gauge holds the iteration count of the most
-//! recent refinement, and each refinement pass runs under a
-//! `solve.refine.step` span.
+//! recent refinement, `solve.refine.adaptive.escalations` counts rung
+//! climbs, and each refinement step runs under a `solve.refine.step`
+//! span.
 
 pub mod lu;
 pub mod refine;
 
 pub use lu::{lu_factor, LuFactors};
 pub use refine::{
-    refine_adaptive, refine_adaptive_with_factors, refine_lu, refine_with_factors,
-    AdaptiveRefinement, RefineOptions, Refinement, ResidualRung,
+    refine_adaptive_with_factors, refine_with_factors, residual, AdaptiveRefinement, RefineOptions,
+    ResidualRung,
 };
 
 /// Re-exported matrix type shared with the BLAS layer (`f64` instantiation

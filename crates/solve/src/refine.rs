@@ -2,16 +2,21 @@
 //! §1 motivating scenario).
 //!
 //! The O(n³) factorization stays in hardware `f64`; only the O(n²)
-//! residual `r = b − A·x` is computed in `MultiFloat<f64, N>` (one
-//! branch-free extended-precision dot chain per row, eight rows at a time
-//! in SIMD lanes on the [`mf_blas::simd::dot_rows`] engine, which reads
-//! the `f64` matrix in place). Each step solves `A d = r` from the cached
-//! factors and updates `x += d`; with an extended-precision residual the
-//! iteration converges to a forward error near working precision whenever
-//! `cond(A) · ε_f64` is comfortably below 1, instead of stalling at the
-//! condition-number floor the way an `f64` residual does.
+//! residual `r = b − A·x` is computed in extended precision, at a
+//! [`ResidualRung`]: `MultiFloat<f64, N>` (one branch-free
+//! extended-precision dot chain per row, eight rows at a time in SIMD
+//! lanes on the [`mf_blas::simd::dot_rows`] engine, which reads the `f64`
+//! matrix in place) or the exact residual. Each step solves `A d = r` from
+//! the cached factors and updates `x += d`; with an extended-precision
+//! residual the iteration converges to a forward error near working
+//! precision whenever `cond(A) · ε_f64` is comfortably below 1, instead of
+//! stalling at the condition-number floor the way an `f64` residual does.
+//!
+//! One loop serves both entry points: [`refine_with_factors`] pins the
+//! residual to one rung, and [`refine_adaptive_with_factors`] starts at
+//! `f64` and climbs the ladder when the correction stalls.
 
-use crate::lu::{lu_factor, LuFactors};
+use crate::lu::LuFactors;
 use crate::{norm_inf, MatrixF64, SolveError};
 use mf_blas::simd;
 use mf_core::adaptive::EscalationPolicy;
@@ -25,7 +30,7 @@ static REFINE_ITERS: Gauge = Gauge::new("solve.refine.iterations");
 /// Residual-precision climbs performed by adaptive refinement.
 static ADAPT_ESCALATIONS: Counter = Counter::new("solve.refine.adaptive.escalations");
 
-/// Knobs for [`refine_lu`].
+/// Knobs for [`refine_with_factors`] and [`refine_adaptive_with_factors`].
 #[derive(Debug, Clone, Copy)]
 pub struct RefineOptions {
     /// Hard cap on refinement steps.
@@ -50,135 +55,9 @@ impl Default for RefineOptions {
     }
 }
 
-/// Refinement outcome. `residual_norms[k]` is `||b − A·x_k||_inf`
-/// (extended-precision residual, rounded to `f64`) *before* correction
-/// step `k`; the final entry is the converged/last residual, so the vector
-/// has `iterations + 1` entries.
-#[derive(Debug, Clone)]
-pub struct Refinement {
-    pub x: Vec<f64>,
-    pub residual_norms: Vec<f64>,
-    pub iterations: usize,
-    pub converged: bool,
-}
-
-/// Residual `r = b − A·x` with every row dot product accumulated in
-/// `MultiFloat<f64, N>`, rounded to `f64` on return.
-///
-/// The rows run eight at a time on the [`mf_blas::simd::dot_rows`]
-/// engine, which widens the `f64` entries of `A` and `x` as it reads them;
-/// each row is bit-identical to `kernels::dot` of the widened row and `x`.
-pub fn residual_extended<const N: usize>(a: &MatrixF64, b: &[f64], x: &[f64]) -> Vec<f64>
-where
-    MultiFloat<f64, N>: mf_blas::Scalar,
-{
-    assert_eq!(
-        a.rows,
-        b.len(),
-        "residual: A has {} rows, b {}",
-        a.rows,
-        b.len()
-    );
-    let mut r = Vec::with_capacity(b.len());
-    // Rows arrive in ascending order.
-    simd::dot_rows(a, x, |i, ax| {
-        r.push(MultiFloat::<f64, N>::from(b[i]).sub(ax).to_f64());
-    });
-    // The engine counted the row dots; add the `b - A·x` subtractions.
-    mf_core::renorm_probes::record_ops(N, b.len() as u64, 0);
-    r
-}
-
-/// The operands of a `*_with_factors` refinement must agree: `A` square,
-/// `b` and the factors of its size. A mismatch is a [`SolveError::Shape`],
-/// not a panic in the triangular solves or the residual's row engine.
-fn check_shapes(
-    what: &str,
-    a: &MatrixF64,
-    factors: &LuFactors,
-    b: &[f64],
-) -> Result<(), SolveError> {
-    let n = factors.lu.rows;
-    if a.rows != a.cols || a.rows != b.len() || a.rows != n {
-        return Err(SolveError::Shape(format!(
-            "{what}: A is {}x{}, b has {} elements and the factors are {n}x{n}",
-            a.rows,
-            a.cols,
-            b.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Solve `A x = b` by `f64` LU + mixed-precision iterative refinement with
-/// `MultiFloat<f64, N>` residuals. `N = 1` degrades to plain `f64`
-/// refinement (useful as the ablation baseline); `N = 2` (quad) already
-/// recovers working-precision solutions at condition numbers ~1e12–1e14,
-/// `N = 4` (octuple) at ~1e16.
-pub fn refine_lu<const N: usize>(
-    a: &MatrixF64,
-    b: &[f64],
-    opts: RefineOptions,
-) -> Result<Refinement, SolveError>
-where
-    MultiFloat<f64, N>: mf_blas::Scalar,
-{
-    let factors = lu_factor(a)?;
-    refine_with_factors::<N>(a, &factors, b, opts)
-}
-
-/// Refinement against pre-computed factors (reuse one factorization across
-/// many right-hand sides).
-pub fn refine_with_factors<const N: usize>(
-    a: &MatrixF64,
-    factors: &LuFactors,
-    b: &[f64],
-    opts: RefineOptions,
-) -> Result<Refinement, SolveError>
-where
-    MultiFloat<f64, N>: mf_blas::Scalar,
-{
-    check_shapes("refine", a, factors, b)?;
-    let n = a.rows;
-    let mut x = factors.solve(b);
-    let mut residual_norms = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    for _ in 0..opts.max_iters {
-        let _sp = trace::span("solve.refine.step", n as u64);
-        let r = residual_extended::<N>(a, b, &x);
-        residual_norms.push(norm_inf(&r));
-        let d = factors.solve(&r);
-        for (xi, di) in x.iter_mut().zip(&d) {
-            *xi += di;
-        }
-        iterations += 1;
-        if norm_inf(&d) <= opts.tol_factor * f64::EPSILON * norm_inf(&x) {
-            converged = true;
-            break;
-        }
-    }
-    // One final residual so the caller always sees iterations + 1 norms,
-    // the last reflecting the returned x.
-    let r = residual_extended::<N>(a, b, &x);
-    residual_norms.push(norm_inf(&r));
-    REFINE_ITERS.set(iterations as i64);
-    Ok(Refinement {
-        x,
-        residual_norms,
-        iterations,
-        converged,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive refinement: ladder-driven residual precision
-// ---------------------------------------------------------------------------
-
-/// Residual-precision rungs for [`refine_adaptive`]. The refinement ladder
-/// has one rung below [`Rung`]'s (`f64` — the classical fixed-precision
-/// residual) and tops out at the exact residual instead of a rounded
-/// oracle evaluation.
+/// Residual-precision rungs. The refinement ladder has one rung below
+/// [`Rung`]'s (`f64` — the classical fixed-precision residual) and tops
+/// out at the exact residual instead of a rounded oracle evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResidualRung {
     /// Plain `f64` residual (no extended precision).
@@ -221,8 +100,10 @@ impl ResidualRung {
 }
 
 impl std::fmt::Display for ResidualRung {
+    /// Honours width and alignment (`{rung:>5}`), so rung names line up
+    /// in tables.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             ResidualRung::F64 => "f64",
             ResidualRung::X2 => "F64x2",
             ResidualRung::X3 => "F64x3",
@@ -232,28 +113,72 @@ impl std::fmt::Display for ResidualRung {
     }
 }
 
-/// Outcome of [`refine_adaptive`]: a [`Refinement`] plus the escalation
-/// trace.
+/// Refinement outcome and its escalation trace.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRefinement {
     pub x: Vec<f64>,
-    /// `||b − A·x_k||_inf` before step `k` (at that step's rung), plus one
-    /// final entry for the returned `x`.
+    /// `||b − A·x_k||_inf` before step `k` (at that step's rung, rounded
+    /// to `f64`), plus one final entry for the returned `x`, so the vector
+    /// has `iterations + 1` entries.
     pub residual_norms: Vec<f64>,
     pub iterations: usize,
     pub converged: bool,
-    /// Residual rung used by each step, in order (`rung_history[k]`
-    /// produced `residual_norms[k]`).
+    /// Residual rung of each entry of `residual_norms`, in order
+    /// (`rung_history[k]` produced `residual_norms[k]`, the final residual
+    /// included).
     pub rung_history: Vec<ResidualRung>,
     /// Ladder climbs performed.
     pub escalations: u32,
 }
 
 impl AdaptiveRefinement {
-    /// The rung the refinement settled on.
+    /// The rung the refinement settled on: that of the final residual.
     pub fn final_rung(&self) -> ResidualRung {
         self.rung_history.last().copied().unwrap_or_default()
     }
+}
+
+/// Residual `r = b − A·x` at `rung`, rounded to `f64` entry by entry.
+///
+/// # Panics
+///
+/// If `b` does not have one entry per row of `A`, or `x` one per column.
+pub fn residual(a: &MatrixF64, b: &[f64], x: &[f64], rung: ResidualRung) -> Vec<f64> {
+    assert!(
+        a.rows == b.len() && a.cols == x.len(),
+        "residual: A is {}x{}, b has {} elements and x {}",
+        a.rows,
+        a.cols,
+        b.len(),
+        x.len()
+    );
+    match rung {
+        ResidualRung::F64 => residual_extended::<1>(a, b, x),
+        ResidualRung::X2 => residual_extended::<2>(a, b, x),
+        ResidualRung::X3 => residual_extended::<3>(a, b, x),
+        ResidualRung::X4 => residual_extended::<4>(a, b, x),
+        ResidualRung::Exact => residual_exact(a, b, x),
+    }
+}
+
+/// Residual with every row dot product accumulated in
+/// `MultiFloat<f64, N>`, rounded to `f64` on return.
+///
+/// The rows run eight at a time on the [`mf_blas::simd::dot_rows`]
+/// engine, which widens the `f64` entries of `A` and `x` as it reads them;
+/// each row is bit-identical to `kernels::dot` of the widened row and `x`.
+fn residual_extended<const N: usize>(a: &MatrixF64, b: &[f64], x: &[f64]) -> Vec<f64>
+where
+    MultiFloat<f64, N>: mf_blas::Scalar,
+{
+    let mut r = Vec::with_capacity(b.len());
+    // Rows arrive in ascending order.
+    simd::dot_rows(a, x, |i, ax| {
+        r.push(MultiFloat::<f64, N>::from(b[i]).sub(ax).to_f64());
+    });
+    // The engine counted the row dots; add the `b - A·x` subtractions.
+    mf_core::renorm_probes::record_ops(N, b.len() as u64, 0);
+    r
 }
 
 /// Exact residual `r = b − A·x`: each row's products and `b_i` summed in
@@ -271,16 +196,6 @@ fn residual_exact(a: &MatrixF64, b: &[f64], x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-fn residual_at(a: &MatrixF64, b: &[f64], x: &[f64], rung: ResidualRung) -> Vec<f64> {
-    match rung {
-        ResidualRung::F64 => residual_extended::<1>(a, b, x),
-        ResidualRung::X2 => residual_extended::<2>(a, b, x),
-        ResidualRung::X3 => residual_extended::<3>(a, b, x),
-        ResidualRung::X4 => residual_extended::<4>(a, b, x),
-        ResidualRung::Exact => residual_exact(a, b, x),
-    }
-}
-
 /// A correction shrinking by less than this factor per step means the
 /// iteration is floored on residual precision, not still converging: with
 /// an adequate residual the contraction ratio is `~cond(A)·ε` per step,
@@ -288,10 +203,25 @@ fn residual_at(a: &MatrixF64, b: &[f64], x: &[f64], rung: ResidualRung) -> Vec<f
 /// magnitude (random rounding noise).
 const STALL_RATIO: f64 = 0.5;
 
-/// Solve `A x = b` by `f64` LU + iterative refinement whose residual
-/// precision climbs a ladder (`f64 → F64x2 → F64x3 → F64x4 → exact`)
-/// instead of being fixed up front. Each step starts at the resident rung;
-/// when the correction norm stalls (`STALL_RATIO`) before the
+/// Solve `A x = b` from pre-computed `f64` LU factors by iterative
+/// refinement with every residual at `rung` (factor once, refine many
+/// right-hand sides). `F64` is plain `f64` refinement (the ablation
+/// baseline); `X2` (quad) already recovers working-precision solutions at
+/// condition numbers ~1e12–1e14, `X4` (octuple) at ~1e16.
+pub fn refine_with_factors(
+    a: &MatrixF64,
+    factors: &LuFactors,
+    b: &[f64],
+    opts: RefineOptions,
+    rung: ResidualRung,
+) -> Result<AdaptiveRefinement, SolveError> {
+    refine(a, factors, b, opts, rung, rung)
+}
+
+/// Solve `A x = b` from pre-computed `f64` LU factors by iterative
+/// refinement whose residual precision climbs a ladder
+/// (`f64 → F64x2 → F64x3 → F64x4 → exact`) instead of being fixed up
+/// front. When the correction norm stalls (`STALL_RATIO`) before the
 /// convergence test passes, the residual precision escalates one rung —
 /// so well-conditioned systems never pay for extended precision, and
 /// ill-conditioned ones climb exactly as high as their condition number
@@ -300,17 +230,6 @@ const STALL_RATIO: f64 = 0.5;
 /// Only the `max_rung` knob of [`EscalationPolicy`] applies here (mapped
 /// through [`ResidualRung::from_cap`]); `tol_bits` is the adaptive BLAS
 /// chunks' head bound.
-pub fn refine_adaptive(
-    a: &MatrixF64,
-    b: &[f64],
-    opts: RefineOptions,
-    policy: &EscalationPolicy,
-) -> Result<AdaptiveRefinement, SolveError> {
-    let factors = lu_factor(a)?;
-    refine_adaptive_with_factors(a, &factors, b, opts, policy)
-}
-
-/// [`refine_adaptive`] against pre-computed factors.
 pub fn refine_adaptive_with_factors(
     a: &MatrixF64,
     factors: &LuFactors,
@@ -318,10 +237,32 @@ pub fn refine_adaptive_with_factors(
     opts: RefineOptions,
     policy: &EscalationPolicy,
 ) -> Result<AdaptiveRefinement, SolveError> {
-    check_shapes("refine_adaptive", a, factors, b)?;
-    let n = a.rows;
-    let max_rung = ResidualRung::from_cap(policy.max_rung);
-    let mut rung = ResidualRung::F64;
+    let cap = ResidualRung::from_cap(policy.max_rung);
+    refine(a, factors, b, opts, ResidualRung::F64, cap)
+}
+
+/// The refinement loop: residuals start at `rung` and climb no higher than
+/// `max_rung`, so `rung == max_rung` never escalates. The operands must
+/// agree (`A` square, `b` and the factors of its size); a mismatch is a
+/// [`SolveError::Shape`], not a panic in the triangular solves or the
+/// residual's row engine.
+fn refine(
+    a: &MatrixF64,
+    factors: &LuFactors,
+    b: &[f64],
+    opts: RefineOptions,
+    mut rung: ResidualRung,
+    max_rung: ResidualRung,
+) -> Result<AdaptiveRefinement, SolveError> {
+    let n = factors.lu.rows;
+    if a.rows != a.cols || a.rows != b.len() || a.rows != n {
+        return Err(SolveError::Shape(format!(
+            "refine: A is {}x{}, b has {} elements and the factors are {n}x{n}",
+            a.rows,
+            a.cols,
+            b.len()
+        )));
+    }
     let mut x = factors.solve(b);
     let mut residual_norms = Vec::new();
     let mut rung_history = Vec::new();
@@ -332,8 +273,8 @@ pub fn refine_adaptive_with_factors(
     // escalation so every rung gets one ungated step before being judged.
     let mut prev_d: Option<f64> = None;
     for _ in 0..opts.max_iters {
-        let _sp = trace::span("solve.refine.adaptive.step", n as u64);
-        let r = residual_at(a, b, &x, rung);
+        let _sp = trace::span("solve.refine.step", n as u64);
+        let r = residual(a, b, &x, rung);
         residual_norms.push(norm_inf(&r));
         rung_history.push(rung);
         let d = factors.solve(&r);
@@ -356,8 +297,11 @@ pub fn refine_adaptive_with_factors(
         }
         prev_d = Some(dnorm);
     }
-    let r = residual_at(a, b, &x, rung);
+    // One final residual so the caller always sees iterations + 1 norms,
+    // the last reflecting the returned x at the rung it was computed on.
+    let r = residual(a, b, &x, rung);
     residual_norms.push(norm_inf(&r));
+    rung_history.push(rung);
     REFINE_ITERS.set(iterations as i64);
     ADAPT_ESCALATIONS.add(u64::from(escalations));
     Ok(AdaptiveRefinement {
@@ -373,7 +317,7 @@ pub fn refine_adaptive_with_factors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hilbert, matrix_norm_inf};
+    use crate::{hilbert, lu_factor, matrix_norm_inf};
     use mf_mpsoft::MpFloat;
 
     /// Right-hand side `b = H * ones` with every entry computed through
@@ -457,7 +401,9 @@ mod tests {
         for n in [8usize, 10, 12] {
             let h = hilbert(n);
             let b = hilbert_rhs_ones(&h);
-            let out = refine_lu::<4>(&h, &b, RefineOptions::default()).unwrap();
+            let f = lu_factor(&h).unwrap();
+            let out = refine_with_factors(&h, &f, &b, RefineOptions::default(), ResidualRung::X4)
+                .unwrap();
             assert!(
                 out.converged,
                 "n={n}: did not converge: {:?}",
@@ -475,7 +421,7 @@ mod tests {
                 ferr <= 1e-12 * xnorm,
                 "n={n}: forward error {ferr:e} (||x|| = {xnorm:e})"
             );
-            let plain = lu_factor(&h).unwrap().solve(&b);
+            let plain = f.solve(&b);
             let plain_err = ferr_vs(&plain, &x_ref);
             assert!(
                 plain_err > 100.0 * ferr.max(1e-15),
@@ -513,7 +459,7 @@ mod tests {
     }
 
     /// F64x2 residuals suffice at moderate conditioning, and the f64
-    /// (`N = 1`) baseline stalls at the condition-number floor where the
+    /// baseline stalls at the condition-number floor where the
     /// extended residual does not — the mixed-precision ablation.
     #[test]
     fn residual_precision_ablation() {
@@ -521,20 +467,18 @@ mod tests {
         let h = hilbert(n);
         let b = hilbert_rhs_ones(&h);
         let x_ref = oracle_solve(&h, &b);
-        let x2 = refine_lu::<2>(&h, &b, RefineOptions::default()).unwrap();
+        let f = lu_factor(&h).unwrap();
+        let x2 =
+            refine_with_factors(&h, &f, &b, RefineOptions::default(), ResidualRung::X2).unwrap();
         assert!(x2.converged, "F64x2 at cond ~1e13 must converge");
         let ferr2 = ferr_vs(&x2.x, &x_ref);
         assert!(ferr2 <= 1e-12, "F64x2 forward error {ferr2:e}");
 
-        let x1 = refine_lu::<1>(
-            &h,
-            &b,
-            RefineOptions {
-                max_iters: 10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let opts = RefineOptions {
+            max_iters: 10,
+            ..Default::default()
+        };
+        let x1 = refine_with_factors(&h, &f, &b, opts, ResidualRung::F64).unwrap();
         let ferr1 = ferr_vs(&x1.x, &x_ref);
         assert!(
             ferr1 > 100.0 * ferr2.max(1e-15),
@@ -548,7 +492,7 @@ mod tests {
         let h = hilbert(n);
         let b = hilbert_rhs_ones(&h);
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 1e-9).collect();
-        let r4 = residual_extended::<4>(&h, &b, &x);
+        let r4 = residual(&h, &b, &x, ResidualRung::X4);
         for i in 0..n {
             let mut xs = h.row(i).to_vec();
             xs.push(b[i]);
@@ -623,7 +567,8 @@ mod tests {
         // system's solution scales exactly too.
         for scale in [1.0f64, -2.0, 0.5] {
             let b: Vec<f64> = b1.iter().map(|v| v * scale).collect();
-            let out = refine_with_factors::<4>(&h, &f, &b, RefineOptions::default()).unwrap();
+            let out = refine_with_factors(&h, &f, &b, RefineOptions::default(), ResidualRung::X4)
+                .unwrap();
             assert!(out.converged);
             for (xi, ri) in out.x.iter().zip(&x_ref) {
                 assert!((xi - scale * ri).abs() <= 1e-12, "{xi} vs {}", scale * ri);
@@ -631,75 +576,52 @@ mod tests {
         }
     }
 
+    /// Every operand mismatch is a shape error from both entry points, not
+    /// a panic: `b` of the wrong length, factors of another size, and a
+    /// non-square `A`.
     #[test]
-    fn refine_shape_mismatch() {
-        let h = hilbert(4);
-        let b = vec![1.0; 5];
-        assert!(matches!(
-            refine_lu::<2>(&h, &b, RefineOptions::default()),
-            Err(SolveError::Shape(_))
-        ));
-    }
-
-    /// Factors of another size, or a non-square `A`, are a shape error
-    /// from both `*_with_factors` entry points, not a panic.
-    #[test]
-    fn refine_with_factors_rejects_mismatched_factors() {
-        let f3 = lu_factor(&hilbert(3)).unwrap();
-        let h4 = hilbert(4);
-        assert!(matches!(
-            refine_with_factors::<2>(&h4, &f3, &[1.0; 4], RefineOptions::default()),
-            Err(SolveError::Shape(_))
-        ));
-        let wide = MatrixF64::from_fn(3, 4, |i, j| (i + j) as f64);
-        assert!(matches!(
-            refine_with_factors::<2>(&wide, &f3, &[1.0; 3], RefineOptions::default()),
-            Err(SolveError::Shape(_))
-        ));
-    }
-
-    #[test]
-    fn refine_adaptive_with_factors_rejects_mismatched_factors() {
-        let f3 = lu_factor(&hilbert(3)).unwrap();
+    fn shape_mismatches_rejected_by_both_entry_points() {
+        let (h4, wide) = (hilbert(4), MatrixF64::from_fn(3, 4, |i, j| (i + j) as f64));
+        let (f3, f4) = (lu_factor(&hilbert(3)).unwrap(), lu_factor(&h4).unwrap());
+        let opts = RefineOptions::default();
         let policy = EscalationPolicy::default();
-        let h4 = hilbert(4);
-        assert!(matches!(
-            refine_adaptive_with_factors(&h4, &f3, &[1.0; 4], RefineOptions::default(), &policy),
-            Err(SolveError::Shape(_))
-        ));
-        let wide = MatrixF64::from_fn(3, 4, |i, j| (i + j) as f64);
-        assert!(matches!(
-            refine_adaptive_with_factors(&wide, &f3, &[1.0; 3], RefineOptions::default(), &policy),
-            Err(SolveError::Shape(_))
-        ));
-    }
-
-    #[test]
-    fn refine_singular_matrix_reports() {
-        let a = MatrixF64::zeros(3, 3);
-        assert!(matches!(
-            refine_lu::<2>(&a, &[1.0, 2.0, 3.0], RefineOptions::default()),
-            Err(SolveError::SingularPivot { .. })
-        ));
+        let cases: [(&str, &MatrixF64, &LuFactors, &[f64]); 3] = [
+            ("b too long", &h4, &f4, &[1.0; 5]),
+            ("factors too small", &h4, &f3, &[1.0; 4]),
+            ("A not square", &wide, &f3, &[1.0; 3]),
+        ];
+        for (what, a, f, b) in cases {
+            assert!(
+                matches!(
+                    refine_with_factors(a, f, b, opts, ResidualRung::X2),
+                    Err(SolveError::Shape(_))
+                ),
+                "fixed: {what}"
+            );
+            assert!(
+                matches!(
+                    refine_adaptive_with_factors(a, f, b, opts, &policy),
+                    Err(SolveError::Shape(_))
+                ),
+                "adaptive: {what}"
+            );
+        }
     }
 
     /// The ladder's reason to exist: on an ill-conditioned system the
     /// `f64`-residual base rung stalls at the condition-number floor (the
     /// `residual_precision_ablation` fact), the stall detector climbs, and
     /// the final solution matches the exact oracle to near machine
-    /// accuracy — same quality the fixed `N = 4` refinement reaches.
+    /// accuracy — same quality the fixed `X4` refinement reaches.
     #[test]
     fn adaptive_escalates_past_f64_stall_and_converges() {
         let n = 10;
         let h = hilbert(n);
         let b = hilbert_rhs_ones(&h);
-        let out = refine_adaptive(
-            &h,
-            &b,
-            RefineOptions::default(),
-            &EscalationPolicy::default(),
-        )
-        .unwrap();
+        let f = lu_factor(&h).unwrap();
+        let policy = EscalationPolicy::default();
+        let out =
+            refine_adaptive_with_factors(&h, &f, &b, RefineOptions::default(), &policy).unwrap();
         assert!(out.converged, "norms: {:?}", out.residual_norms);
         assert_eq!(
             out.rung_history[0],
@@ -730,13 +652,10 @@ mod tests {
             }
         });
         let b: Vec<f64> = (0..n).map(|i| 1.0 + 0.25 * i as f64).collect();
-        let out = refine_adaptive(
-            &a,
-            &b,
-            RefineOptions::default(),
-            &EscalationPolicy::default(),
-        )
-        .unwrap();
+        let f = lu_factor(&a).unwrap();
+        let policy = EscalationPolicy::default();
+        let out =
+            refine_adaptive_with_factors(&a, &f, &b, RefineOptions::default(), &policy).unwrap();
         assert!(out.converged);
         assert_eq!(out.escalations, 0, "history: {:?}", out.rung_history);
         assert!(out.rung_history.iter().all(|&r| r == ResidualRung::F64));
@@ -752,7 +671,9 @@ mod tests {
             max_rung: mf_core::Rung::N2,
             ..EscalationPolicy::default()
         };
-        let out = refine_adaptive(&h, &b, RefineOptions::default(), &capped).unwrap();
+        let f = lu_factor(&h).unwrap();
+        let out =
+            refine_adaptive_with_factors(&h, &f, &b, RefineOptions::default(), &capped).unwrap();
         assert!(
             out.rung_history.iter().all(|&r| r <= ResidualRung::X2),
             "history: {:?}",
@@ -772,15 +693,12 @@ mod tests {
         let n = 12;
         let h = hilbert(n);
         let b = hilbert_rhs_ones(&h);
-        let adaptive = refine_adaptive(
-            &h,
-            &b,
-            RefineOptions::default(),
-            &EscalationPolicy::default(),
-        )
-        .unwrap();
+        let f = lu_factor(&h).unwrap();
+        let opts = RefineOptions::default();
+        let adaptive =
+            refine_adaptive_with_factors(&h, &f, &b, opts, &EscalationPolicy::default()).unwrap();
         assert!(adaptive.converged, "norms: {:?}", adaptive.residual_norms);
-        let fixed = refine_lu::<4>(&h, &b, RefineOptions::default()).unwrap();
+        let fixed = refine_with_factors(&h, &f, &b, opts, ResidualRung::X4).unwrap();
         let x_ref = oracle_solve(&h, &b);
         let ferr_a = ferr_vs(&adaptive.x, &x_ref);
         let ferr_f = ferr_vs(&fixed.x, &x_ref);
@@ -790,20 +708,6 @@ mod tests {
             ferr_a <= 10.0 * ferr_f.max(1e-15 * xnorm),
             "adaptive {ferr_a:e} vs fixed {ferr_f:e}"
         );
-    }
-
-    #[test]
-    fn adaptive_shape_mismatch() {
-        let h = hilbert(4);
-        assert!(matches!(
-            refine_adaptive(
-                &h,
-                &[1.0; 5],
-                RefineOptions::default(),
-                &EscalationPolicy::default()
-            ),
-            Err(SolveError::Shape(_))
-        ));
     }
 
     /// `residual_exact` row by row against the `exact_dot` reference,
@@ -879,7 +783,8 @@ mod tests {
             max_iters: 12,
             ..RefineOptions::default()
         };
-        let out = refine_adaptive(&h, &b, opts, &policy).unwrap();
+        let f = lu_factor(&h).unwrap();
+        let out = refine_adaptive_with_factors(&h, &f, &b, opts, &policy).unwrap();
         assert_eq!(
             out.final_rung(),
             ResidualRung::Exact,
@@ -895,10 +800,27 @@ mod tests {
         );
     }
 
+    /// Every rung rejects operands of the wrong length.
+    #[test]
+    fn residual_rejects_mismatched_operands() {
+        let h = hilbert(3);
+        for rung in [ResidualRung::F64, ResidualRung::X2, ResidualRung::Exact] {
+            for (b, x) in [
+                (&[1.0; 2][..], &[1.0; 3][..]),
+                (&[1.0; 4], &[1.0; 3]),
+                (&[1.0; 3], &[1.0; 2]),
+            ] {
+                let r = std::panic::catch_unwind(|| residual(&h, b, x, rung));
+                assert!(r.is_err(), "{rung}: b {} x {}", b.len(), x.len());
+            }
+        }
+    }
+
     #[test]
     fn residual_rung_display_and_cap_mapping() {
         assert_eq!(ResidualRung::F64.to_string(), "f64");
         assert_eq!(ResidualRung::Exact.to_string(), "exact");
+        assert_eq!(format!("[{:>5}]", ResidualRung::F64), "[  f64]");
         assert_eq!(ResidualRung::from_cap(mf_core::Rung::N3), ResidualRung::X3);
         assert_eq!(
             ResidualRung::from_cap(mf_core::Rung::Oracle),
@@ -906,5 +828,123 @@ mod tests {
         );
         assert!(ResidualRung::F64 < ResidualRung::X2);
         assert_eq!(ResidualRung::Exact.next(), ResidualRung::Exact);
+    }
+
+    /// Word-wise FNV-1a over the bits of `words`.
+    fn digest(words: &[f64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Fixed-rung refinement keeps its bits: the `x` and `residual_norms`
+    /// digests of `refine_with_factors` at `F64`/`X2`/`X4` on `hilbert(12)`
+    /// (row-sum right-hand side) and a seeded random n = 64 system, as
+    /// computed by the separate fixed-precision loop this one replaced.
+    #[test]
+    fn fixed_rung_outputs_pinned() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let h = hilbert(12);
+        let bh: Vec<f64> = (0..12).map(|i| h.row(i).iter().sum()).collect();
+        let mut rng = SmallRng::seed_from_u64(0x9E_F1E5);
+        let n = 64;
+        let a = MatrixF64::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+        let ba: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        // (system, rung, x digest, residual_norms digest, iterations)
+        let pins = [
+            (
+                "hilbert12",
+                ResidualRung::F64,
+                0x9a13_8df6_b443_646b,
+                0xfd3a_d4fd_729e_c93f,
+                40,
+            ),
+            (
+                "hilbert12",
+                ResidualRung::X2,
+                0x9dbc_3adf_4c35_e56d,
+                0x9e87_c6b3_bce8_0218,
+                13,
+            ),
+            (
+                "hilbert12",
+                ResidualRung::X4,
+                0x9dbc_3adf_4c35_e56d,
+                0x3195_d752_d192_f6a6,
+                13,
+            ),
+            (
+                "random64",
+                ResidualRung::F64,
+                0x9a95_3b19_8de5_68f5,
+                0xf19a_dfcc_20f6_ef8d,
+                9,
+            ),
+            (
+                "random64",
+                ResidualRung::X2,
+                0xf721_99c7_7c78_98d9,
+                0x0e13_cb2c_feb8_f8f7,
+                2,
+            ),
+            (
+                "random64",
+                ResidualRung::X4,
+                0xf721_99c7_7c78_98d9,
+                0x0e13_cb2c_feb8_f8f7,
+                2,
+            ),
+        ];
+        for (name, rung, want_x, want_norms, want_iters) in pins {
+            let (m, b) = if name == "hilbert12" {
+                (&h, &bh)
+            } else {
+                (&a, &ba)
+            };
+            let f = lu_factor(m).unwrap();
+            let out = refine_with_factors(m, &f, b, RefineOptions::default(), rung).unwrap();
+            let got = (digest(&out.x), digest(&out.residual_norms), out.iterations);
+            assert_eq!(got, (want_x, want_norms, want_iters), "{name} {rung}");
+            assert_eq!(
+                out.escalations, 0,
+                "{name} {rung}: a pinned rung never climbs"
+            );
+        }
+    }
+
+    /// `rung_history` has one entry per residual norm, the final residual
+    /// included, so `final_rung` names the rung of the last norm: after an
+    /// escalation on the last allowed step, and for a pinned rung that
+    /// takes no step at all.
+    #[test]
+    fn final_rung_is_the_final_residuals_rung() {
+        let h = hilbert(12);
+        let b = hilbert_rhs_ones(&h);
+        let f = lu_factor(&h).unwrap();
+        let policy = EscalationPolicy {
+            max_rung: mf_core::Rung::Oracle,
+            ..EscalationPolicy::default()
+        };
+        let opts = RefineOptions {
+            max_iters: 2,
+            ..RefineOptions::default()
+        };
+        let out = refine_adaptive_with_factors(&h, &f, &b, opts, &policy).unwrap();
+        assert_eq!(out.escalations, 1, "history: {:?}", out.rung_history);
+        assert_eq!(out.rung_history.len(), out.residual_norms.len());
+        assert_eq!(out.final_rung(), ResidualRung::X2);
+        let last = *out.residual_norms.last().unwrap();
+        let want = norm_inf(&residual(&h, &b, &out.x, ResidualRung::X2));
+        assert_eq!(last.to_bits(), want.to_bits());
+
+        let none = RefineOptions {
+            max_iters: 0,
+            ..RefineOptions::default()
+        };
+        let out = refine_with_factors(&h, &f, &b, none, ResidualRung::X4).unwrap();
+        assert_eq!(out.rung_history, [ResidualRung::X4]);
+        assert_eq!(out.residual_norms.len(), 1);
+        assert_eq!(out.final_rung(), ResidualRung::X4);
     }
 }

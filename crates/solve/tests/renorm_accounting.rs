@@ -7,8 +7,7 @@
 //! own test binary, no concurrent kernel calls).
 #![cfg(feature = "telemetry")]
 
-use mf_solve::refine::residual_extended;
-use mf_solve::MatrixF64;
+use mf_solve::{residual, MatrixF64, ResidualRung};
 
 /// `(calls, sweeps)` of one add and one mul at width `N` (see
 /// `mf_core::renorm::renorm_cost`).
@@ -48,8 +47,12 @@ fn residual_counts_match_closed_form() {
         let ((ac, asw), (mc, msw)) = per_op(n);
         ((mac + sub) * ac + mac * mc, (mac + sub) * asw + mac * msw)
     };
-    assert_eq!(counted(|| residual_extended::<2>(&a, &b, &x)), want(2));
+    for (n, rung) in [
+        (2, ResidualRung::X2),
+        (3, ResidualRung::X3),
+        (4, ResidualRung::X4),
+    ] {
+        assert_eq!(counted(|| residual(&a, &b, &x, rung)), want(n), "{rung}");
+    }
     assert_eq!(want(2), (0, 0), "N = 2 never renormalizes");
-    assert_eq!(counted(|| residual_extended::<3>(&a, &b, &x)), want(3));
-    assert_eq!(counted(|| residual_extended::<4>(&a, &b, &x)), want(4));
 }

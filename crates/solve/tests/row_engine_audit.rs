@@ -7,8 +7,7 @@
 
 use mf_blas::{kernels, parallel, Matrix};
 use mf_core::F64x2;
-use mf_solve::refine::residual_extended;
-use mf_solve::MatrixF64;
+use mf_solve::{residual, MatrixF64, ResidualRung};
 use mf_telemetry::audit;
 use std::time::Duration;
 
@@ -52,7 +51,7 @@ fn every_row_engine_caller_lands_dot_samples() {
     let xf: Vec<f64> = (0..cols).map(|j| 0.5 + j as f64).collect();
     let residual = dot_samples(|| {
         for _ in 0..calls {
-            let _ = residual_extended::<3>(&af, &b, &xf);
+            let _ = residual(&af, &b, &xf, ResidualRung::X3);
         }
     });
     audit::set_rate(saved);

@@ -5,9 +5,10 @@
 //! We solve `H x = b` for the n = 12 Hilbert matrix (condition number
 //! ~1e16) with `multifloats::solve`'s mixed-precision refinement: one f64
 //! LU factorization, then per step a residual `r = b - H·x` computed in
-//! extended precision (`MultiFloat<f64, N>`) and a cheap f64 correction
-//! solve — the classic pattern of LAPACK `dsgesv` / Higham & Mary 2022.
-//! `N = 1` (plain f64 residuals) is the control: it stalls at the
+//! extended precision (`MultiFloat<f64, N>`, picked by a `ResidualRung`)
+//! and a cheap f64 correction solve — the classic pattern of LAPACK
+//! `dsgesv` / Higham & Mary 2022. The `f64` rung (plain f64 residuals) is
+//! the control: it stalls at the
 //! condition-number floor, because the residual itself is computed with
 //! ~κ·eps relative error.
 //!
@@ -21,7 +22,9 @@
 //! `cargo run --release --example iterative_refinement`
 
 use multifloats::blas::kernels;
-use multifloats::solve::{hilbert, lu_factor, norm_inf, refine_with_factors, RefineOptions};
+use multifloats::solve::{
+    hilbert, lu_factor, norm_inf, refine_with_factors, RefineOptions, ResidualRung,
+};
 use multifloats::{F64x4, MpFloat};
 
 const PREC: u32 = 512;
@@ -85,15 +88,11 @@ fn main() {
     );
 
     let opts = RefineOptions::default();
-    for (label, nn) in [("f64", 1usize), ("F64x2", 2), ("F64x4", 4)] {
-        let r = match nn {
-            1 => refine_with_factors::<1>(&h, &factors, &b, opts),
-            2 => refine_with_factors::<2>(&h, &factors, &b, opts),
-            _ => refine_with_factors::<4>(&h, &factors, &b, opts),
-        }
-        .expect("refinement on a factored system cannot fail");
+    for rung in [ResidualRung::F64, ResidualRung::X2, ResidualRung::X4] {
+        let r = refine_with_factors(&h, &factors, &b, opts, rung)
+            .expect("refinement on a factored system cannot fail");
         println!(
-            "refined ({label:>5} residual):   error_inf = {:.3e}   ({} iters, converged = {}, final ||r||_inf = {:.2e})",
+            "refined ({rung:>5} residual):   error_inf = {:.3e}   ({} iters, converged = {}, final ||r||_inf = {:.2e})",
             err(&r.x),
             r.iterations,
             r.converged,
