@@ -18,7 +18,7 @@
 //! optimal network, and the 3/4-term networks follow the paper's own
 //! construction recipe (see DESIGN.md substitution T8).
 
-use crate::nets::widen;
+use crate::nets::fit;
 pub use crate::nets::{add2, add3, add4};
 use crate::renorm::renorm_m_to_n;
 use mf_eft::{fast_two_sum, two_sum, FloatBase};
@@ -33,9 +33,9 @@ pub fn add<T: FloatBase, const N: usize>(x: &[T; N], y: &[T; N]) -> [T; N] {
             out[0] = x[0] + y[0];
             out
         }
-        2 => widen(&add2([x[0], x[1]], [y[0], y[1]])),
-        3 => widen(&add3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
-        4 => widen(&add4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
+        2 => fit(&add2([x[0], x[1]], [y[0], y[1]])),
+        3 => fit(&add3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
+        4 => fit(&add4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
         _ => unreachable!("N is checked at construction"),
     }
 }
@@ -49,7 +49,7 @@ pub fn add_scalar<T: FloatBase, const N: usize>(x: &[T; N], y: T) -> [T; N] {
             out[0] = x[0] + y;
             out
         }
-        2 => widen(&add2_scalar([x[0], x[1]], y)),
+        2 => fit(&add2_scalar([x[0], x[1]], y)),
         3 => {
             let (s0, e0) = two_sum(x[0], y);
             renorm_m_to_n([s0, x[1], x[2], e0])

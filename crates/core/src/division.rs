@@ -3,16 +3,22 @@
 //!
 //! The reciprocal `1/a` is the root of `f(x) = 1/x - a`, giving the
 //! division-free recurrence `x <- x + x(1 - a·x)` (paper Eq. 15). The
-//! initial guess is the machine-precision reciprocal `1.0 ⊘ a₀`, already
-//! accurate to `p` bits, and each iteration doubles the number of correct
-//! bits, so `ceil(log2(N)) + 1` full-width iterations reach the full
-//! precision of an `N`-term expansion with margin.
+//! initial guess is the machine-precision reciprocal `1.0 ⊘ a₀`, good to
+//! about one term, and each step doubles the number of correct terms. Each
+//! step therefore runs at the width its result can be accurate to (the
+//! precision-doubling iteration of Joldes, Muller and Popescu): a step at
+//! width `W` takes `a` cut to `W` terms, forms the residual `1 - a·x` at
+//! width `W` and the correction product `x·(1 - a·x)` at width 2. This
+//! *width ladder* ([`ladder`]) takes the reciprocal to `max(2, N - 1)` terms
+//! (a step at width 2, then at `N = 4` one at width 3), and [`recip`] closes
+//! it with one step at width `N`.
 //!
 //! [`div_karp_markstein`] implements the paper's Karp–Markstein
-//! optimization: the final Newton iteration is fused with the multiplication
-//! by the numerator, replacing a full-precision reciprocal polish with one
-//! multiply and one residual correction — benchmarked against plain
-//! `mul(b, recip(a))` in the ablation suite (DESIGN.md §3.5).
+//! optimization: the closing step is fused with the multiplication by the
+//! numerator. `q₀ = b·y` runs at the ladder's width, only the residual
+//! `b - a·q₀` and the final sum at width `N` — benchmarked against plain
+//! `mul(b, recip(a))` in the ablation suite (DESIGN.md §3.5). [`div_scalar`]
+//! climbs the same way from `b·(1 ⊘ s)`, one term per step.
 //!
 //! # Exponent range
 //!
@@ -28,19 +34,9 @@
 //! multiplied by exactly `1.0` and keeps its bits.
 
 use crate::addition::{add, sub};
-use crate::multiplication::{mul, mul_scalar};
+use crate::multiplication::{mul, mul_scalar, sqr};
+use crate::nets::fit;
 use mf_eft::FloatBase;
-
-/// Number of full-width Newton iterations for an `N`-term reciprocal (and,
-/// one more than strictly needed for bit doubling, for the inverse root).
-#[inline(always)]
-pub(crate) const fn recip_iters(n: usize) -> usize {
-    match n {
-        1 => 0,
-        2 | 3 => 2,
-        _ => 3,
-    }
-}
 
 /// `x * f` termwise. Exact when `f` is a power of two and no term leaves the
 /// normal range; `f = 1` returns `x` bit for bit.
@@ -87,6 +83,81 @@ fn quotient_factors<T: FloatBase>(b: T, a: T) -> (T, T, T) {
     }
 }
 
+/// The step every Newton kernel here and in `sqrt.rs` ends with:
+/// `x·up + c·r·up` at width `W`, for the residual `r` of an iterate `x` and
+/// its multiplier `c`. The iterate is good to at least `W - 1` terms, so
+/// `r` is below about `2^(-P·(W-1))` and the correction needs only about `P`
+/// more bits: its product runs at width 2 (a one-term `c` takes the scalar
+/// product). The factor `up` goes onto the terms of the sum rather than
+/// onto the result: LLVM's SLP vectorizer packs a store of `result * up`
+/// together with the whole N = 2 network, at a cost in shuffles. (A result
+/// this scales overflows only past `2^(MAX_EXP-1)`, where the contract
+/// allows a non-finite result.)
+#[inline(always)]
+pub(crate) fn correct<T: FloatBase, const W: usize, const C: usize>(
+    x: &[T; W],
+    c: &[T; C],
+    r: &[T; W],
+    up: T,
+) -> [T; W] {
+    let cr: [T; 2] = if C == 1 {
+        mul_scalar(&fit(r), c[0])
+    } else {
+        mul(&fit(c), &fit(r))
+    };
+    add(&scale(x, up), &scale(&fit(&cr), up))
+}
+
+/// One Newton step at width `W` on `a` cut to `W` terms, times `up`: toward
+/// `1/a`, `x + x·(1 - a·x)` (paper Eq. 15), or with `root` toward `1/√a`,
+/// `x + ½x·(1 - a·x²)` (Eq. 16; the halving is exact termwise).
+#[inline(always)]
+pub(crate) fn newton_step<T: FloatBase, const N: usize, const W: usize>(
+    a: &[T; N],
+    x: &[T; W],
+    root: bool,
+    up: T,
+) -> [T; W] {
+    let a: [T; W] = fit(a);
+    let (ax, c) = if root {
+        (mul(&a, &sqr(x)), scale(x, T::HALF))
+    } else {
+        (mul(&a, x), *x)
+    };
+    correct(x, &c, &sub(&fit(&[T::ONE]), &ax), up)
+}
+
+/// The width ladder: `1/a` (or with `root` `1/√a`) to `R <= 3` terms from
+/// the scalar seed, by a step at width 2 and, for `R = 3`, one at width 3.
+#[inline(always)]
+pub(crate) fn ladder<T: FloatBase, const N: usize, const R: usize>(
+    a: &[T; N],
+    root: bool,
+) -> [T; R] {
+    let seed = if root {
+        a[0].sqrt().recip()
+    } else {
+        a[0].recip()
+    };
+    let x = newton_step(a, &[seed, T::ZERO], root, T::ONE);
+    if R > 2 {
+        newton_step(a, &fit(&x), root, T::ONE)
+    } else {
+        fit(&x)
+    }
+}
+
+/// `1/a` (or with `root` `1/√a`) to `N` terms, times `up`, for heads inside
+/// the window: the ladder to `max(2, N - 1)` terms closed by a step at
+/// width `N`.
+#[inline(always)]
+pub(crate) fn newton<T: FloatBase, const N: usize>(a: &[T; N], root: bool, up: T) -> [T; N] {
+    match N {
+        4 => newton_step(a, &fit(&ladder::<T, N, 3>(a, root)), root, up),
+        _ => newton_step(a, &fit(&ladder::<T, N, 2>(a, root)), root, up),
+    }
+}
+
 /// `1 / a` as an `N`-term expansion, range-safe (see the module docs).
 #[inline(always)]
 pub fn recip<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
@@ -97,25 +168,7 @@ pub fn recip<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
     }
     // 1/a = (1/(a·2^-s))·2^-s: one factor scales both ways.
     let f = T::exp2i(-window_shift(a[0], T::MIN_EXP + 3, T::MAX_EXP - 4));
-    scale(&recip_newton(&scale(a, f), recip_iters(N)), f)
-}
-
-/// `iters` Newton reciprocal iterations from the scalar seed, for divisor
-/// heads inside the window.
-#[inline(always)]
-fn recip_newton<T: FloatBase, const N: usize>(a: &[T; N], iters: usize) -> [T; N] {
-    let mut x = [T::ZERO; N];
-    x[0] = a[0].recip();
-    let mut one = [T::ZERO; N];
-    one[0] = T::ONE;
-    for _ in 0..iters {
-        // e = 1 - a*x ; x = x + x*e
-        let ax = mul(a, &x);
-        let e = sub(&one, &ax);
-        let xe = mul(&x, &e);
-        x = add(&x, &xe);
-    }
-    x
+    scale(&newton(&scale(a, f), false, T::ONE), f)
 }
 
 /// `b / a` via a full-precision reciprocal: `b * recip(a)`.
@@ -129,12 +182,12 @@ pub fn div_via_recip<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N]) -> [T
     mul(b, &recip(a))
 }
 
-/// `b / a` with the Karp–Markstein fusion: compute the reciprocal `y` one
-/// Newton iteration short of full precision, form `q₀ = b·y`, and correct
-/// with the residual `r = b - a·q₀`: `q = q₀ + y·r`. This trades a
-/// full-precision reciprocal polish for one extra multiply-and-add at the
-/// *quotient*, which converges because `q₀` is already accurate to half the
-/// target precision. Range-safe (see the module docs).
+/// `b / a` with the Karp–Markstein fusion: take the reciprocal `y` one
+/// Newton step short of full precision, form `q₀ = b·y`, and correct with
+/// the residual `r = b - a·q₀`: `q = q₀ + y·r`. This trades the
+/// reciprocal's closing step for one multiply-and-add at the *quotient*,
+/// which converges because `q₀` is already as accurate as `y`.
+/// Range-safe (see the module docs).
 #[inline(always)]
 pub fn div_karp_markstein<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N]) -> [T; N] {
     if N == 1 {
@@ -143,24 +196,26 @@ pub fn div_karp_markstein<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N]) 
         return out;
     }
     let (fb, fa, up) = quotient_factors(b[0], a[0]);
-    km_newton(&scale(b, fb), &scale(a, fa), up)
+    let (b, a) = (scale(b, fb), scale(a, fa));
+    match N {
+        4 => km_newton::<T, N, 3>(&b, &a, up),
+        _ => km_newton::<T, N, 2>(&b, &a, up),
+    }
 }
 
-/// The Karp–Markstein quotient, for operand heads inside the window, times
-/// `up`. The factor goes onto the terms of the last sum rather than onto
-/// the result: LLVM's SLP vectorizer packs a store of `result * up`
-/// together with the whole N = 2 network, at a cost in shuffles. (A
-/// quotient this scales overflows only past `2^(MAX_EXP-1)`, where the
-/// contract allows a non-finite result.)
+/// The Karp–Markstein quotient times `up`, for operand heads inside the
+/// window, from the reciprocal's ladder to `R` terms: `q₀` at width `R`,
+/// the residual at width `N`.
 #[inline(always)]
-fn km_newton<T: FloatBase, const N: usize>(b: &[T; N], a: &[T; N], up: T) -> [T; N] {
-    // Reciprocal to roughly half precision (one fewer iteration).
-    let y = recip_newton(a, recip_iters(N) - 1);
-    let q0 = mul(b, &y);
-    let aq0 = mul(a, &q0);
-    let r = sub(b, &aq0);
-    let yr = mul(&y, &r);
-    add(&scale(&q0, up), &scale(&yr, up))
+fn km_newton<T: FloatBase, const N: usize, const R: usize>(
+    b: &[T; N],
+    a: &[T; N],
+    up: T,
+) -> [T; N] {
+    let y = ladder::<T, N, R>(a, false);
+    let q0 = fit(&mul(&fit(b), &y));
+    let r = sub(b, &mul(a, &q0));
+    correct(&q0, &y, &r, up)
 }
 
 /// `x / s` for a base-precision divisor, via the scalar reciprocal and a
@@ -177,24 +232,35 @@ pub fn div_scalar<T: FloatBase, const N: usize>(x: &[T; N], s: T) -> [T; N] {
     div_scalar_newton(&scale(x, fx), s * fs, up)
 }
 
-/// The scalar-divisor quotient, for operand heads inside the window, times
-/// `up` (applied like [`km_newton`]'s).
+/// The scalar-divisor quotient times `up`, for operand heads inside the
+/// window. `y = 1 ⊘ s` is good to one term, so each correction
+/// `q + y·(x - q·s)` gains one term: from `q = x·y` at width 2, the steps
+/// run at widths 2, ..., `N`.
 #[inline(always)]
 fn div_scalar_newton<T: FloatBase, const N: usize>(x: &[T; N], s: T, up: T) -> [T; N] {
-    // Karp–Markstein with a scalar divisor: y ≈ 1/s to base precision,
-    // then two correction rounds at expansion precision.
     let y = s.recip();
-    let mut q = mul_scalar(x, y);
-    // N-1 correction rounds: each squares the relative error of the
-    // quotient (2^-53 -> 2^-106 -> 2^-159 -> ...).
-    for i in 0..N - 1 {
-        let sq = mul_scalar(&q, s);
-        let r = sub(x, &sq);
-        let corr = mul_scalar(&r, y);
-        let u = if i == N - 2 { up } else { T::ONE };
-        q = add(&scale(&q, u), &scale(&corr, u));
+    let q = mul_scalar(&fit::<T, N, 2>(x), y);
+    match N {
+        2 => fit(&scalar_step(x, s, y, &q, up)),
+        3 => scalar_step(x, s, y, &fit(&scalar_step(x, s, y, &q, T::ONE)), up),
+        _ => {
+            let q: [T; 3] = fit(&scalar_step(x, s, y, &q, T::ONE));
+            scalar_step(x, s, y, &fit(&scalar_step(x, s, y, &q, T::ONE)), up)
+        }
     }
-    q
+}
+
+/// One correction `q + y·(x - q·s)` at width `W` on `x` cut to `W` terms,
+/// times `up`.
+#[inline(always)]
+fn scalar_step<T: FloatBase, const N: usize, const W: usize>(
+    x: &[T; N],
+    s: T,
+    y: T,
+    q: &[T; W],
+    up: T,
+) -> [T; W] {
+    correct(q, &[y], &sub(&fit(x), &mul_scalar(q, s)), up)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! into the data `mf-fpan` verifies. [`mul_scalar`] and [`sqr`] are
 //! hand-written specializations.
 
-use crate::nets::widen;
+use crate::nets::fit;
 pub use crate::nets::{mul2, mul3, mul4};
 use crate::renorm::renorm_m_to_n;
 use mf_eft::{fast_two_sum, two_prod, two_sum, FloatBase};
@@ -34,9 +34,9 @@ pub fn mul<T: FloatBase, const N: usize>(x: &[T; N], y: &[T; N]) -> [T; N] {
             out[0] = x[0] * y[0];
             out
         }
-        2 => widen(&mul2([x[0], x[1]], [y[0], y[1]])),
-        3 => widen(&mul3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
-        4 => widen(&mul4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
+        2 => fit(&mul2([x[0], x[1]], [y[0], y[1]])),
+        3 => fit(&mul3([x[0], x[1], x[2]], [y[0], y[1], y[2]])),
+        4 => fit(&mul4([x[0], x[1], x[2], x[3]], [y[0], y[1], y[2], y[3]])),
         _ => unreachable!("N is checked at construction"),
     }
 }
@@ -54,7 +54,7 @@ pub fn mul_scalar<T: FloatBase, const N: usize>(x: &[T; N], y: T) -> [T; N] {
             let (p0, e0) = two_prod(x[0], y);
             let p1 = x[1].mul_add(y, e0);
             let (z0, z1) = fast_two_sum(p0, p1);
-            widen(&[z0, z1])
+            fit(&[z0, z1])
         }
         3 => {
             let (p0, e0) = two_prod(x[0], y);
@@ -94,7 +94,7 @@ pub fn sqr<T: FloatBase, const N: usize>(x: &[T; N]) -> [T; N] {
             let cross = (x[0] * x[1]) * T::TWO;
             let lo = q00 + cross;
             let (z0, z1) = fast_two_sum(p00, lo);
-            widen(&[z0, z1])
+            fit(&[z0, z1])
         }
         3 => {
             let (p00, q00) = two_prod(x[0], x[0]);

@@ -112,12 +112,15 @@ pub const fn mul_spec(n: usize) -> Option<&'static NetSpec> {
     }
 }
 
-/// A kernel's `M` outputs as the `N`-wide result of the generic
-/// dispatchers (`M <= N`; the rest is zero).
+/// `v` as an `N`-term expansion: its leading `N` terms when `M > N`, else
+/// all of it followed by zeros. Widens a kernel's `M` outputs to the
+/// result of the generic dispatchers, and moves the Newton iterates of
+/// `division.rs` and `sqrt.rs` between widths.
 #[inline(always)]
-pub(crate) fn widen<T: FloatBase, const M: usize, const N: usize>(v: &[T; M]) -> [T; N] {
+pub(crate) fn fit<T: FloatBase, const M: usize, const N: usize>(v: &[T; M]) -> [T; N] {
+    let k = if M < N { M } else { N };
     let mut out = [T::ZERO; N];
-    out[..M].copy_from_slice(v);
+    out[..k].copy_from_slice(&v[..k]);
     out
 }
 

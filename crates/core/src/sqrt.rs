@@ -3,11 +3,13 @@
 //!
 //! `1/√a` is the positive root of `f(x) = 1/x² - a`, giving the
 //! division-free recurrence `x <- x + ½·x(1 - a·x²)` (paper Eq. 16; the
-//! multiplication by ½ is exact termwise in binary floating point). The
-//! square root itself is recovered as `√a = a · (1/√a)`, followed by one
-//! fused correction step `s <- s + (a - s²)·(½·y)` — the square-root
-//! analogue of the Karp–Markstein fusion, which restores the last couple of
-//! bits lost in the final multiply.
+//! multiplication by ½ is exact termwise in binary floating point). It runs
+//! on the same width ladder as the reciprocal (`division.rs`): a step at
+//! width 2 from the scalar seed, at `N = 4` one at width 3, and for
+//! [`rsqrt`] a closing step at width `N`. The square root instead takes
+//! `s = a · (1/√a)` at the ladder's width and closes with one fused
+//! correction `s <- s + (a - s²)·(½·y)` — the square-root analogue of the
+//! Karp–Markstein fusion — whose residual `a - s²` runs at width `N`.
 //!
 //! Both kernels are range-safe like the division kernels: a radicand head
 //! below `2^(MIN_EXP+3)` (where `a·x²` overflows) or at and above
@@ -17,9 +19,10 @@
 //! `2^-2m`, and the result by `2^m` (`2^-m` for the inverse root). Inside
 //! the window the shift is 0.
 
-use crate::addition::{add, sub};
-use crate::division::{recip_iters, scale, window_shift};
+use crate::addition::sub;
+use crate::division::{correct, ladder, newton, scale, window_shift};
 use crate::multiplication::{mul, sqr};
+use crate::nets::fit;
 use mf_eft::FloatBase;
 
 /// `1 / sqrt(a)` as an `N`-term expansion. NaN for negative input (the
@@ -33,7 +36,7 @@ pub fn rsqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         return out;
     }
     let s = radicand_shift::<T, N>(a[0]);
-    rsqrt_newton(&scale(a, T::exp2i(-s)), T::exp2i(-s / 2))
+    newton(&scale(a, T::exp2i(-s)), true, T::exp2i(-s / 2))
 }
 
 /// Even shift for a radicand head: its [`window_shift`] for the window
@@ -44,27 +47,6 @@ pub fn rsqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
 fn radicand_shift<T: FloatBase, const N: usize>(h: T) -> i32 {
     let top = -T::MIN_EXP - (N as i32 - 1) * T::PRECISION as i32 - 8;
     window_shift(h, T::MIN_EXP + 3, top) & !1
-}
-
-/// The inverse-root Newton iteration, for radicand heads inside the window,
-/// times `up` (applied to the terms of the last sum, as in the division
-/// kernels; the scaled root is never near overflow).
-#[inline(always)]
-fn rsqrt_newton<T: FloatBase, const N: usize>(a: &[T; N], up: T) -> [T; N] {
-    let mut x = [T::ZERO; N];
-    x[0] = a[0].sqrt().recip();
-    let mut one = [T::ZERO; N];
-    one[0] = T::ONE;
-    for i in 0..recip_iters(N) {
-        // x <- x + 0.5 * x * (1 - a * x^2)
-        let x2 = sqr(&x);
-        let ax2 = mul(a, &x2);
-        let e = sub(&one, &ax2);
-        let corr = mul(&scale(&x, T::HALF), &e);
-        let u = if i + 1 == recip_iters(N) { up } else { T::ONE };
-        x = add(&scale(&x, u), &scale(&corr, u));
-    }
-    x
 }
 
 /// `sqrt(a)` as an `N`-term expansion. `sqrt(0) = 0` is restored with a
@@ -83,20 +65,29 @@ pub fn sqrt<T: FloatBase, const N: usize>(a: &[T; N]) -> [T; N] {
         return [T::ZERO; N];
     }
     let s = radicand_shift::<T, N>(a[0]);
-    sqrt_newton(&scale(a, T::exp2i(-s)), T::exp2i(s / 2))
+    let (a, up) = (scale(a, T::exp2i(-s)), T::exp2i(s / 2));
+    match N {
+        4 => sqrt_newton::<T, N, 3>(&a, up),
+        _ => sqrt_newton::<T, N, 2>(&a, up),
+    }
 }
 
-/// Square root with the fused final correction, for radicand heads inside
-/// the window, times `up` (as in [`rsqrt_newton`]).
+/// Square root with the fused closing correction, times `up`, for radicand
+/// heads inside the window: `y ≈ 1/√a` from the ladder to `R` terms and
+/// `s = a·y` at width `R`, the residual at width `N`. At `N = 2` the
+/// inverse root takes its own closing step first, one more than the root's
+/// accuracy needs, which keeps the N = 2 root's bits (`bit_digest` pins
+/// them).
 #[inline(always)]
-fn sqrt_newton<T: FloatBase, const N: usize>(a: &[T; N], up: T) -> [T; N] {
-    let y = rsqrt_newton(a, T::ONE);
-    let s = mul(a, &y);
-    // Fused final correction: s <- s + (a - s²)·(y/2).
-    let s2 = sqr(&s);
-    let r = sub(a, &s2);
-    let corr = mul(&r, &scale(&y, T::HALF));
-    add(&scale(&s, up), &scale(&corr, up))
+fn sqrt_newton<T: FloatBase, const N: usize, const R: usize>(a: &[T; N], up: T) -> [T; N] {
+    let y: [T; R] = if N == 2 {
+        fit(&newton(a, true, T::ONE))
+    } else {
+        ladder(a, true)
+    };
+    let s = fit(&mul(&fit(a), &y));
+    let r = sub(a, &sqr(&s));
+    correct(&s, &scale(&y, T::HALF), &r, up)
 }
 
 /// `sqrt` of a base-precision scalar, widened to an expansion (more accurate

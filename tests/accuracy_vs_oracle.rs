@@ -5,7 +5,7 @@
 use multifloats::baselines::campary::Expansion;
 use multifloats::baselines::dd::DoubleDouble;
 use multifloats::baselines::qd::QuadDouble;
-use multifloats::{F32x2, F64x2, F64x3, F64x4, MpFloat};
+use multifloats::{F32x2, F64x2, F64x3, F64x4, MpFloat, MultiFloat};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,6 +117,64 @@ fn f32_base_accuracy() {
             err.log2()
         );
     }
+}
+
+/// A random `MultiFloat<f32, N>`: a head within `2^±20`, each tail a random
+/// fraction of a term 25 binades below the one above, renormalized.
+fn rand_f32<const N: usize>(rng: &mut SmallRng) -> MultiFloat<f32, N> {
+    let mut c = [0.0f32; N];
+    let mut e = rng.gen_range(-20..20);
+    for v in &mut c {
+        *v = rng.gen_range(-1.0f32..1.0) * 2.0f32.powi(e);
+        e -= 25;
+    }
+    MultiFloat::from_components_renorm(c)
+}
+
+/// `div`, `recip`, `sqrt` and `rsqrt` of `MultiFloat<f32, N>` against the
+/// oracle, within `N·24 − slack` bits: the f64 tests' slack (`div*_accuracy`
+/// and `sqrt*_accuracy` in mf-core) carried over to the f32 base.
+fn check_f32_newton<const N: usize>(seed: u64, div_slack: i32, sqrt_slack: i32) {
+    let prec = 600;
+    let bits = 24 * N as i32;
+    let exact = |x: MultiFloat<f32, N>| MpFloat::exact_sum(&x.components().map(f64::from));
+    let one = MpFloat::from_f64(1.0, 53);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut worst = [f64::MIN; 4];
+    for _ in 0..3_000 {
+        let (b, a) = (rand_f32::<N>(&mut rng), rand_f32::<N>(&mut rng));
+        let (mb, ma) = (exact(b), exact(a));
+        if ma.is_zero() || mb.is_zero() {
+            continue;
+        }
+        let root = ma.abs().sqrt(prec);
+        for (i, (op, got, want, slack)) in [
+            ("div", b / a, mb.div(&ma, prec), div_slack),
+            ("recip", a.recip(), one.div(&ma, prec), div_slack),
+            ("sqrt", a.abs().sqrt(), root.clone(), sqrt_slack),
+            ("rsqrt", a.abs().rsqrt(), one.div(&root, prec), sqrt_slack),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let err = exact(got).rel_error_vs(&want);
+            worst[i] = worst[i].max(err.log2());
+            assert!(
+                err <= 2.0f64.powi(slack - bits),
+                "F32x{N} {op}: err 2^{:.1} for b={b:?} a={a:?}",
+                err.log2()
+            );
+        }
+    }
+    eprintln!("F32x{N} worst log2 rel error (div, recip, sqrt, rsqrt): {worst:.2?}");
+}
+
+#[test]
+fn f32_wide_newton_ops_accuracy() {
+    // Slack 7 / 5 at N = 3 and 9 / 7 at N = 4, as f64's 2^-152 / 2^-154
+    // and 2^-203 / 2^-205 bounds for division / square root.
+    check_f32_newton::<3>(1003, 7, 5);
+    check_f32_newton::<4>(1004, 9, 7);
 }
 
 #[test]

@@ -1,9 +1,12 @@
 //! E10 — the paper's §4.3 claims about Newton–Raphson division and square
 //! root: the number of correct bits roughly doubles on every iteration,
 //! division-free iteration converges from the machine-precision seed, and
-//! the Karp–Markstein fusion does not cost accuracy.
+//! the Karp–Markstein fusion does not cost accuracy. The library runs each
+//! step at the width its result can be accurate to (a step at width 2,
+//! then one at width 3, each with its correction product at width 2); the
+//! rungs of that width ladder must reach the bits their widths hold.
 
-use multifloats::{F64x2, F64x3, F64x4, MpFloat};
+use multifloats::{F64x2, F64x3, F64x4, MpFloat, MultiFloat};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,36 +48,107 @@ fn reciprocal_bits_double_per_iteration() {
     }
 }
 
+/// A random `N`-term expansion with its head within `2^±10`, each tail a
+/// random fraction of a term 53 to 58 binades below the one above.
+fn rand_expansion<const N: usize>(rng: &mut SmallRng) -> MultiFloat<f64, N> {
+    let mut c = [0.0; N];
+    let mut e = rng.gen_range(-10..10);
+    for v in &mut c {
+        *v = rng.gen_range(-1.0..1.0) * 2.0f64.powi(e);
+        e -= 53 + rng.gen_range(0..6);
+    }
+    MultiFloat::from_components_renorm(c)
+}
+
+/// `x` cut to its leading `K` terms, or padded with zeros.
+fn fit<const M: usize, const K: usize>(x: MultiFloat<f64, M>) -> MultiFloat<f64, K> {
+    let mut c = [0.0; K];
+    for (d, s) in c.iter_mut().zip(x.components()) {
+        *d = s;
+    }
+    MultiFloat::from_components(c)
+}
+
+/// One rung of the library's reciprocal ladder: `x + x·(1 - a·x)` at width
+/// `W` on `a` cut to `W` terms, with the correction product at width 2.
+fn ladder_step<const W: usize>(a: F64x4, x: MultiFloat<f64, W>) -> MultiFloat<f64, W> {
+    let e = MultiFloat::<f64, W>::ONE.sub(fit::<4, W>(a).mul(x));
+    x.add(fit(fit::<W, 2>(x).mul(fit(e))))
+}
+
+fn correct_bits<const N: usize>(x: MultiFloat<f64, N>, exact: &MpFloat) -> f64 {
+    let err = x.to_mp(400).rel_error_vs(exact);
+    if err == 0.0 {
+        256.0
+    } else {
+        -err.log2()
+    }
+}
+
+#[test]
+fn width_ladder_rungs_reach_their_bits() {
+    let mut rng = SmallRng::seed_from_u64(1104);
+    let one = MpFloat::from_f64(1.0, 53);
+    for _ in 0..500 {
+        let a: F64x4 = rand_expansion(&mut rng);
+        let inv = one.div(&a.to_mp(400), 1200);
+        // The width-2 step from the scalar seed, then the width-3 step.
+        let x2 = ladder_step::<2>(a, F64x2::from(1.0 / a.components()[0]));
+        let x3 = ladder_step::<3>(a, fit(x2));
+        let (b2, b3) = (correct_bits(x2, &inv), correct_bits(x3, &inv));
+        assert!(b2 >= 100.0, "width-2 step: {b2:.1} bits for a={a:?}");
+        assert!(b3 >= 150.0, "width-3 step: {b3:.1} bits for a={a:?}");
+        // The finished reciprocal of `a` cut to N terms sits within a few
+        // bits of the N·53-bit format limit.
+        for (n, b) in [
+            (2, recip_bits::<2>(a)),
+            (3, recip_bits::<3>(a)),
+            (4, recip_bits::<4>(a)),
+        ] {
+            assert!(b >= 53.0 * n as f64 - 4.0, "N={n}: {b:.1} bits for a={a:?}");
+        }
+    }
+}
+
+/// Correct bits of the library's `recip` of `a` cut to `N` terms.
+fn recip_bits<const N: usize>(a: F64x4) -> f64 {
+    let a: MultiFloat<f64, N> = fit(a);
+    let exact = MpFloat::from_f64(1.0, 53).div(&a.to_mp(400), 1200);
+    correct_bits(a.recip(), &exact)
+}
+
+/// Worst log2 relative errors of Karp–Markstein division and of
+/// `div_via_recip` over random `N`-term operands.
+fn km_and_recip_worst<const N: usize>(rng: &mut SmallRng, cases: usize) -> (f64, f64) {
+    let (mut km, mut recip) = (f64::MIN, f64::MIN);
+    for _ in 0..cases {
+        let (b, a) = (rand_expansion::<N>(rng), rand_expansion::<N>(rng));
+        let exact = b.to_mp(400).div(&a.to_mp(400), 1200);
+        km = km.max(-correct_bits(b.div(a), &exact));
+        recip = recip.max(-correct_bits(b.div_via_recip(a), &exact));
+    }
+    (km, recip)
+}
+
 #[test]
 fn karp_markstein_matches_full_reciprocal_accuracy() {
     let mut rng = SmallRng::seed_from_u64(1101);
-    let prec = 700;
-    let mut worst_km: f64 = 0.0;
-    let mut worst_recip: f64 = 0.0;
-    for _ in 0..2_000 {
-        let b = rng.gen_range(-2.0..2.0f64);
-        let a = rng.gen_range(0.5..2.0f64) * if rng.gen() { 1.0 } else { -1.0 };
-        let exact = MpFloat::from_f64(b, prec).div(&MpFloat::from_f64(a, prec), prec);
-        if exact.is_zero() {
-            continue;
-        }
-        let bk = (F64x4::from(b).div(F64x4::from(a))).to_mp(400); // KM (default)
-        let br = (F64x4::from(b).div_via_recip(F64x4::from(a))).to_mp(400);
-        worst_km = worst_km.max(bk.rel_error_vs(&exact));
-        worst_recip = worst_recip.max(br.rel_error_vs(&exact));
+    for (n, (km, recip), bound) in [
+        (2, km_and_recip_worst::<2>(&mut rng, 3_000), -101.0),
+        (3, km_and_recip_worst::<3>(&mut rng, 3_000), -152.0),
+        (4, km_and_recip_worst::<4>(&mut rng, 3_000), -203.0),
+    ] {
+        eprintln!("N={n}: KM worst 2^{km:.2}, recip worst 2^{recip:.2}");
+        assert!(
+            km <= bound && recip <= bound,
+            "N={n}: 2^{km:.1}, 2^{recip:.1}"
+        );
+        // The fusion stays within one bit of the full reciprocal.
+        assert!(
+            km <= recip + 1.0,
+            "N={n}: KM 2^{km:.2} vs recip 2^{recip:.2}"
+        );
     }
-    assert!(
-        worst_km <= 2.0f64.powi(-203),
-        "KM worst 2^{:.1}",
-        worst_km.log2()
-    );
-    assert!(
-        worst_recip <= 2.0f64.powi(-203),
-        "recip worst 2^{:.1}",
-        worst_recip.log2()
-    );
-    // The fusion must not be meaningfully worse than the full reciprocal.
-    assert!(worst_km <= worst_recip * 16.0 + 1e-300);
 }
 
 #[test]
