@@ -14,8 +14,11 @@
 //! runs its chunks through one executor, `run_chunks`. On the pool
 //! ([`crate::pool`]) workers claim chunk indices from a shared atomic
 //! cursor, amortizing thread creation across calls and rebalancing
-//! stragglers. The dispatching thread claims chunks too, so a dispatch
-//! completes even with no free worker.
+//! stragglers. The dispatching thread claims chunks too, so a call at
+//! `threads` needs only `threads − 1` workers, and the pool grows to that
+//! (capped by [`default_threads`]) on the call itself. Chunk boundaries
+//! are a function of `threads` alone, so which thread runs a chunk never
+//! changes a result's bits.
 //!
 //! # Panic isolation
 //!
@@ -62,20 +65,24 @@ pub(crate) fn dispatch_ranges(len: usize, threads: usize) -> Vec<(usize, usize)>
     ranges
 }
 
-/// Worker count: the `MF_BLAS_THREADS` environment variable when set to a
-/// positive integer (reproducible benchmarking), otherwise the machine's
-/// available parallelism.
+/// Default thread count: the `MF_BLAS_THREADS` environment variable when
+/// set to a positive integer (reproducible benchmarking), otherwise the
+/// machine's available parallelism. Each call re-reads both, which can
+/// cost microseconds; the pool reads it once, as the ceiling on any
+/// call's thread count (so `MF_BLAS_THREADS=1` means no pool workers).
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("MF_BLAS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    threads_from(std::env::var("MF_BLAS_THREADS").ok().as_deref())
+}
+
+/// [`default_threads`] for a given value of `MF_BLAS_THREADS`.
+fn threads_from(var: Option<&str>) -> usize {
+    (var.and_then(|v| v.trim().parse::<usize>().ok()))
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
@@ -145,7 +152,7 @@ pub(crate) fn run_chunks<S: Copy + Send, R: Send>(
             Mutex::new((chunk, None))
         })
         .collect();
-    crate::pool::run(ranges.len(), &|ci| {
+    crate::pool::run(threads, ranges.len(), &|ci| {
         let (lo, hi) = ranges[ci];
         let _t = span.map(|name| trace::span(name, (hi - lo) as u64));
         let mut cell = cells[ci]
@@ -358,6 +365,31 @@ mod tests {
         }
     }
 
+    /// `dot`'s bits are fixed by its chunking alone: the serial dot of each
+    /// `chunk_ranges(n, threads)` range, folded from zero in chunk order,
+    /// whichever threads ran the chunks.
+    #[test]
+    fn dot_is_the_chunk_order_fold_of_serial_partials() {
+        let mut rng = SmallRng::seed_from_u64(932);
+        let n = 1001;
+        let mut vec = || -> Vec<F64x2> {
+            (0..n)
+                .map(|_| F64x2::from(rng.gen_range(-1.0..1.0)) * F64x2::from(rng.gen::<f64>()))
+                .collect()
+        };
+        let (x, y) = (vec(), vec());
+        for threads in [2usize, 3, 5, 8] {
+            let folded = (chunk_ranges(n, threads).into_iter())
+                .map(|(lo, hi)| kernels::dot(&x[lo..hi], &y[lo..hi]))
+                .fold(F64x2::s_zero(), F64x2::s_add);
+            assert_eq!(
+                dot(&x, &y, threads).components().map(f64::to_bits),
+                folded.components().map(f64::to_bits),
+                "t={threads}"
+            );
+        }
+    }
+
     /// Zero-length inputs dispatch a single empty chunk without touching
     /// memory or hanging.
     #[test]
@@ -470,19 +502,16 @@ mod tests {
 
     #[test]
     fn default_threads_env_override() {
-        // The pool reads this variable on every dispatch; serialize with
-        // the pool tests that assert exact worker counts.
-        let _env = crate::pool::tests::env_lock();
-        std::env::set_var("MF_BLAS_THREADS", "3");
-        assert_eq!(default_threads(), 3);
-        std::env::set_var("MF_BLAS_THREADS", " 12 ");
-        assert_eq!(default_threads(), 12);
-        // Invalid or non-positive values fall back to the machine default.
-        std::env::set_var("MF_BLAS_THREADS", "0");
-        assert!(default_threads() >= 1);
-        std::env::set_var("MF_BLAS_THREADS", "lots");
-        assert!(default_threads() >= 1);
-        std::env::remove_var("MF_BLAS_THREADS");
+        // Parsed without touching the environment, which the pool reads
+        // once per process as its ceiling.
+        assert_eq!(threads_from(Some("3")), 3);
+        assert_eq!(threads_from(Some(" 12 ")), 12);
+        // Unset, invalid or non-positive values fall back to the machine
+        // default.
+        let machine = threads_from(None);
+        assert!(machine >= 1);
+        assert_eq!(threads_from(Some("0")), machine);
+        assert_eq!(threads_from(Some("lots")), machine);
         assert!(default_threads() >= 1);
     }
 
